@@ -1,10 +1,10 @@
 """Atomic beliefs over densities: pushforward, cost aggregation, metrics.
 
 A belief is a finitely supported probability measure on the set of
-densities.  Beliefs are pushed forward atom by atom under a common
-Fokker-Planck flow; running/terminal costs are averaged linearly over
-atoms; the belief metric is the exact W1 with the circle W1 as ground
-cost, solved as a small dense transportation LP.
+densities.  Beliefs are pushed forward under a common Fokker-Planck
+flow, all atoms in one stacked array; running/terminal costs are
+averaged linearly over atoms; the belief metric is the exact W1 with the
+circle W1 as ground cost, solved as a small dense transportation LP.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .hjb_fp import DensityPath, DriftField, TimeGrid, solve_fp_forward, upwind_advection
+from .hjb_fp import DensityPath, DriftField, TimeGrid, solve_fp_stack, upwind_advection
 from .torus import (
     Density,
     ScalarField,
@@ -35,6 +34,7 @@ __all__ = [
     "CylinderFunctional",
     "push_forward",
     "aggregate_running",
+    "running_cost_path",
     "aggregate_terminal",
     "belief_distance",
     "belief_holder_modulus",
@@ -84,21 +84,20 @@ class Belief:
 
 @dataclass(frozen=True)
 class BeliefPath:
+    """Atom density paths transported by one common flow.
+
+    `values` stacks the K atom paths as one (K, steps+1) + grid.shape
+    array; slices are raw solver output, made densities by `belief_at`.
+    """
+
+    grid: TorusGrid
+    time_grid: TimeGrid
     weights: np.ndarray
-    atom_paths: tuple  # of DensityPath, transported by one common flow
-
-    def __post_init__(self):
-        object.__setattr__(self, "atom_paths", tuple(self.atom_paths))
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
+    values: np.ndarray
 
     @property
-    def grid(self) -> TorusGrid:
-        return self.atom_paths[0].grid
-
-    @property
-    def time_grid(self) -> TimeGrid:
-        return self.atom_paths[0].time_grid
+    def atom_paths(self) -> tuple:
+        return tuple(DensityPath(self.grid, self.time_grid, v) for v in self.values)
 
     def belief_at(self, k: int) -> Belief:
         return Belief(self.weights, tuple(p.at(k) for p in self.atom_paths))
@@ -106,45 +105,54 @@ class BeliefPath:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Running cost f: m -> field and terminal cost U0: m -> field."""
+    """Running cost f: m -> field and terminal cost U0: m -> field.
+
+    `running_values(grid, m)` maps density values of shape
+    (..., *grid.shape) to running-cost values of the same shape, one
+    field per leading index; it is the model's only running-cost formula.
+    """
 
     kind: str
-    running: Callable[[Density], ScalarField]
+    running_values: Callable[[TorusGrid, np.ndarray], np.ndarray]
     terminal: Callable[[Density], ScalarField]
 
+    def running(self, m: Density) -> ScalarField:
+        return ScalarField(m.grid, self.running_values(m.grid, m.values))
 
-def _zero_terminal(grid: TorusGrid | None = None):
-    def term(m: Density) -> ScalarField:
-        return constant_field(m.grid, 0.0)
 
-    return term
+def _zero_terminal(m: Density) -> ScalarField:
+    return constant_field(m.grid, 0.0)
+
+
+def _integrate_fields(grid: TorusGrid, phi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """∫ phi dm for every field of m, kept as size-1 grid axes."""
+    axes = tuple(range(-grid.dim, 0))
+    return np.add.reduce(phi * m, axis=axes, keepdims=True) * grid.cell_volume
 
 
 def product_form_cost(phi: ScalarField, base: ScalarField | None = None,
                       terminal: Callable[[Density], ScalarField] | None = None) -> CostModel:
     """f(m) = base + phi * ∫phi dm; monotone in the lifted sense."""
 
-    def running(m: Density) -> ScalarField:
-        s = integrate(phi, m)
-        vals = phi.values * s
+    def running_values(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
+        vals = phi.values * _integrate_fields(grid, phi.values, m)
         if base is not None:
             vals = base.values + vals
-        return ScalarField(phi.grid, vals)
+        return vals
 
-    return CostModel("product_form", running, terminal or _zero_terminal(phi.grid))
+    return CostModel("product_form", running_values, terminal or _zero_terminal)
 
 
-def moment_form_cost(g: Callable[[float], float], kind: str = "moment_form") -> CostModel:
-    """f(m)(x) = x * g(first moment of m); d = 1 only."""
+def moment_form_cost(g: Callable, kind: str = "moment_form") -> CostModel:
+    """f(m)(x) = x * g(first moment of m); d = 1 only, g elementwise."""
 
-    def running(m: Density) -> ScalarField:
-        if m.grid.dim != 1:
+    def running_values(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
+        if grid.dim != 1:
             raise ValueError("moment_form cost requires d = 1")
-        x = m.grid.axis_coords()
-        mom = float(np.sum(x * m.values) * m.grid.cell_volume)
-        return ScalarField(m.grid, x * g(mom))
+        x = grid.axis_coords()
+        return x * g(_integrate_fields(grid, x, m))
 
-    return CostModel(kind, running, _zero_terminal())
+    return CostModel(kind, running_values, _zero_terminal)
 
 
 def illustrative_cost(f0: ScalarField, c: float) -> CostModel:
@@ -152,22 +160,21 @@ def illustrative_cost(f0: ScalarField, c: float) -> CostModel:
     if not 0 < c < 1:
         raise ValueError("coupling strength c must lie in (0,1)")
 
-    def running(m: Density) -> ScalarField:
-        s = integrate(f0, m)
-        return ScalarField(f0.grid, f0.values * (1.0 + c * s))
+    def running_values(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
+        return f0.values * (1.0 + c * _integrate_fields(grid, f0.values, m))
 
-    return CostModel("illustrative", running, _zero_terminal(f0.grid))
+    return CostModel("illustrative", running_values, _zero_terminal)
 
 
 def constant_cost(f_field: ScalarField,
                   terminal_field: ScalarField | None = None) -> CostModel:
-    def running(m: Density) -> ScalarField:
-        return f_field
+    def running_values(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(f_field.values, m.shape)
 
     def term(m: Density) -> ScalarField:
         return terminal_field if terminal_field is not None else constant_field(m.grid, 0.0)
 
-    return CostModel("constant", running, term)
+    return CostModel("constant", running_values, term)
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +182,42 @@ def constant_cost(f_field: ScalarField,
 
 def push_forward(mu0: Belief, b: DriftField, sigma: float, tg: TimeGrid) -> BeliefPath:
     """Transport every atom along the same FP flow; weights never change."""
-    paths = tuple(solve_fp_forward(a, b, sigma, tg) for a in mu0.atoms)
-    return BeliefPath(mu0.weights, paths)
+    m0 = np.stack([a.values for a in mu0.atoms])
+    return BeliefPath(mu0.grid, tg, mu0.weights, solve_fp_stack(mu0.grid, m0, b, sigma, tg))
+
+
+def _weighted_sum(weights: np.ndarray, fields) -> np.ndarray:
+    """sum_i w_i * fields[i], accumulated atom by atom in order."""
+    vals = np.zeros(fields[0].shape)
+    for w, f in zip(weights, fields):
+        vals += w * f
+    return vals
 
 
 def aggregate_running(mu: Belief, cm: CostModel) -> ScalarField:
-    vals = np.zeros(mu.grid.shape)
-    for w, a in zip(mu.weights, mu.atoms):
-        vals += w * cm.running(a).values
-    return ScalarField(mu.grid, vals)
+    atoms = np.stack([a.values for a in mu.atoms])
+    return ScalarField(mu.grid, _weighted_sum(mu.weights, cm.running_values(mu.grid, atoms)))
+
+
+def running_cost_path(bp: BeliefPath, cm: CostModel) -> np.ndarray:
+    """Belief-averaged running cost along a path, (steps+1,) + grid.shape.
+
+    Slice k equals aggregate_running(bp.belief_at(k), cm) bit for bit:
+    every slice is clipped and renormalized as density_from_values does.
+    """
+    grid = bp.grid
+    axes = tuple(range(-grid.dim, 0))
+    fields = []
+    for path in bp.values:
+        m = np.maximum(path, 0.0)
+        m /= m.sum(axis=axes, keepdims=True) * grid.cell_volume
+        fields.append(cm.running_values(grid, m))
+    return _weighted_sum(bp.weights, fields)
 
 
 def aggregate_terminal(mu: Belief, cm: CostModel) -> ScalarField:
-    vals = np.zeros(mu.grid.shape)
-    for w, a in zip(mu.weights, mu.atoms):
-        vals += w * cm.terminal(a).values
-    return ScalarField(mu.grid, vals)
+    return ScalarField(mu.grid, _weighted_sum(mu.weights,
+                                              [cm.terminal(a).values for a in mu.atoms]))
 
 
 def _transport_lp(w1: np.ndarray, w2: np.ndarray, cost: np.ndarray) -> float:
@@ -199,6 +226,8 @@ def _transport_lp(w1: np.ndarray, w2: np.ndarray, cost: np.ndarray) -> float:
     if k1 == 1 or k2 == 1:
         # transport plan is forced
         return float(np.sum(np.outer(w1, w2) * cost))
+    from scipy.optimize import linprog  # heavy import, needed by the W1 metric only
+
     A_eq = np.zeros((k1 + k2 - 1, k1 * k2))
     b_eq = np.concatenate([w1, w2[:-1]])
     for i in range(k1):

@@ -6,13 +6,13 @@ the resolved config and SHA-256 checksums of all artifacts.  Exit codes:
 0 success (including negative certification findings), 2 config
 validation failure, 3 numerical non-convergence (artifacts still
 written).  All CSV floats carry 17 significant digits; identical config
-and seed reproduce byte-identical outputs.
+and seed reproduce byte-identical outputs, except the wall_time column
+of history.csv and hence its checksum in manifest.json.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -239,20 +239,21 @@ def _fmt(x) -> str:
 
 def _write_path_csv(path: Path, tg: TimeGrid, grid: TorusGrid,
                     values: np.ndarray, column: str) -> None:
-    """Space-time series: t, x0[, x1], <column> — one row per node."""
-    coords = grid.coords()
+    """Space-time series: t, x0[, x1], <column> — one row per node.
+
+    Rows end in CRLF, as csv.writer writes them; each time slice is
+    formatted with one template and written as one block.
+    """
+    nodes = zip(*([_fmt(x) for x in c.ravel()] for c in grid.coords()))
+    template = "".join(f"%s,{','.join(xs)},%.17g\r\n" for xs in nodes)
     axis_names = [f"x{d}" for d in range(grid.dim)]
+    args = [None] * (2 * values[0].size)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + axis_names + [column])
-        for k, t in enumerate(tg.times):
-            flat = values[k].ravel()
-            for idx, val in enumerate(flat):
-                multi = np.unravel_index(idx, grid.shape)
-                row = [_fmt(t)]
-                row += [_fmt(coords[d][multi]) for d in range(grid.dim)]
-                row.append(_fmt(val))
-                writer.writerow(row)
+        fh.write(",".join(["t"] + axis_names + [column]) + "\r\n")
+        for t, vals in zip(tg.times, values):
+            args[0::2] = [_fmt(t)] * vals.size
+            args[1::2] = vals.ravel().tolist()
+            fh.write(template % tuple(args))
 
 
 def _mean_density_path(bp: BeliefPath) -> np.ndarray:

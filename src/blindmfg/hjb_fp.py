@@ -9,6 +9,7 @@ precision and mass/positivity are preserved by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "solve_hjb_backward",
     "optimal_drift",
     "solve_fp_forward",
+    "solve_fp_stack",
     "fp_holder_modulus",
     "hjb_linear_step",
     "fp_step",
@@ -162,30 +164,38 @@ def constant_drift(grid: TorusGrid, tg: TimeGrid, velocity) -> DriftField:
 # ---------------------------------------------------------------------------
 # elementary steps
 
+@functools.lru_cache(maxsize=8)
+def _laplacian_eigenvalues(grid: TorusGrid) -> np.ndarray:
+    """Eigenvalues of the periodic centered Laplacian, shaped grid.shape."""
+    n = grid.n
+    h2 = grid.spacing ** 2
+    eig = (2.0 * np.cos(2.0 * np.pi * np.arange(n) / n) - 2.0) / h2
+    if grid.dim == 2:
+        eig = eig[:, None] + eig[None, :]
+    eig.flags.writeable = False
+    return eig
+
+
 def implicit_diffusion(grid: TorusGrid, v: np.ndarray, sigma: float, dt: float) -> np.ndarray:
     """Solve (I - dt*sigma*Lap) w = v exactly on the periodic grid.
 
     The operator is circulant, so the solve is a division in Fourier
     space; it is symmetric, hence self-adjoint for the duality checks.
+    `v` may carry leading batch axes; each field is solved on its own.
     """
     if sigma == 0.0 or dt == 0.0:
         return v.copy()
-    n = grid.n
-    h2 = grid.spacing ** 2
-    eig = (2.0 * np.cos(2.0 * np.pi * np.arange(n) / n) - 2.0) / h2
-    if grid.dim == 1:
-        denom = 1.0 - dt * sigma * eig
-    else:
-        denom = 1.0 - dt * sigma * (eig[:, None] + eig[None, :])
-    return np.real(np.fft.ifftn(np.fft.fftn(v) / denom))
+    denom = 1.0 - dt * sigma * _laplacian_eigenvalues(grid)
+    axes = tuple(range(-grid.dim, 0))
+    return np.real(np.fft.ifftn(np.fft.fftn(v, axes=axes) / denom, axes=axes))
 
 
 def _diff_minus(grid: TorusGrid, v: np.ndarray, ax: int) -> np.ndarray:
-    return (v - np.roll(v, 1, axis=ax)) / grid.spacing
+    return (v - np.roll(v, 1, axis=ax - grid.dim)) / grid.spacing
 
 
 def _diff_plus(grid: TorusGrid, v: np.ndarray, ax: int) -> np.ndarray:
-    return (np.roll(v, -1, axis=ax) - v) / grid.spacing
+    return (np.roll(v, -1, axis=ax - grid.dim) - v) / grid.spacing
 
 
 def godunov_hamiltonian(grid: TorusGrid, u: np.ndarray, H: Hamiltonian) -> np.ndarray:
@@ -217,17 +227,21 @@ def hjb_linear_step(grid: TorusGrid, phi: np.ndarray, b: np.ndarray,
 
 def fp_step(grid: TorusGrid, m: np.ndarray, b: np.ndarray,
             sigma: float, dt: float) -> np.ndarray:
-    """One forward FP step, the exact transpose of hjb_linear_step."""
+    """One forward FP step, the exact transpose of hjb_linear_step.
+
+    `m` may carry leading batch axes: every density moves with drift b.
+    """
     md = implicit_diffusion(grid, m, sigma, dt)
     out = md.copy()
     h = grid.spacing
     for ax in range(grid.dim):
+        axis = ax - grid.dim
         bax = b[ax]
         bp = np.maximum(bax, 0.0)
         bm = np.minimum(bax, 0.0)
         # donor-cell flux F_{i+1/2} = b+_i m_i + b-_{i+1} m_{i+1}
-        flux = bp * md + np.roll(bm * md, -1, axis=ax)
-        out += dt * (np.roll(flux, 1, axis=ax) - flux) / h
+        flux = bp * md + np.roll(bm * md, -1, axis=axis)
+        out += dt * (np.roll(flux, 1, axis=axis) - flux) / h
     return out
 
 
@@ -271,25 +285,27 @@ def _as_path_array(cost, grid: TorusGrid, tg: TimeGrid) -> np.ndarray:
 def optimal_drift(u: ValuePath, H: Hamiltonian) -> DriftField:
     """Feedback drift b = -D_pH(grad u) with the Godunov upwind gradient choice."""
     grid = u.grid
-    b = np.zeros((u.time_grid.steps + 1, grid.dim) + grid.shape)
-    for k in range(u.time_grid.steps + 1):
-        uk = u.values[k]
-        for ax in range(grid.dim):
-            pm = np.maximum(_diff_minus(grid, uk, ax), 0.0)
-            pp = np.minimum(_diff_plus(grid, uk, ax), 0.0)
-            hm, hp = H.profile(pm), H.profile(pp)
-            p_sel = np.where(hm >= hp, pm, pp)
-            vel = -H.dprofile(p_sel)
-            # two-sided tie (local max of u): both branches are equally
-            # optimal; pick the stationary, reflection-symmetric choice
-            tie = np.abs(hm - hp) <= 1e-12 * (np.abs(hm) + np.abs(hp) + 1.0)
-            b[k, ax] = np.where(tie & (pm > 0.0), 0.0, vel)
+    b = np.empty((u.time_grid.steps + 1, grid.dim) + grid.shape)
+    for ax in range(grid.dim):
+        pm = np.maximum(_diff_minus(grid, u.values, ax), 0.0)
+        pp = np.minimum(_diff_plus(grid, u.values, ax), 0.0)
+        hm, hp = H.profile(pm), H.profile(pp)
+        p_sel = np.where(hm >= hp, pm, pp)
+        vel = -H.dprofile(p_sel)
+        # two-sided tie (local max of u): both branches are equally
+        # optimal; pick the stationary, reflection-symmetric choice
+        tie = np.abs(hm - hp) <= 1e-12 * (np.abs(hm) + np.abs(hp) + 1.0)
+        b[:, ax] = np.where(tie & (pm > 0.0), 0.0, vel)
     return DriftField(grid, u.time_grid, b)
 
 
-def solve_fp_forward(m0: Density, b: DriftField, sigma: float, tg: TimeGrid) -> DensityPath:
-    """Conservative donor-cell + implicit diffusion forward solve."""
-    grid = m0.grid
+def solve_fp_stack(grid: TorusGrid, m0: np.ndarray, b: DriftField, sigma: float,
+                   tg: TimeGrid) -> np.ndarray:
+    """Forward solve of K densities m0 (K,) + grid.shape under one drift.
+
+    Returns the paths as one (K, steps+1) + grid.shape array; the drift
+    is shared, so each path equals its own single-density solve.
+    """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if b.grid != grid:
@@ -297,11 +313,17 @@ def solve_fp_forward(m0: Density, b: DriftField, sigma: float, tg: TimeGrid) -> 
     if b.values.shape[0] != tg.steps + 1:
         raise ValueError("drift slice count mismatch")
     _check_cfl(tg, grid, b.sup_norm(), "FP advection")
-    m = np.empty((tg.steps + 1,) + grid.shape)
-    m[0] = m0.values
+    m = np.empty((m0.shape[0], tg.steps + 1) + grid.shape)
+    m[:, 0] = m0
     for k in range(tg.steps):
-        m[k + 1] = fp_step(grid, m[k], b.values[k], sigma, tg.dt)
-    return DensityPath(grid, tg, m)
+        m[:, k + 1] = fp_step(grid, m[:, k], b.values[k], sigma, tg.dt)
+    return m
+
+
+def solve_fp_forward(m0: Density, b: DriftField, sigma: float, tg: TimeGrid) -> DensityPath:
+    """Conservative donor-cell + implicit diffusion forward solve."""
+    m = solve_fp_stack(m0.grid, m0.values[None], b, sigma, tg)
+    return DensityPath(m0.grid, tg, m[0])
 
 
 def _sample_indices(steps: int, max_nodes: int = 16) -> np.ndarray:

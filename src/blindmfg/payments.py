@@ -207,14 +207,11 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
 
     while steps_left > 0:
         n_adv = min(steps_per_obs, steps_left)
-        drift_vals = sol.drift.values
-        new_atoms = []
-        for a in belief.atoms:
-            m = a.values
-            for s in range(n_adv):
-                m = fp_step(grid, m, drift_vals[s], sigma, dt)
-            new_atoms.append(density_from_values(grid, m))
-        belief = Belief(belief.weights, tuple(new_atoms))
+        m = np.stack([a.values for a in belief.atoms])
+        for s in range(n_adv):
+            m = fp_step(grid, m, sol.drift.values[s], sigma, dt)
+        belief = Belief(belief.weights,
+                        tuple(density_from_values(grid, mk) for mk in m))
         t_now += n_adv * dt
         steps_left -= n_adv
 

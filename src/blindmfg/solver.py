@@ -19,9 +19,9 @@ from .beliefs import (
     Belief,
     BeliefPath,
     CostModel,
-    aggregate_running,
     aggregate_terminal,
     push_forward,
+    running_cost_path,
 )
 from .hjb_fp import (
     DriftField,
@@ -74,28 +74,21 @@ class EquilibriumSolution:
 
 
 def _cost_paths(bp: BeliefPath, cm: CostModel):
-    tg = bp.time_grid
-    grid = bp.grid
-    running = np.empty((tg.steps + 1,) + grid.shape)
-    for k in range(tg.steps + 1):
-        running[k] = aggregate_running(bp.belief_at(k), cm).values
-    terminal = aggregate_terminal(bp.belief_at(tg.steps), cm)
+    running = running_cost_path(bp, cm)
+    terminal = aggregate_terminal(bp.belief_at(bp.time_grid.steps), cm)
     return running, terminal
-
-
-def _apply_psi3(mu0: Belief, drift: DriftField, cm: CostModel, H: Hamiltonian,
-                sigma: float, tg: TimeGrid):
-    """One full application: drift -> belief path -> HJB value -> new drift."""
-    bp = push_forward(mu0, drift, sigma, tg)
-    running, terminal = _cost_paths(bp, cm)
-    u = solve_hjb_backward(running, terminal, H, sigma, tg)
-    return bp, u, optimal_drift(u, H)
 
 
 def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
                 tg: TimeGrid, cfg: SolverConfig | None = None,
                 initial_drift: DriftField | None = None) -> EquilibriumSolution:
-    """Solve the blind game; non-convergence is reported, never raised."""
+    """Solve the blind game; non-convergence is reported, never raised.
+
+    Each iteration applies the map once: pushforward under drift b,
+    belief-averaged costs, backward HJB value u, drift b_raw = optimal_drift(u).
+    The last iterate is returned: value u, drift b_raw, and the belief
+    pushed forward under b_raw.
+    """
     cfg = cfg or SolverConfig()
     grid = mu0.grid
     b = initial_drift if initial_drift is not None else zero_drift(grid, tg)
@@ -105,7 +98,11 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
     gap = np.inf
     t0 = time.perf_counter()
     for it in range(1, cfg.max_iter + 1):
-        bp, u, b_raw = _apply_psi3(mu0, b, cm, H, sigma, tg)
+        b_pushed = b
+        bp = push_forward(mu0, b, sigma, tg)
+        running, terminal = _cost_paths(bp, cm)
+        u = solve_hjb_backward(running, terminal, H, sigma, tg)
+        b_raw = optimal_drift(u, H)
         gap = float(np.max(np.abs(b_raw.values - b.values)))
         value_change = (np.inf if u_prev is None
                         else float(np.max(np.abs(u.values - u_prev))))
@@ -114,7 +111,6 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
         u_prev = u.values
         if gap < cfg.tol:
             converged = True
-            b = b_raw
             break
         if cfg.averaging == "picard":
             # full first step: relaxing toward the zero initial guess has
@@ -123,20 +119,18 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
         else:
             theta = 1.0 / (it + 1)
         b = DriftField(grid, tg, (1.0 - theta) * b.values + theta * b_raw.values)
-    # final consistent packaging: value from the last belief path, drift
-    # recomputed from the value, belief recomputed from the drift
-    bp, u, drift = _apply_psi3(mu0, b, cm, H, sigma, tg)
-    belief = push_forward(mu0, drift, sigma, tg)
-    mass_error = max(p.mass_error() for p in belief.atom_paths)
+    if not np.array_equal(b_raw.values, b_pushed.values):
+        bp = push_forward(mu0, b_raw, sigma, tg)
+        running = running_cost_path(bp, cm)
     diagnostics = {
         "iterations": len(history),
         "final_gap": gap,
         "converged": converged,
-        "hjb_residual": _hjb_residual(u, belief, cm, H, sigma),
-        "mass_error": mass_error,
+        "hjb_residual": _hjb_residual(u, running, H, sigma),
+        "mass_error": max(p.mass_error() for p in bp.atom_paths),
         "history": history,
     }
-    return EquilibriumSolution(value=u, belief=belief, drift=drift,
+    return EquilibriumSolution(value=u, belief=bp, drift=b_raw,
                                diagnostics=diagnostics)
 
 
@@ -148,20 +142,15 @@ def solve_complete_info(m0: Density, cm: CostModel, H: Hamiltonian, sigma: float
                        initial_drift=initial_drift)
 
 
-def _hjb_residual(u: ValuePath, belief: BeliefPath, cm: CostModel, H: Hamiltonian,
+def _hjb_residual(u: ValuePath, running: np.ndarray, H: Hamiltonian,
                   sigma: float) -> float:
     """Sup-norm defect of the discrete backward recurrence against the
-    returned belief's aggregated cost (a posteriori check)."""
+    returned belief's aggregated running cost (a posteriori check)."""
     tg = u.time_grid
-    grid = u.grid
-    running, _ = _cost_paths(belief, cm)
-    worst = 0.0
-    for k in range(tg.steps):
-        ham = godunov_hamiltonian(grid, u.values[k + 1], H)
-        pred = implicit_diffusion(grid, u.values[k + 1] + tg.dt * (running[k] - ham),
-                                  sigma, tg.dt)
-        worst = max(worst, float(np.max(np.abs(u.values[k] - pred))) / tg.dt)
-    return worst
+    ham = godunov_hamiltonian(u.grid, u.values[1:], H)
+    pred = implicit_diffusion(u.grid, u.values[1:] + tg.dt * (running[:-1] - ham),
+                              sigma, tg.dt)
+    return float(np.max(np.abs(u.values[:-1] - pred))) / tg.dt
 
 
 def equilibrium_gap(sol: EquilibriumSolution, cm: CostModel, H: Hamiltonian,
@@ -189,7 +178,8 @@ def cross_solution_coupling(sol1: EquilibriumSolution, sol2: EquilibriumSolution
         mu2 = sol2.belief.belief_at(k)
         total += tg.dt * lifted_pairing(cm, mu1, mu2)
     # terminal part uses the terminal cost map in place of the running one
-    term_cm = CostModel(cm.kind + "_terminal", cm.terminal, cm.terminal)
+    term_cm = CostModel(cm.kind + "_terminal",
+                        lambda grid, m: cm.terminal(Density(grid, m)).values, cm.terminal)
     total += lifted_pairing(term_cm, sol1.belief.belief_at(tg.steps),
                             sol2.belief.belief_at(tg.steps))
     return total

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from blindmfg.beliefs import (
     Belief,
+    BeliefPath,
     CylinderFunctional,
     aggregate_running,
     aggregate_terminal,
@@ -13,9 +14,11 @@ from blindmfg.beliefs import (
     belief_to_json,
     constant_cost,
     illustrative_cost,
+    moment_form_cost,
     product_form_cost,
     push_forward,
     ramp_cylinder,
+    running_cost_path,
     weak_solution_residual,
 )
 from blindmfg.hjb_fp import DriftField, TimeGrid, constant_drift, fp_holder_modulus, solve_fp_forward, zero_drift
@@ -114,6 +117,27 @@ class TestAggregation:
         oracle = base.values + phi.values * sum(
             w * integrate(phi, a) for w, a in zip(mu.weights, mu.atoms))
         assert np.allclose(aggregate_running(mu, cm).values, oracle, atol=1e-14)
+
+    @pytest.mark.parametrize("kind,dim", [
+        ("product_form", 1), ("product_form", 2), ("moment_form", 1),
+        ("illustrative", 1), ("constant", 1), ("constant", 2)])
+    def test_running_cost_path_matches_belief_at(self, kind, dim):
+        g = build_grid(dim, 32 if dim == 1 else 16)
+        tg = TimeGrid(0.25, 8)
+        rng = np.random.default_rng(7)
+        phi = ScalarField(g, np.cos(2 * np.pi * g.coords()[0]))
+        cm = {"product_form": lambda: product_form_cost(phi, phi),
+              "moment_form": lambda: moment_form_cost(np.sqrt),
+              "illustrative": lambda: illustrative_cost(phi, 0.5),
+              "constant": lambda: constant_cost(phi)}[kind]()
+        # raw solver-like slices: mass off one, a few tiny negatives
+        vals = rng.random((2, tg.steps + 1) + g.shape) + 1e-3
+        vals[rng.random(vals.shape) < 0.05] = -1e-15
+        bp = BeliefPath(g, tg, np.array([0.3, 0.7]), vals)
+        path = running_cost_path(bp, cm)
+        assert path.shape == (tg.steps + 1,) + g.shape
+        for k in range(tg.steps + 1):
+            assert np.array_equal(path[k], aggregate_running(bp.belief_at(k), cm).values)
 
     def test_terminal_zero_default(self, grid64):
         x = grid64.axis_coords()

@@ -1,9 +1,15 @@
+import csv
 import json
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from blindmfg.cli import main
+from blindmfg.cli import _write_path_csv, main
+from blindmfg.hjb_fp import TimeGrid
 from blindmfg.payments import illustrative_scenario
+from blindmfg.torus import build_grid
 
 
 def write_config(tmp_path, name, body):
@@ -265,3 +271,38 @@ def test_shipped_illustrative_config_is_valid():
     assert cfg["time"] == {"T": 2.0, "steps": 600}
     assert cfg["cost"] == {"id": "illustrative", "coupling": 0.5}
     assert cfg["true_atom"] == 0
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, blindmfg.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _write_path_csv_by_rows(path, tg, grid, values, column):
+    """Reference writer: one csv.writer row per grid node."""
+    coords = grid.coords()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x{d}" for d in range(grid.dim)] + [column])
+        for k, t in enumerate(tg.times):
+            for idx, val in enumerate(values[k].ravel()):
+                multi = np.unravel_index(idx, grid.shape)
+                writer.writerow([f"{float(t):.17g}"]
+                                + [f"{float(coords[d][multi]):.17g}"
+                                   for d in range(grid.dim)]
+                                + [f"{float(val):.17g}"])
+
+
+@pytest.mark.parametrize("dim,n", [(1, 24), (2, 8)])
+def test_path_csv_bytes_match_row_writer(tmp_path, dim, n):
+    grid = build_grid(dim, n)
+    tg = TimeGrid(0.3, 5)
+    rng = np.random.default_rng(dim)
+    values = rng.standard_normal((tg.steps + 1,) + grid.shape) * 10.0 ** rng.integers(
+        -20, 20, (tg.steps + 1,) + grid.shape)
+    values.flat[:3] = [0.0, -0.0, 1.0 / 3.0]
+    _write_path_csv(tmp_path / "fast.csv", tg, grid, values, "u")
+    _write_path_csv_by_rows(tmp_path / "rows.csv", tg, grid, values, "u")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -287,6 +287,26 @@ class TestSimulateObserved:
             assert abs(b.weights.sum() - 1.0) < 1e-12
 
 
+    def test_short_race_every_segment_converges(self):
+        """The two-Dirac race of configs/illustrative.json cut to T = 0.5
+        (same dt): 50 replanning segments, the wrong atom at 0.1 leaves at
+        t = 1/4 - 0.1."""
+        g = build_grid(1, 256)
+        mu0 = Belief(np.array([0.5, 0.5]),
+                     (mollified_dirac(g, 0.0), mollified_dirac(g, 0.1)))
+        cm = illustrative_cost(smoothed_well_profile(g), 0.5)
+        trace = simulate_observed(mu0, 0, cm, Hamiltonian("abs"), 0.0,
+                                  TimeGrid(0.5, 150),
+                                  FilterConfig(tolerance=0.05, observation_dt=0.01),
+                                  SolverConfig(relaxation=1.0, tol=1e-9, max_iter=60))
+        assert len(trace.segments) == 50
+        assert all(s["converged"] for s in trace.segments)
+        assert len(trace.events) == 1
+        t_event, eliminated = trace.events[0]
+        assert eliminated == (1,)
+        assert abs(t_event - 0.15) < 1e-9
+
+
 class TestIllustrativeScenario:
     def test_parameter_guards(self):
         with pytest.raises(ValueError):

@@ -139,6 +139,31 @@ class TestSolveBlind:
         assert sol.diagnostics["mass_error"] <= 1e-10
         assert sol.drift.sup_norm() <= H.lipschitz + 1e-12
 
+    def test_one_hjb_solve_per_iteration(self, monkeypatch):
+        import blindmfg.solver as solver_module
+
+        calls = {"hjb": 0, "push": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver_module, "solve_hjb_backward",
+                            counted("hjb", solver_module.solve_hjb_backward))
+        monkeypatch.setattr(solver_module, "push_forward",
+                            counted("push", solver_module.push_forward))
+        grid, tg, cm, H, sigma = small_setup()
+        mu0 = Belief(np.array([0.5, 0.5]),
+                     (mollified_dirac(grid, 0.2), mollified_dirac(grid, 0.4)))
+        sol = solve_blind(mu0, cm, H, sigma, tg)
+        iterations = sol.diagnostics["iterations"]
+        assert sol.diagnostics["converged"] and iterations > 2
+        assert calls["hjb"] == iterations
+        # at most one extra pushforward, under the returned drift
+        assert iterations <= calls["push"] <= iterations + 1
+
     def test_nonconvergence_is_reported_not_raised(self):
         grid, tg, cm, H, sigma = small_setup()
         mu0 = Belief(np.array([1.0]), (mollified_dirac(grid, 0.3),))
