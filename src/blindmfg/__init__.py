@@ -6,7 +6,6 @@ from .torus import (  # noqa: F401
     TorusGrid,
     ScalarField,
     Density,
-    VectorField,
     build_grid,
     mollified_dirac,
     integrate,

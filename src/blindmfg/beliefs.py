@@ -9,9 +9,8 @@ circle W1 as ground cost, solved as a small dense transportation LP.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,9 +20,11 @@ from .torus import (
     ScalarField,
     TorusGrid,
     constant_field,
+    density_from_values,
     integrate,
     laplacian_array,
     mollified_dirac,
+    normalize_stack,
     wasserstein1_circle,
 )
 
@@ -205,13 +206,8 @@ def running_cost_path(bp: BeliefPath, cm: CostModel) -> np.ndarray:
     Slice k equals aggregate_running(bp.belief_at(k), cm) bit for bit:
     every slice is clipped and renormalized as density_from_values does.
     """
-    grid = bp.grid
-    axes = tuple(range(-grid.dim, 0))
-    fields = []
-    for path in bp.values:
-        m = np.maximum(path, 0.0)
-        m /= m.sum(axis=axes, keepdims=True) * grid.cell_volume
-        fields.append(cm.running_values(grid, m))
+    fields = [cm.running_values(bp.grid, normalize_stack(bp.grid, path))
+              for path in bp.values]
     return _weighted_sum(bp.weights, fields)
 
 
@@ -375,8 +371,6 @@ def belief_from_json(obj: dict, grid: TorusGrid) -> Belief:
             atoms.append(mollified_dirac(grid, spec["center"], bw))
         elif kind == "grid":
             vals = np.asarray(spec["values"], dtype=float).reshape(grid.shape)
-            from .torus import density_from_values
-
             atoms.append(density_from_values(grid, vals))
         else:
             raise ValueError(f"unknown atom kind {kind!r}")

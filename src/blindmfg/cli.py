@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .beliefs import (
+    MAX_ATOMS,
     Belief,
     BeliefPath,
     CostModel,
@@ -82,13 +84,17 @@ def _check_keys(obj: dict, path: str, allowed: set, required: set = frozenset())
 def _number(obj: dict, path: str, key: str, lo=None, hi=None, default=None,
             integer: bool = False):
     path = f"{path}.{key}" if path else key
-    if key not in obj:
-        if default is not None:
-            return default
+    if key not in obj and default is None:
         raise ConfigError(path, "required key missing")
-    val = obj[key]
+    val = obj.get(key, default)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(path, f"expected a number, got {val!r}")
+    try:
+        finite = math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(path, f"must be a finite number, got {val!r}")
     if integer and int(val) != val:
         raise ConfigError(path, f"expected an integer, got {val!r}")
     if lo is not None and val < lo:
@@ -285,11 +291,10 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, seed: int,
-                    threads: int, artifacts: list) -> None:
+                    artifacts: list) -> None:
     manifest = {
         "command": command,
         "seed": seed,
-        "threads": threads,
         "config": cfg,
         "artifacts": {name: _sha256(out / name) for name in sorted(artifacts)},
     }
@@ -305,7 +310,7 @@ def _write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _solve_common(cfg: dict, out: Path, blind: bool, seed: int, threads: int,
+def _solve_common(cfg: dict, out: Path, blind: bool, seed: int,
                   command: str) -> int:
     allowed = {"grid", "time", "sigma", "hamiltonian", "cost", "solver",
                "output", "belief" if blind else "density"}
@@ -346,21 +351,21 @@ def _solve_common(cfg: dict, out: Path, blind: bool, seed: int, threads: int,
         "hjb_residual": diag["hjb_residual"],
         "mass_error": diag["mass_error"],
     })
-    _write_manifest(out, command, cfg, seed, threads, artifacts)
+    _write_manifest(out, command, cfg, seed, artifacts)
     return EXIT_OK if diag["converged"] else EXIT_NONCONVERGENCE
 
 
-def cmd_solve_complete(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    return _solve_common(cfg, out, blind=False, seed=seed, threads=threads,
+def cmd_solve_complete(cfg: dict, out: Path, seed: int) -> int:
+    return _solve_common(cfg, out, blind=False, seed=seed,
                          command="solve-complete")
 
 
-def cmd_solve_blind(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    return _solve_common(cfg, out, blind=True, seed=seed, threads=threads,
+def cmd_solve_blind(cfg: dict, out: Path, seed: int) -> int:
+    return _solve_common(cfg, out, blind=True, seed=seed,
                          command="solve-blind")
 
 
-def cmd_simulate_observed(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def cmd_simulate_observed(cfg: dict, out: Path, seed: int) -> int:
     _check_keys(cfg, "config",
                 {"grid", "time", "sigma", "hamiltonian", "cost", "belief",
                  "filter", "true_atom", "solver", "output"},
@@ -408,12 +413,12 @@ def cmd_simulate_observed(cfg: dict, out: Path, seed: int, threads: int) -> int:
         "true_atom_survived": True,
         "segments_converged": all_converged,
     })
-    _write_manifest(out, "simulate-observed", cfg, seed, threads,
+    _write_manifest(out, "simulate-observed", cfg, seed,
                     ["trace.json", "trace.csv", "summary.json"])
     return EXIT_OK if all_converged else EXIT_NONCONVERGENCE
 
 
-def cmd_certify_monotone(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def cmd_certify_monotone(cfg: dict, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", {"grid", "cost", "certify", "output"},
                 {"grid", "cost", "certify"})
     grid = _build_grid(cfg)
@@ -421,14 +426,15 @@ def cmd_certify_monotone(cfg: dict, out: Path, seed: int, threads: int) -> int:
     sub = cfg["certify"]
     _check_keys(sub, "certify", {"trials", "max_atoms", "seed"}, {"trials"})
     trials = _number(sub, "certify", "trials", lo=1, integer=True)
-    max_atoms = _number(sub, "certify", "max_atoms", lo=1, default=8,
-                        integer=True)
-    sampler_seed = _number(sub, "certify", "seed", default=seed, integer=True)
+    max_atoms = _number(sub, "certify", "max_atoms", lo=1, hi=MAX_ATOMS,
+                        default=8, integer=True)
+    sampler_seed = _number(sub, "certify", "seed", lo=0, default=seed,
+                           integer=True)
     report = certify_blind_monotone(cm, grid, sampler_seed, trials, max_atoms)
     body = report.to_json()
     body["nonnegative"] = bool(report.min_over_trials >= -1e-10)
     _write_json(out / "report.json", body)
-    _write_manifest(out, "certify-monotone", cfg, seed, threads, ["report.json"])
+    _write_manifest(out, "certify-monotone", cfg, seed, ["report.json"])
     verdict = ("no violation found" if body["nonnegative"]
                else "violation found (finding, not an error)")
     print(f"min pairing over {trials} trials: {report.min_over_trials:.6e} "
@@ -457,7 +463,7 @@ def _drift_from_spec(spec: dict, grid: TorusGrid, tg: TimeGrid,
     raise ConfigError(f"{path}.kind", f"unknown drift kind {kind!r}")
 
 
-def cmd_validate_weak(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def cmd_validate_weak(cfg: dict, out: Path, seed: int) -> int:
     _check_keys(cfg, "config",
                 {"grid", "time", "sigma", "drift", "belief", "phi", "ladder",
                  "perturb", "output"},
@@ -519,7 +525,7 @@ def cmd_validate_weak(cfg: dict, out: Path, seed: int, threads: int) -> int:
         "order_ok": order_ok,
         "violation": violation,
     })
-    _write_manifest(out, "validate-weak", cfg, seed, threads, ["report.json"])
+    _write_manifest(out, "validate-weak", cfg, seed, ["report.json"])
     if violation is not None and violation["detected"]:
         print("violation detected: perturbed path is not a weak solution")
     else:
@@ -551,8 +557,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="advisory bound for internal parallelism")
     args = parser.parse_args(argv)
 
     try:
@@ -578,15 +582,8 @@ def main(argv=None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.threads > 1:
-        try:
-            from threadpoolctl import threadpool_limits
-            threadpool_limits(args.threads)
-        except ImportError:
-            pass
-
     try:
-        return _COMMANDS[args.command](cfg, out, args.seed, args.threads)
+        return _COMMANDS[args.command](cfg, out, args.seed)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -8,21 +8,26 @@ certifies a violation; a nonnegative one is evidence, never proof.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import Belief, CostModel, CylinderFunctional, belief_to_json
-from .hjb_fp import upwind_advection
+from .beliefs import (
+    MAX_ATOMS,
+    Belief,
+    CostModel,
+    CylinderFunctional,
+    _generator_field,
+    belief_to_json,
+)
 from .torus import (
     Density,
     ScalarField,
     TorusGrid,
-    density_from_values,
     integrate,
     laplacian_array,
-    mollified_dirac,
+    mollified_dirac_stack,
+    normalize_stack,
 )
 
 __all__ = [
@@ -89,18 +94,30 @@ def l2_pairing(cm: CostModel, m1: Density, m2: Density) -> float:
     return float(np.sum(df * (m1.values - m2.values)) * m1.grid.cell_volume)
 
 
+def _pairing_values(cm: CostModel, grid: TorusGrid, signed_weights: np.ndarray,
+                    atoms: np.ndarray) -> float:
+    """sum_i s_i ∫ f~ dm_i with f~ = sum_i s_i f(m_i), atoms stacked (K, *grid.shape).
+
+    Accumulates f~ and the signed integrals atom by atom in order.
+    """
+    k = len(atoms)
+    weighted = signed_weights.reshape((k,) + (1,) * grid.dim) * cm.running_values(grid, atoms)
+    ftilde = np.zeros(grid.shape)
+    for term in weighted:
+        ftilde += term
+    integrals = (ftilde * atoms).reshape(k, -1).sum(axis=-1) * grid.cell_volume
+    total = 0.0
+    for s, v in zip(signed_weights.tolist(), integrals.tolist()):
+        total += s * v
+    return total
+
+
 def lifted_pairing(cm: CostModel, mu1: Belief, mu2: Belief) -> float:
     """Belief-level pairing: sum_i s_i ∫ f~(mu1-mu2) dm_i with f~ linear."""
     diff = SignedBeliefDiff.from_beliefs(mu1, mu2)
     grid = diff.atoms[0].grid
-    ftilde = np.zeros(grid.shape)
-    for s, a in zip(diff.signed_weights, diff.atoms):
-        ftilde += s * cm.running(a).values
-    vol = grid.cell_volume
-    total = 0.0
-    for s, a in zip(diff.signed_weights, diff.atoms):
-        total += s * float(np.sum(ftilde * a.values) * vol)
-    return total
+    atoms = np.stack([a.values for a in diff.atoms])
+    return _pairing_values(cm, grid, diff.signed_weights, atoms)
 
 
 def counterexample_gap(g, x: float, y: float, z: float) -> float:
@@ -111,37 +128,72 @@ def counterexample_gap(g, x: float, y: float, z: float) -> float:
     return (0.5 * (g(x) + g(y)) - g(z)) * (0.5 * (x + y) - z)
 
 
-def random_belief(grid: TorusGrid, rng: np.random.Generator, max_atoms: int = 8) -> Belief:
-    """Dirichlet weights over mollified-dirac or random-mixture atoms."""
+def _draw_belief(grid: TorusGrid, rng: np.random.Generator, max_atoms: int):
+    """Weights and atom draws of one random belief, in random_belief's RNG order.
+
+    Each atom draw is (True, center) or (False, raw grid values).
+    """
     k = int(rng.integers(1, max_atoms + 1))
     weights = rng.dirichlet(np.ones(k))
-    atoms = []
+    draws = []
     for _ in range(k):
         if rng.random() < 0.7:
             center = rng.random(grid.dim) if grid.dim > 1 else float(rng.random())
-            atoms.append(mollified_dirac(grid, center))
+            draws.append((True, center))
         else:
-            vals = rng.random(grid.shape) + 1e-3
-            atoms.append(density_from_values(grid, vals))
-    return Belief(weights, tuple(atoms))
+            draws.append((False, rng.random(grid.shape) + 1e-3))
+    return weights, draws
+
+
+def _atom_stack(grid: TorusGrid, draws: list) -> np.ndarray:
+    """Atom densities of the draws, stacked (K, *grid.shape) in draw order."""
+    atoms = np.empty((len(draws),) + grid.shape)
+    dirac = [i for i, (is_dirac, _) in enumerate(draws) if is_dirac]
+    mixed = [i for i, (is_dirac, _) in enumerate(draws) if not is_dirac]
+    if dirac:
+        centers = np.reshape([draws[i][1] for i in dirac], (-1, grid.dim))
+        atoms[dirac] = mollified_dirac_stack(grid, centers)
+    if mixed:
+        atoms[mixed] = normalize_stack(grid, np.stack([draws[i][1] for i in mixed]))
+    return atoms
+
+
+def _as_belief(grid: TorusGrid, weights: np.ndarray, atoms: np.ndarray) -> Belief:
+    return Belief(weights, tuple(Density(grid, a) for a in atoms))
+
+
+def random_belief(grid: TorusGrid, rng: np.random.Generator, max_atoms: int = 8) -> Belief:
+    """Dirichlet weights over mollified-dirac or random-mixture atoms."""
+    weights, draws = _draw_belief(grid, rng, max_atoms)
+    return _as_belief(grid, weights, _atom_stack(grid, draws))
 
 
 def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
                            trials: int, max_atoms: int = 8) -> PairingReport:
-    """Sample random belief pairs and report the minimum lifted pairing."""
+    """Sample random belief pairs and report the minimum lifted pairing.
+
+    Each trial stacks the atoms of both beliefs in one array; Beliefs are
+    built only for the reported witness.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 1 <= max_atoms <= MAX_ATOMS:
+        raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
     rng = np.random.default_rng(sampler_seed)
     best = np.inf
     witness = None
     for _ in range(trials):
-        mu1 = random_belief(grid, rng, max_atoms)
-        mu2 = random_belief(grid, rng, max_atoms)
-        val = lifted_pairing(cm, mu1, mu2)
+        w1, draws1 = _draw_belief(grid, rng, max_atoms)
+        w2, draws2 = _draw_belief(grid, rng, max_atoms)
+        atoms = _atom_stack(grid, draws1 + draws2)
+        val = _pairing_values(cm, grid, np.concatenate([w1, -w2]), atoms)
         if val < best:
             best = val
-            witness = (mu1, mu2)
-    return PairingReport(value=float(best), witnesses=witness, trials=trials,
+            witness = (w1, w2, atoms)
+    w1, w2, atoms = witness
+    mu1 = _as_belief(grid, w1, atoms[:len(w1)])
+    mu2 = _as_belief(grid, w2, atoms[len(w1):])
+    return PairingReport(value=float(best), witnesses=(mu1, mu2), trials=trials,
                          min_over_trials=float(best), seed=sampler_seed, model=cm.kind)
 
 
@@ -164,7 +216,7 @@ def operator_A_cylinder(mu: Belief, b_components: np.ndarray, sigma: float,
     """
     grid = mu.grid
     h_vals = phi.inner.values
-    gen = sigma * laplacian_array(grid, h_vals) + upwind_advection(grid, h_vals, b_components)
+    gen = _generator_field(grid, h_vals, laplacian_array(grid, h_vals), b_components, sigma)
     vol = grid.cell_volume
     total = 0.0
     for w, a in zip(mu.weights, mu.atoms):

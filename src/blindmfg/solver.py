@@ -178,8 +178,11 @@ def cross_solution_coupling(sol1: EquilibriumSolution, sol2: EquilibriumSolution
         mu2 = sol2.belief.belief_at(k)
         total += tg.dt * lifted_pairing(cm, mu1, mu2)
     # terminal part uses the terminal cost map in place of the running one
-    term_cm = CostModel(cm.kind + "_terminal",
-                        lambda grid, m: cm.terminal(Density(grid, m)).values, cm.terminal)
+    def terminal_values(grid, m):
+        fields = [cm.terminal(Density(grid, a)).values for a in m.reshape((-1,) + grid.shape)]
+        return np.reshape(fields, m.shape)
+
+    term_cm = CostModel(cm.kind + "_terminal", terminal_values, cm.terminal)
     total += lifted_pairing(term_cm, sol1.belief.belief_at(tg.steps),
                             sol2.belief.belief_at(tg.steps))
     return total

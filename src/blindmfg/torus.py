@@ -7,7 +7,8 @@ periodic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +16,10 @@ __all__ = [
     "TorusGrid",
     "ScalarField",
     "Density",
-    "VectorField",
     "build_grid",
+    "normalize_stack",
     "mollified_dirac",
+    "mollified_dirac_stack",
     "integrate",
     "laplacian",
     "wasserstein1_circle",
@@ -102,20 +104,6 @@ class Density:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    grid: TorusGrid
-    components: np.ndarray  # shape (dim,) + grid.shape
-
-    def __post_init__(self):
-        c = _frozen(self.components)
-        if c.shape != (self.grid.dim,) + self.grid.shape:
-            raise ValueError(f"components shape {c.shape} incompatible with grid")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("vector field contains non-finite values")
-        object.__setattr__(self, "components", c)
-
-
 def constant_field(grid: TorusGrid, value: float) -> ScalarField:
     return ScalarField(grid, np.full(grid.shape, float(value)))
 
@@ -124,13 +112,77 @@ def uniform_density(grid: TorusGrid) -> Density:
     return Density(grid, np.full(grid.shape, 1.0))
 
 
+def normalize_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Clip tiny negatives and renormalize every field of a (..., *grid.shape) stack.
+
+    Each field is summed over its flattened grid axes, so a field of a
+    stack gets the same bits as the field normalized on its own.
+    """
+    v = np.maximum(np.asarray(values, dtype=float), 0.0)
+    lead = v.shape[:v.ndim - grid.dim]
+    total = v.reshape(lead + (-1,)).sum(axis=-1) * grid.cell_volume
+    if (total <= 0).any():
+        raise ValueError("cannot normalize a nonpositive mass field")
+    v /= np.reshape(total, lead + (1,) * grid.dim)
+    return v
+
+
 def density_from_values(grid: TorusGrid, values: np.ndarray) -> Density:
     """Clip tiny negatives and renormalize; for solver output and sampling."""
-    v = np.maximum(np.asarray(values, dtype=float), 0.0)
-    total = v.sum() * grid.cell_volume
-    if total <= 0:
-        raise ValueError("cannot normalize a nonpositive mass field")
-    return Density(grid, v / total)
+    return Density(grid, normalize_stack(grid, values))
+
+
+# Gaussian images at integer shifts k = -5..5 wrap the profile around the
+# circle with machine-precision mass.  A term exp(-z^2/2) with
+# |z| >= _EXP_CUTOFF is at most exp(-800), which is exactly 0.0 in double
+# precision, so it is set to 0.0 without calling exp: an exp whose result
+# underflows costs an order of magnitude more than one with a normal result.
+_IMAGES = np.arange(-5.0, 6.0)
+_EXP_CUTOFF = 40.0
+
+
+def mollified_dirac_stack(grid: TorusGrid, centers, bandwidth: float | None = None) -> np.ndarray:
+    """Wrapped-Gaussian Dirac realizations, (J, *grid.shape), for J centers (J, dim).
+
+    Row j equals mollified_dirac(grid, centers[j], bandwidth).values.
+    """
+    h = grid.spacing
+    if bandwidth is None:
+        bandwidth = 2.0 * h
+    if bandwidth < h:
+        raise ValueError(f"bandwidth {bandwidth} under-resolved (grid spacing {h})")
+    c = np.asarray(centers, dtype=float)
+    if c.ndim != 2 or c.shape[1] != grid.dim:
+        raise ValueError(f"center must have {grid.dim} coordinate(s)")
+    x = grid.axis_coords()
+    # x - c spans [x[0] - max c, x[-1] - min c]; image k has a nonzero
+    # term only if that span shifted by k comes within reach of zero
+    reach = _EXP_CUTOFF * bandwidth
+    c_lo, c_hi = float(c.min()), float(c.max())
+    if not (math.isfinite(c_lo) and math.isfinite(c_hi)):
+        raise ValueError("center must be finite")
+    lo = min(max(math.floor(-reach - (x[-1] - c_lo)) + 6, 0), _IMAGES.size)
+    hi = max(min(math.ceil(reach - (x[0] - c_hi)) + 5, _IMAGES.size), lo)
+    # image-major, so that the elementwise loops run along the grid
+    z = ((x - c[..., None]) + _IMAGES[lo:hi, None, None, None]) / bandwidth
+    arg = -0.5 * z ** 2
+    e = np.zeros_like(z)
+    np.exp(arg, out=e, where=arg > -0.5 * _EXP_CUTOFF ** 2)
+    if reach < 0.45:
+        # images lie 1 apart and a term is nonzero only within reach < 1/2
+        # of its image, so each node has at most one nonzero term and the
+        # image sum is exact in any order
+        prof = e.sum(axis=0)
+    else:
+        # the eleven image slots, zero where skipped, summed in one fixed order
+        terms = np.zeros(c.shape + (grid.n, _IMAGES.size))
+        terms[..., lo:hi] = np.moveaxis(e, 0, -1)
+        prof = terms.sum(axis=-1)
+    if grid.dim == 1:
+        vals = prof[:, 0]
+    else:
+        vals = prof[:, 0, :, None] * prof[:, 1, None, :]
+    return normalize_stack(grid, vals)
 
 
 def mollified_dirac(grid: TorusGrid, center, bandwidth: float | None = None) -> Density:
@@ -139,27 +191,10 @@ def mollified_dirac(grid: TorusGrid, center, bandwidth: float | None = None) -> 
     The default bandwidth is twice the grid spacing, the smallest width
     the transport solvers resolve comfortably.
     """
-    h = grid.spacing
-    if bandwidth is None:
-        bandwidth = 2.0 * h
-    if bandwidth < h:
-        raise ValueError(f"bandwidth {bandwidth} under-resolved (grid spacing {h})")
-    centers = np.atleast_1d(np.asarray(center, dtype=float))
-    if centers.shape != (grid.dim,):
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.shape != (grid.dim,):
         raise ValueError(f"center must have {grid.dim} coordinate(s)")
-    x = grid.axis_coords()
-    axis_profiles = []
-    for c in centers:
-        # wrap over enough images of the Gaussian for machine-precision mass
-        k = np.arange(-5, 6)
-        d = x[:, None] - c + k[None, :]
-        prof = np.exp(-0.5 * (d / bandwidth) ** 2).sum(axis=1)
-        axis_profiles.append(prof)
-    if grid.dim == 1:
-        vals = axis_profiles[0]
-    else:
-        vals = np.multiply.outer(axis_profiles[0], axis_profiles[1])
-    return density_from_values(grid, vals)
+    return Density(grid, mollified_dirac_stack(grid, c[None], bandwidth)[0])
 
 
 def integrate(phi: ScalarField, m: Density) -> float:

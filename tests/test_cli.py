@@ -70,6 +70,17 @@ class TestSolveComplete:
                      "--out", str(tmp_path / "o")]) == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "sigma", float("nan")), (None, "sigma", float("inf")),
+        ("solver", "tol", float("nan")), ("time", "T", float("inf"))])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, section, key, value):
+        cfg = base_complete_config()
+        (cfg[section] if section else cfg)[key] = value
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["solve-complete", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert (f"{section}.{key}" if section else key) in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = base_complete_config()
         cfg["hamiltonian"]["viscosity"] = 1.0
@@ -195,6 +206,36 @@ class TestCertifyMonotone:
             {"id": "moment_form", "g": "sqrt"}, 0))
         assert main(["certify-monotone", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("trials", float("nan")), ("trials", float("inf")),
+        ("max_atoms", 100), ("seed", -1)])
+    def test_bad_certify_field_exit_2(self, tmp_path, capsys, key, value):
+        cfg = self.config({"id": "moment_form", "g": "sqrt"}, 10)
+        cfg["certify"][key] = value
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["certify-monotone", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"certify.{key}" in capsys.readouterr().err
+
+    def test_negative_cli_seed_fallback_exit_2(self, tmp_path, capsys):
+        cfg = self.config({"id": "moment_form", "g": "sqrt"}, 10)
+        del cfg["certify"]["seed"]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["certify-monotone", "--config", path, "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "certify.seed" in capsys.readouterr().err
+
+    def test_manifest_has_no_threads_key(self, tmp_path):
+        path = write_config(tmp_path, "c.json", self.config(
+            {"id": "moment_form", "g": "sqrt"}, 10))
+        out = tmp_path / "out"
+        assert main(["certify-monotone", "--config", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"command", "seed", "config", "artifacts"}
+        with pytest.raises(SystemExit) as exc:
+            main(["certify-monotone", "--config", path, "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestValidateWeak:

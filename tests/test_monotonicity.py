@@ -25,6 +25,7 @@ from blindmfg.torus import (
     ScalarField,
     build_grid,
     constant_field,
+    density_from_values,
     integrate,
     mollified_dirac,
 )
@@ -35,6 +36,58 @@ from conftest import random_density
 def cos_product_cost(grid):
     x = grid.axis_coords()
     return product_form_cost(ScalarField(grid, np.cos(2 * np.pi * x)))
+
+
+def cos_product_cost_2d(grid):
+    xx, yy = grid.coords()
+    return product_form_cost(ScalarField(grid, np.cos(2 * np.pi * xx) * np.sin(2 * np.pi * yy)))
+
+
+# Per-atom oracles: one Density per atom and one running-cost field per
+# atom, as the certifier computed them before it worked on stacked arrays.
+
+def oracle_random_belief(grid, rng, max_atoms=8):
+    k = int(rng.integers(1, max_atoms + 1))
+    weights = rng.dirichlet(np.ones(k))
+    atoms = []
+    for _ in range(k):
+        if rng.random() < 0.7:
+            center = rng.random(grid.dim) if grid.dim > 1 else float(rng.random())
+            atoms.append(mollified_dirac(grid, center))
+        else:
+            atoms.append(density_from_values(grid, rng.random(grid.shape) + 1e-3))
+    return Belief(weights, tuple(atoms))
+
+
+def oracle_lifted_pairing(cm, mu1, mu2):
+    diff = SignedBeliefDiff.from_beliefs(mu1, mu2)
+    grid = diff.atoms[0].grid
+    ftilde = np.zeros(grid.shape)
+    for s, a in zip(diff.signed_weights, diff.atoms):
+        ftilde += s * cm.running(a).values
+    total = 0.0
+    for s, a in zip(diff.signed_weights, diff.atoms):
+        total += s * float(np.sum(ftilde * a.values) * grid.cell_volume)
+    return total
+
+
+def oracle_certify(cm, grid, seed, trials, max_atoms=8):
+    rng = np.random.default_rng(seed)
+    best, witness = np.inf, None
+    for _ in range(trials):
+        mu1 = oracle_random_belief(grid, rng, max_atoms)
+        mu2 = oracle_random_belief(grid, rng, max_atoms)
+        val = oracle_lifted_pairing(cm, mu1, mu2)
+        if val < best:
+            best, witness = val, (mu1, mu2)
+    return best, witness
+
+
+def assert_same_belief(mu, nu):
+    assert np.array_equal(mu.weights, nu.weights)
+    assert len(mu.atoms) == len(nu.atoms)
+    for a, b in zip(mu.atoms, nu.atoms):
+        assert np.array_equal(a.values, b.values)
 
 
 class TestSignedBeliefDiff:
@@ -134,6 +187,27 @@ class TestLiftedPairing:
             assert lifted == pytest.approx(l2_pairing(cm, m1, m2), abs=1e-12)
 
 
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    def test_equals_per_atom_oracle_bitwise(self, dim, n):
+        g = build_grid(dim, n)
+        cm = cos_product_cost(g) if dim == 1 else cos_product_cost_2d(g)
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            mu, nu = random_belief(g, rng), random_belief(g, rng)
+            assert lifted_pairing(cm, mu, nu) == oracle_lifted_pairing(cm, mu, nu)
+
+
+class TestRandomBelief:
+    @pytest.mark.parametrize("dim,n,max_atoms", [(1, 64, 8), (1, 256, 12), (2, 16, 5)])
+    def test_same_belief_and_generator_state_as_per_atom_draw(self, dim, n, max_atoms):
+        g = build_grid(dim, n)
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(20):
+            assert_same_belief(random_belief(g, rng, max_atoms),
+                               oracle_random_belief(g, oracle_rng, max_atoms))
+            assert rng.random() == oracle_rng.random()
+
+
 class TestCounterexampleGap:
     def test_affine_midpoint_cancellation(self):
         g = lambda s: 2 * s + 1
@@ -165,6 +239,33 @@ class TestCertifyBlindMonotone:
         mu1, mu2 = report.witnesses
         assert lifted_pairing(moment_form_cost(np.sqrt), mu1, mu2) == \
             pytest.approx(report.min_over_trials, abs=1e-14)
+
+    @pytest.mark.parametrize("cost,dim,n", [("sqrt", 1, 64), ("sqrt", 1, 256),
+                                            ("product", 1, 64), ("product", 2, 16)])
+    def test_equals_per_atom_oracle_bitwise(self, cost, dim, n):
+        g = build_grid(dim, n)
+        if cost == "sqrt":
+            cm = moment_form_cost(np.sqrt)
+        else:
+            cm = cos_product_cost(g) if dim == 1 else cos_product_cost_2d(g)
+        report = certify_blind_monotone(cm, g, sampler_seed=5, trials=150)
+        best, (mu1, mu2) = oracle_certify(cm, g, 5, 150)
+        assert report.min_over_trials == best
+        assert_same_belief(report.witnesses[0], mu1)
+        assert_same_belief(report.witnesses[1], mu2)
+
+    @pytest.mark.parametrize("dim,n", [(1, 256), (2, 16)])
+    def test_witness_reevaluates_to_min_exactly(self, dim, n):
+        g = build_grid(dim, n)
+        cm = moment_form_cost(np.sqrt) if dim == 1 else cos_product_cost_2d(g)
+        report = certify_blind_monotone(cm, g, sampler_seed=2, trials=300)
+        assert lifted_pairing(cm, *report.witnesses) == report.min_over_trials
+        assert report.to_json()["min_pairing"] == report.min_over_trials
+
+    def test_max_atoms_guard(self, grid64):
+        with pytest.raises(ValueError, match="max_atoms"):
+            certify_blind_monotone(cos_product_cost(grid64), grid64, 0, 5,
+                                   max_atoms=65)
 
     def test_constant_cost_all_zero(self, grid64):
         cm = constant_cost(constant_field(grid64, 1.0))

@@ -12,6 +12,8 @@ from blindmfg.torus import (
     integrate,
     laplacian,
     mollified_dirac,
+    mollified_dirac_stack,
+    normalize_stack,
     uniform_density,
     wasserstein1_circle,
 )
@@ -198,3 +200,56 @@ def test_density_from_values_normalizes(grid64):
     m = density_from_values(grid64, np.random.default_rng(3).random(64))
     assert abs(np.sum(m.values) * grid64.cell_volume - 1.0) < 1e-12
     assert np.all(m.values >= 0)
+
+
+def per_center_gaussian(grid, center, bandwidth=None):
+    """The wrapped Gaussian as one centre at a time: all eleven images
+    exponentiated, summed per node, clipped and renormalized."""
+    if bandwidth is None:
+        bandwidth = 2.0 * grid.spacing
+    x = grid.axis_coords()
+    profiles = []
+    for c in np.atleast_1d(np.asarray(center, dtype=float)):
+        d = x[:, None] - c + np.arange(-5, 6)[None, :]
+        profiles.append(np.exp(-0.5 * (d / bandwidth) ** 2).sum(axis=1))
+    vals = profiles[0] if grid.dim == 1 else np.multiply.outer(*profiles)
+    v = np.maximum(vals, 0.0)
+    return v / (v.sum() * grid.cell_volume)
+
+
+class TestMollifiedDiracStack:
+    # n = 8 keeps every image (no skip); n = 256 reaches each node with
+    # one image only; the bandwidths cover both sides of that boundary
+    @pytest.mark.parametrize("dim,n,bandwidth", [
+        (1, 8, None), (1, 16, None), (1, 64, None), (1, 256, None),
+        (1, 16, 0.3), (1, 64, 0.05), (1, 256, 0.006), (2, 32, None), (2, 64, None),
+        (2, 32, 0.07), (2, 200, None)])
+    def test_rows_equal_per_center_gaussian_bitwise(self, dim, n, bandwidth):
+        g = build_grid(dim, n)
+        rng = np.random.default_rng(n)
+        centers = np.concatenate([rng.random((6, dim)),
+                                  [[0.0] * dim, [1 - 1e-12] * dim,
+                                   [1.7] * dim, [-0.3] * dim]])
+        stack = mollified_dirac_stack(g, centers, bandwidth)
+        assert stack.shape == (len(centers),) + g.shape
+        for c, row in zip(centers, stack):
+            center = c if dim > 1 else float(c[0])
+            single = mollified_dirac(g, center, bandwidth).values
+            assert np.array_equal(row, single)
+            assert np.array_equal(row, per_center_gaussian(g, center, bandwidth))
+
+    def test_center_shape_and_finiteness(self, grid64):
+        with pytest.raises(ValueError, match="coordinate"):
+            mollified_dirac_stack(grid64, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            mollified_dirac_stack(grid64, [[0.2], [np.nan]])
+
+
+def test_normalize_stack_rows_equal_density_from_values():
+    for g in (build_grid(1, 64), build_grid(2, 32)):
+        raw = np.random.default_rng(4).random((5,) + g.shape) - 0.01
+        stack = normalize_stack(g, raw)
+        for r, row in zip(raw, stack):
+            assert np.array_equal(row, density_from_values(g, r).values)
+        with pytest.raises(ValueError, match="nonpositive"):
+            normalize_stack(g, np.zeros((2,) + g.shape))
