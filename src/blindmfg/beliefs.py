@@ -82,6 +82,11 @@ class Belief:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
+    @property
+    def values(self) -> np.ndarray:
+        """Atom values stacked (K, *grid.shape), in atom order."""
+        return np.stack([a.values for a in self.atoms])
+
 
 @dataclass(frozen=True)
 class BeliefPath:
@@ -183,7 +188,7 @@ def constant_cost(f_field: ScalarField,
 
 def push_forward(mu0: Belief, b: DriftField, sigma: float, tg: TimeGrid) -> BeliefPath:
     """Transport every atom along the same FP flow; weights never change."""
-    m0 = np.stack([a.values for a in mu0.atoms])
+    m0 = mu0.values
     return BeliefPath(mu0.grid, tg, mu0.weights, solve_fp_stack(mu0.grid, m0, b, sigma, tg))
 
 
@@ -196,8 +201,7 @@ def _weighted_sum(weights: np.ndarray, fields) -> np.ndarray:
 
 
 def aggregate_running(mu: Belief, cm: CostModel) -> ScalarField:
-    atoms = np.stack([a.values for a in mu.atoms])
-    return ScalarField(mu.grid, _weighted_sum(mu.weights, cm.running_values(mu.grid, atoms)))
+    return ScalarField(mu.grid, _weighted_sum(mu.weights, cm.running_values(mu.grid, mu.values)))
 
 
 def running_cost_path(bp: BeliefPath, cm: CostModel) -> np.ndarray:

@@ -9,6 +9,7 @@ certifies a violation; a nonnegative one is evidence, never proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .beliefs import (
     CostModel,
     CylinderFunctional,
     _generator_field,
+    _weighted_sum,
     belief_to_json,
 )
 from .torus import (
@@ -94,30 +96,33 @@ def l2_pairing(cm: CostModel, m1: Density, m2: Density) -> float:
     return float(np.sum(df * (m1.values - m2.values)) * m1.grid.cell_volume)
 
 
-def _pairing_values(cm: CostModel, grid: TorusGrid, signed_weights: np.ndarray,
-                    atoms: np.ndarray) -> float:
-    """sum_i s_i ∫ f~ dm_i with f~ = sum_i s_i f(m_i), atoms stacked (K, *grid.shape).
+class _AtomStack(NamedTuple):
+    """A sampled belief as plain arrays: the part of a Belief lifted_pairing reads."""
 
-    Accumulates f~ and the signed integrals atom by atom in order.
+    grid: TorusGrid
+    weights: np.ndarray
+    values: np.ndarray  # atoms stacked (K, *grid.shape)
+
+
+def lifted_pairing(cm: CostModel, mu1: Belief, mu2: Belief) -> float:
+    """Belief-level pairing: sum_i s_i ∫ f~(mu1-mu2) dm_i with f~ linear.
+
+    Reads each belief's grid, weights and stacked atom values only, so the
+    certifier passes its sampled arrays directly.  One running-cost call
+    covers all atoms; f~ and the signed integrals accumulate atom by atom
+    in order.
     """
-    k = len(atoms)
-    weighted = signed_weights.reshape((k,) + (1,) * grid.dim) * cm.running_values(grid, atoms)
-    ftilde = np.zeros(grid.shape)
-    for term in weighted:
-        ftilde += term
-    integrals = (ftilde * atoms).reshape(k, -1).sum(axis=-1) * grid.cell_volume
+    if mu1.grid != mu2.grid:
+        raise ValueError("beliefs on different grids")
+    grid = mu1.grid
+    signed_weights = np.concatenate([mu1.weights, -mu2.weights])
+    atoms = np.concatenate([mu1.values, mu2.values])
+    ftilde = _weighted_sum(signed_weights, cm.running_values(grid, atoms))
+    integrals = (ftilde * atoms).reshape(len(atoms), -1).sum(axis=-1) * grid.cell_volume
     total = 0.0
     for s, v in zip(signed_weights.tolist(), integrals.tolist()):
         total += s * v
     return total
-
-
-def lifted_pairing(cm: CostModel, mu1: Belief, mu2: Belief) -> float:
-    """Belief-level pairing: sum_i s_i ∫ f~(mu1-mu2) dm_i with f~ linear."""
-    diff = SignedBeliefDiff.from_beliefs(mu1, mu2)
-    grid = diff.atoms[0].grid
-    atoms = np.stack([a.values for a in diff.atoms])
-    return _pairing_values(cm, grid, diff.signed_weights, atoms)
 
 
 def counterexample_gap(g, x: float, y: float, z: float) -> float:
@@ -158,14 +163,14 @@ def _atom_stack(grid: TorusGrid, draws: list) -> np.ndarray:
     return atoms
 
 
-def _as_belief(grid: TorusGrid, weights: np.ndarray, atoms: np.ndarray) -> Belief:
-    return Belief(weights, tuple(Density(grid, a) for a in atoms))
+def _as_belief(stack: _AtomStack) -> Belief:
+    return Belief(stack.weights, tuple(Density(stack.grid, a) for a in stack.values))
 
 
 def random_belief(grid: TorusGrid, rng: np.random.Generator, max_atoms: int = 8) -> Belief:
     """Dirichlet weights over mollified-dirac or random-mixture atoms."""
     weights, draws = _draw_belief(grid, rng, max_atoms)
-    return _as_belief(grid, weights, _atom_stack(grid, draws))
+    return _as_belief(_AtomStack(grid, weights, _atom_stack(grid, draws)))
 
 
 def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
@@ -186,14 +191,14 @@ def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
         w1, draws1 = _draw_belief(grid, rng, max_atoms)
         w2, draws2 = _draw_belief(grid, rng, max_atoms)
         atoms = _atom_stack(grid, draws1 + draws2)
-        val = _pairing_values(cm, grid, np.concatenate([w1, -w2]), atoms)
+        mu1 = _AtomStack(grid, w1, atoms[:len(w1)])
+        mu2 = _AtomStack(grid, w2, atoms[len(w1):])
+        val = lifted_pairing(cm, mu1, mu2)
         if val < best:
             best = val
-            witness = (w1, w2, atoms)
-    w1, w2, atoms = witness
-    mu1 = _as_belief(grid, w1, atoms[:len(w1)])
-    mu2 = _as_belief(grid, w2, atoms[len(w1):])
-    return PairingReport(value=float(best), witnesses=(mu1, mu2), trials=trials,
+            witness = (mu1, mu2)
+    witness = (_as_belief(witness[0]), _as_belief(witness[1]))
+    return PairingReport(value=float(best), witnesses=witness, trials=trials,
                          min_over_trials=float(best), seed=sampler_seed, model=cm.kind)
 
 

@@ -207,7 +207,7 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
 
     while steps_left > 0:
         n_adv = min(steps_per_obs, steps_left)
-        m = np.stack([a.values for a in belief.atoms])
+        m = belief.values
         for s in range(n_adv):
             m = fp_step(grid, m, sol.drift.values[s], sigma, dt)
         belief = Belief(belief.weights,

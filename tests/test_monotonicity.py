@@ -144,6 +144,12 @@ class TestLiftedPairing:
         assert lifted_pairing(cos_product_cost(grid64), mu, mu) == pytest.approx(
             0.0, abs=1e-14)
 
+    def test_grid_mismatch_rejected(self, grid64):
+        mu = Belief(np.array([1.0]), (mollified_dirac(grid64, 0.1),))
+        nu = Belief(np.array([1.0]), (mollified_dirac(build_grid(1, 32), 0.1),))
+        with pytest.raises(ValueError, match="grids"):
+            lifted_pairing(cos_product_cost(grid64), mu, nu)
+
     def test_swap_symmetry(self, grid64):
         rng = np.random.default_rng(2)
         cm = cos_product_cost(grid64)
@@ -261,6 +267,20 @@ class TestCertifyBlindMonotone:
         report = certify_blind_monotone(cm, g, sampler_seed=2, trials=300)
         assert lifted_pairing(cm, *report.witnesses) == report.min_over_trials
         assert report.to_json()["min_pairing"] == report.min_over_trials
+
+    def test_one_lifted_pairing_call_per_trial(self, grid64, monkeypatch):
+        import blindmfg.monotonicity as mono
+
+        calls = []
+
+        def counting(cm, mu1, mu2):
+            calls.append(None)
+            return lifted_pairing(cm, mu1, mu2)
+
+        monkeypatch.setattr(mono, "lifted_pairing", counting)
+        report = certify_blind_monotone(cos_product_cost(grid64), grid64, 4, 37)
+        assert len(calls) == 37
+        assert report.trials == 37
 
     def test_max_atoms_guard(self, grid64):
         with pytest.raises(ValueError, match="max_atoms"):
