@@ -21,7 +21,6 @@ from .hjb_fp import (  # noqa: F401
     solve_hjb_backward,
     optimal_drift,
     solve_fp_forward,
-    fp_holder_modulus,
 )
 from .beliefs import (  # noqa: F401
     Belief,

@@ -64,9 +64,9 @@ class Belief:
             raise ValueError(f"belief must have between 1 and {MAX_ATOMS} atoms")
         if w.shape != (len(atoms),):
             raise ValueError("one weight per atom required")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValueError("atom weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum()}, expected 1")
         grid = atoms[0].grid
         if any(a.grid != grid for a in atoms):
@@ -136,8 +136,7 @@ def _integrate_fields(grid: TorusGrid, phi: np.ndarray, m: np.ndarray) -> np.nda
     return np.add.reduce(phi * m, axis=axes, keepdims=True) * grid.cell_volume
 
 
-def product_form_cost(phi: ScalarField, base: ScalarField | None = None,
-                      terminal: Callable[[Density], ScalarField] | None = None) -> CostModel:
+def product_form_cost(phi: ScalarField, base: ScalarField | None = None) -> CostModel:
     """f(m) = base + phi * ∫phi dm; monotone in the lifted sense."""
 
     def running_values(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
@@ -146,7 +145,7 @@ def product_form_cost(phi: ScalarField, base: ScalarField | None = None,
             vals = base.values + vals
         return vals
 
-    return CostModel("product_form", running_values, terminal or _zero_terminal)
+    return CostModel("product_form", running_values, _zero_terminal)
 
 
 def moment_form_cost(g: Callable, kind: str = "moment_form") -> CostModel:
@@ -254,10 +253,14 @@ def belief_distance(mu: Belief, nu: Belief) -> float:
 
 
 def belief_holder_modulus(path: BeliefPath) -> float:
-    """Max over sampled pairs of d1(mu_s, mu_t)/sqrt|t-s| (d = 1 only)."""
+    """Max over sampled pairs of d1(mu_s, mu_t)/sqrt|t-s| (d = 1 only).
+
+    A one-atom path is a density path, and d1 is then the circle W1.
+    """
     if path.grid.dim != 1:
         raise ValueError("belief_holder_modulus requires d = 1")
     steps = path.time_grid.steps
+    # fixed coarse sample times so the modulus is stable under dt refinement
     idx = np.unique(np.linspace(0, steps, min(16, steps) + 1).round().astype(int))
     times = path.time_grid.times
     beliefs = [path.belief_at(int(k)) for k in idx]

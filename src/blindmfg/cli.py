@@ -4,10 +4,11 @@ Subcommands: solve-complete, solve-blind, simulate-observed,
 certify-monotone, validate-weak.  Every run writes a manifest.json with
 the resolved config and SHA-256 checksums of all artifacts.  Exit codes:
 0 success (including negative certification findings), 2 config
-validation failure, 3 numerical non-convergence (artifacts still
-written).  All CSV floats carry 17 significant digits; identical config
-and seed reproduce byte-identical outputs, except the wall_time column
-of history.csv and hence its checksum in manifest.json.
+validation failure (including time steps too coarse for the CFL
+condition), 3 numerical non-convergence (artifacts still written).  All
+CSV floats carry 17 significant digits; identical config and seed
+reproduce byte-identical outputs, except the wall_time column of
+history.csv and hence its checksum in manifest.json.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .beliefs import (
     Belief,
     BeliefPath,
     CostModel,
+    _weighted_sum,
     belief_from_json,
     constant_cost,
     illustrative_cost,
@@ -35,7 +37,7 @@ from .beliefs import (
     ramp_cylinder,
     weak_solution_residual,
 )
-from .hjb_fp import DriftField, Hamiltonian, TimeGrid
+from .hjb_fp import DriftField, Hamiltonian, TimeGrid, _check_cfl
 from .monotonicity import certify_blind_monotone
 from .payments import (
     FilterConfig,
@@ -124,6 +126,14 @@ def _build_time(cfg: dict) -> TimeGrid:
         raise ConfigError("time.T", f"must be > 0, got {T}")
     steps = _number(sub, "time", "steps", lo=1, integer=True)
     return TimeGrid(T, steps)
+
+
+def _check_time_steps(tg: TimeGrid, grid: TorusGrid, speed: float) -> None:
+    """The solvers' CFL condition, reported at the config field that sets dt."""
+    try:
+        _check_cfl(tg, grid, speed, "transport")
+    except ValueError as exc:
+        raise ConfigError("time.steps", str(exc))
 
 
 def _build_sigma(cfg: dict) -> float:
@@ -262,13 +272,6 @@ def _write_path_csv(path: Path, tg: TimeGrid, grid: TorusGrid,
             fh.write(template % tuple(args))
 
 
-def _mean_density_path(bp: BeliefPath) -> np.ndarray:
-    out = np.zeros_like(bp.atom_paths[0].values)
-    for w, p in zip(bp.weights, bp.atom_paths):
-        out += w * p.values
-    return out
-
-
 def _belief_path_json(bp: BeliefPath, tg: TimeGrid) -> dict:
     """Weights and per-atom summary; full densities live in m_i.csv."""
     atoms = []
@@ -320,6 +323,8 @@ def _solve_common(cfg: dict, out: Path, blind: bool, seed: int,
     tg = _build_time(cfg)
     sigma = _build_sigma(cfg)
     H = _build_hamiltonian(cfg)
+    # optimal and relaxed drifts are bounded by H.lipschitz
+    _check_time_steps(tg, grid, H.lipschitz)
     cm = _build_cost(cfg, grid)
     scfg = _build_solver(cfg)
     if blind:
@@ -334,7 +339,8 @@ def _solve_common(cfg: dict, out: Path, blind: bool, seed: int,
 
     artifacts = ["u.csv", "m.csv", "summary.json", "history.csv"]
     _write_path_csv(out / "u.csv", tg, grid, sol.value.values, "u")
-    _write_path_csv(out / "m.csv", tg, grid, _mean_density_path(sol.belief), "m")
+    _write_path_csv(out / "m.csv", tg, grid,
+                    _weighted_sum(sol.belief.weights, sol.belief.values), "m")
     write_history_csv(sol, out / "history.csv")
     if blind:
         for i, p in enumerate(sol.belief.atom_paths):
@@ -375,18 +381,17 @@ def cmd_simulate_observed(cfg: dict, out: Path, seed: int) -> int:
     tg = _build_time(cfg)
     sigma = _build_sigma(cfg)
     H = _build_hamiltonian(cfg)
+    _check_time_steps(tg, grid, H.lipschitz)
     cm = _build_cost(cfg, grid)
     mu0 = _build_belief(cfg, grid)
     scfg = _build_solver(cfg) if "solver" in cfg else SolverConfig(
         relaxation=1.0, tol=1e-9, max_iter=60)
     fsub = cfg["filter"]
-    _check_keys(fsub, "filter", {"tolerance", "observation_dt", "grouping"},
-                {"tolerance"})
+    _check_keys(fsub, "filter", {"tolerance", "observation_dt"}, {"tolerance"})
     try:
         fc = FilterConfig(
             tolerance=_number(fsub, "filter", "tolerance"),
             observation_dt=_number(fsub, "filter", "observation_dt", default=0.0),
-            grouping=fsub.get("grouping", "union_find"),
         )
     except ValueError as exc:
         raise ConfigError("filter", str(exc))
@@ -487,6 +492,7 @@ def cmd_validate_weak(cfg: dict, out: Path, seed: int) -> int:
         grid = build_grid(base_grid.dim, base_grid.n * 2 ** lvl)
         tg = TimeGrid(base_tg.horizon, base_tg.steps * 4 ** lvl)
         drift = _drift_from_spec(cfg["drift"], grid, tg, "drift")
+        _check_time_steps(tg, grid, drift.sup_norm())
         mu0 = _build_belief(cfg, grid)
         bp = push_forward(mu0, drift, sigma, tg)
         inner = _build_field(phi_spec["inner"], grid, "phi.inner")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import Density, ScalarField, TorusGrid, density_from_values, wasserstein1_circle
+from .torus import Density, ScalarField, TorusGrid, density_from_values
 
 __all__ = [
     "Hamiltonian",
@@ -26,7 +26,6 @@ __all__ = [
     "optimal_drift",
     "solve_fp_forward",
     "solve_fp_stack",
-    "fp_holder_modulus",
     "hjb_linear_step",
     "fp_step",
     "implicit_diffusion",
@@ -92,7 +91,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValueError("horizon must be > 0")
         if self.steps < 1:
             raise ValueError("need at least one time step")
@@ -248,17 +247,19 @@ def fp_step(grid: TorusGrid, m: np.ndarray, b: np.ndarray,
 # ---------------------------------------------------------------------------
 # solvers
 
-def solve_hjb_backward(running_cost, terminal_cost: ScalarField, H: Hamiltonian,
-                       sigma: float, tg: TimeGrid) -> ValuePath:
+def solve_hjb_backward(running_cost: np.ndarray, terminal_cost: ScalarField,
+                       H: Hamiltonian, sigma: float, tg: TimeGrid) -> ValuePath:
     """Backward value solve with explicit Godunov Hamiltonian, implicit diffusion.
 
-    `running_cost` is an array of shape (steps+1,) + grid.shape or a list
-    of ScalarField slices; slice k is used on the step [t_k, t_{k+1}].
+    `running_cost` is an array of shape (steps+1,) + grid.shape; slice k
+    is used on the step [t_k, t_{k+1}].
     """
     grid = terminal_cost.grid
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    f = _as_path_array(running_cost, grid, tg)
+    f = np.asarray(running_cost, dtype=float)
+    if f.shape != (tg.steps + 1,) + grid.shape:
+        raise ValueError(f"running cost shape {f.shape} incompatible")
     _check_cfl(tg, grid, H.lipschitz, "HJB")
     u = np.empty((tg.steps + 1,) + grid.shape)
     u[tg.steps] = terminal_cost.values
@@ -267,19 +268,6 @@ def solve_hjb_backward(running_cost, terminal_cost: ScalarField, H: Hamiltonian,
         ham = godunov_hamiltonian(grid, u[k + 1], H)
         u[k] = implicit_diffusion(grid, u[k + 1] + dt * (f[k] - ham), sigma, dt)
     return ValuePath(grid, tg, u)
-
-
-def _as_path_array(cost, grid: TorusGrid, tg: TimeGrid) -> np.ndarray:
-    if isinstance(cost, ScalarField):
-        return np.broadcast_to(cost.values, (tg.steps + 1,) + grid.shape)
-    if isinstance(cost, (list, tuple)):
-        if len(cost) != tg.steps + 1:
-            raise ValueError(f"running cost has {len(cost)} slices, expected {tg.steps + 1}")
-        return np.stack([c.values if isinstance(c, ScalarField) else np.asarray(c) for c in cost])
-    arr = np.asarray(cost, dtype=float)
-    if arr.shape != (tg.steps + 1,) + grid.shape:
-        raise ValueError(f"running cost shape {arr.shape} incompatible")
-    return arr
 
 
 def optimal_drift(u: ValuePath, H: Hamiltonian) -> DriftField:
@@ -324,24 +312,3 @@ def solve_fp_forward(m0: Density, b: DriftField, sigma: float, tg: TimeGrid) -> 
     """Conservative donor-cell + implicit diffusion forward solve."""
     m = solve_fp_stack(m0.grid, m0.values[None], b, sigma, tg)
     return DensityPath(m0.grid, tg, m[0])
-
-
-def _sample_indices(steps: int, max_nodes: int = 16) -> np.ndarray:
-    # fixed coarse sample times so the modulus is stable under dt refinement
-    return np.unique(np.linspace(0, steps, min(max_nodes, steps) + 1).round().astype(int))
-
-
-def fp_holder_modulus(path: DensityPath) -> float:
-    """Max over sampled time pairs of W1(m_s, m_t)/sqrt|t-s| (d = 1 only)."""
-    if path.grid.dim != 1:
-        raise ValueError("fp_holder_modulus requires d = 1")
-    idx = _sample_indices(path.time_grid.steps)
-    times = path.time_grid.times
-    dens = [path.at(int(k)) for k in idx]
-    best = 0.0
-    for a in range(len(idx)):
-        for bidx in range(a + 1, len(idx)):
-            dtau = times[idx[bidx]] - times[idx[a]]
-            w = wasserstein1_circle(dens[a], dens[bidx])
-            best = max(best, w / np.sqrt(dtau))
-    return best

@@ -10,22 +10,20 @@ embodiment of the model, labeled as such in its outputs.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .beliefs import (
     Belief,
-    BeliefPath,
     CostModel,
     CylinderFunctional,
     illustrative_cost,
     push_forward,
 )
 from .hjb_fp import DriftField, Hamiltonian, TimeGrid, fp_step
-from .solver import EquilibriumSolution, SolverConfig, solve_blind
-from .torus import Density, ScalarField, TorusGrid, build_grid, density_from_values, mollified_dirac
+from .solver import SolverConfig, solve_blind
+from .torus import ScalarField, TorusGrid, build_grid, density_from_values, mollified_dirac
 
 __all__ = [
     "PaymentSignature",
@@ -53,13 +51,10 @@ class PaymentSignature:
 class FilterConfig:
     tolerance: float = 1e-6
     observation_dt: float = 0.0  # 0 means one observation per solver step
-    grouping: str = "union_find"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if self.grouping not in ("exact", "union_find"):
-            raise ValueError(f"unknown grouping {self.grouping!r}")
 
 
 @dataclass
@@ -76,8 +71,20 @@ class FilterTrace:
         return [b.n_atoms for b in self.beliefs]
 
 
-def _signatures(mu: Belief, cm: CostModel):
-    return [cm.running(a).values for a in mu.atoms]
+def _signatures(mu: Belief, cm: CostModel) -> np.ndarray:
+    """Payment field of every atom, stacked (K, *grid.shape) in atom order."""
+    return cm.running_values(mu.grid, mu.values)
+
+
+def _matching(sigs: np.ndarray, observed: np.ndarray, tau: float) -> list:
+    """Indices of the atoms whose payment lies within tau of `observed` (sup norm)."""
+    return [i for i, s in enumerate(sigs) if np.max(np.abs(s - observed)) <= tau]
+
+
+def _condition(mu: Belief, kept: list) -> Belief:
+    """mu restricted to the atoms `kept`, weights renormalized."""
+    w = mu.weights[kept]
+    return Belief(w / w.sum(), tuple(mu.atoms[i] for i in kept))
 
 
 def in_consistency_set(mu: Belief, cm: CostModel, tau: float) -> bool:
@@ -90,57 +97,43 @@ def in_consistency_set(mu: Belief, cm: CostModel, tau: float) -> bool:
     return True
 
 
-def partition_by_payment(mu: Belief, cm: CostModel, tau: float,
-                         grouping: str = "union_find"):
-    """Partition atom indices into payment-equivalence groups."""
+def partition_by_payment(mu: Belief, cm: CostModel, tau: float):
+    """Partition atom indices into payment-equivalence groups.
+
+    Groups are the connected components of the relation "payments within
+    tau in sup norm", so they always partition the atoms.
+    """
     sigs = _signatures(mu, cm)
     k = len(sigs)
-    if grouping == "union_find":
-        parent = list(range(k))
+    parent = list(range(k))
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-        for i in range(k):
-            for j in range(i + 1, k):
-                if np.max(np.abs(sigs[i] - sigs[j])) <= tau:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-        groups: dict = {}
-        for i in range(k):
-            groups.setdefault(find(i), []).append(i)
-        return [tuple(groups[r]) for r in sorted(groups)]
-    if grouping == "exact":
-        cells: dict = {}
-        for i, s in enumerate(sigs):
-            key = tuple(np.round(s / tau).astype(np.int64).ravel())
-            cells.setdefault(key, []).append(i)
-        return [tuple(v) for v in sorted(cells.values(), key=lambda g: g[0])]
-    raise ValueError(f"unknown grouping {grouping!r}")
-
-
-def _filter_indices(mu: Belief, observed: PaymentSignature, cm: CostModel,
-                    tau: float):
-    obs = observed.field.values
-    kept = [i for i, a in enumerate(mu.atoms)
-            if np.max(np.abs(cm.running(a).values - obs)) <= tau]
-    return kept
+    for i in range(k):
+        for j in range(i + 1, k):
+            if np.max(np.abs(sigs[i] - sigs[j])) <= tau:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups: dict = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    return [tuple(groups[r]) for r in sorted(groups)]
 
 
 def filter_step(mu: Belief, observed: PaymentSignature, cm: CostModel,
                 fc: FilterConfig) -> Belief:
     """Hard conditioning on an observed payment field; weights renormalized."""
-    kept = _filter_indices(mu, observed, cm, fc.tolerance)
+    kept = _matching(_signatures(mu, cm), observed.field.values, fc.tolerance)
     if not kept:
         raise ValueError("inconsistent observation: no atom matches the payment")
     if len(kept) == mu.n_atoms:
         return mu
-    w = mu.weights[kept]
-    return Belief(w / w.sum(), tuple(mu.atoms[i] for i in kept))
+    return _condition(mu, kept)
 
 
 def tower_check(mu: Belief, b: DriftField, sigma: float, tg: TimeGrid,
@@ -151,14 +144,14 @@ def tower_check(mu: Belief, b: DriftField, sigma: float, tg: TimeGrid,
     Each atom's conditioned belief is its payment-partition class of the
     pushed-forward belief, renormalized; averaging the classes over the
     prior recombines them exactly, so the return value sits at machine
-    scale whenever the grouping is a genuine partition.
+    scale whenever the payment classes form a genuine partition.
     """
     k = int(round(t / tg.dt))
     if abs(k * tg.dt - t) > 1e-9 * max(1.0, tg.horizon):
         raise ValueError("t must be a time node")
     bp = push_forward(mu, b, sigma, tg)
     mu_t = bp.belief_at(k)
-    groups = partition_by_payment(mu_t, cm, tau, "union_find")
+    groups = partition_by_payment(mu_t, cm, tau)
     class_of = {}
     for g in groups:
         for i in g:
@@ -200,7 +193,7 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
     segments = [{"t_start": 0.0, "solution": sol,
                  "converged": sol.diagnostics["converged"]}]
 
-    obs0 = PaymentSignature(cm.running(belief.atoms[true_atom]))
+    obs0 = PaymentSignature(ScalarField(grid, _signatures(mu0, cm)[true_atom].copy()))
     trace = FilterTrace(times=[0.0], beliefs=[belief], observations=[obs0],
                         events=[], true_atom=true_atom,
                         surviving_indices=[tuple(alive)], segments=segments)
@@ -216,15 +209,16 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
         steps_left -= n_adv
 
         true_local = alive.index(true_atom)
-        observed = PaymentSignature(cm.running(belief.atoms[true_local]))
-        kept = _filter_indices(belief, observed, cm, fc.tolerance)
+        sigs = _signatures(belief, cm)
+        # copied, so that the trace keeps one payment field per observation
+        observed = PaymentSignature(ScalarField(grid, sigs[true_local].copy()))
+        kept = _matching(sigs, sigs[true_local], fc.tolerance)
         if true_local not in kept:
             raise RuntimeError("filter eliminated the true atom (model inconsistency)")
         if len(kept) < belief.n_atoms:
             eliminated = tuple(alive[i] for i in range(belief.n_atoms) if i not in kept)
             trace.events.append((t_now, eliminated))
-            w = belief.weights[kept]
-            belief = Belief(w / w.sum(), tuple(belief.atoms[i] for i in kept))
+            belief = _condition(belief, kept)
             alive = [alive[i] for i in kept]
 
         if steps_left > 0:
@@ -360,8 +354,7 @@ def write_trace_csv(trace: FilterTrace, path, cm: CostModel) -> None:
         header.append("payment_sup_gap")
         writer.writerow(header)
         for t, b, obs in zip(trace.times, trace.beliefs, trace.observations):
-            gap = max(float(np.max(np.abs(cm.running(a).values - obs.field.values)))
-                      for a in b.atoms)
+            gap = float(np.max(np.abs(_signatures(b, cm) - obs.field.values)))
             weights = [f"{float(w):.17g}" for w in b.weights]
             weights += [""] * (max_atoms - b.n_atoms)
             writer.writerow([f"{t:.17g}", b.n_atoms] + weights + [f"{gap:.17g}"])

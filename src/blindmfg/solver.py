@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.relaxation <= 1:
             raise ValueError("relaxation must lie in (0, 1]")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")

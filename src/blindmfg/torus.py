@@ -96,10 +96,10 @@ class Density:
         v = _frozen(self.values)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if np.any(v < 0):
-            raise ValueError("density has negative values")
+        if not np.all(v >= 0):
+            raise ValueError("density has negative or NaN values")
         mass = v.sum() * self.grid.cell_volume
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise ValueError(f"density mass {mass} deviates from 1 by more than {MASS_TOL}")
         object.__setattr__(self, "values", v)
 
@@ -121,8 +121,8 @@ def normalize_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     v = np.maximum(np.asarray(values, dtype=float), 0.0)
     lead = v.shape[:v.ndim - grid.dim]
     total = v.reshape(lead + (-1,)).sum(axis=-1) * grid.cell_volume
-    if (total <= 0).any():
-        raise ValueError("cannot normalize a nonpositive mass field")
+    if not (total > 0).all():
+        raise ValueError("cannot normalize a nonpositive or NaN mass field")
     v /= np.reshape(total, lead + (1,) * grid.dim)
     return v
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from blindmfg.beliefs import Belief, BeliefPath, push_forward
 from blindmfg.torus import Density, TorusGrid, build_grid, density_from_values
 
 
@@ -20,6 +21,11 @@ def grid128():
 def random_density(grid: TorusGrid, rng: np.random.Generator) -> Density:
     vals = rng.random(grid.shape) + 1e-3
     return density_from_values(grid, vals)
+
+
+def one_atom_path(m0: Density, b, sigma: float, tg) -> BeliefPath:
+    """The density path from m0 as the path of a one-atom belief."""
+    return push_forward(Belief(np.array([1.0]), (m0,)), b, sigma, tg)
 
 
 def circle_distance(x: float, y: float) -> float:

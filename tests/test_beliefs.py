@@ -21,7 +21,7 @@ from blindmfg.beliefs import (
     running_cost_path,
     weak_solution_residual,
 )
-from blindmfg.hjb_fp import DriftField, TimeGrid, constant_drift, fp_holder_modulus, solve_fp_forward, zero_drift
+from blindmfg.hjb_fp import DriftField, TimeGrid, constant_drift, solve_fp_forward, zero_drift
 from blindmfg.torus import (
     ScalarField,
     build_grid,
@@ -32,7 +32,7 @@ from blindmfg.torus import (
     uniform_density,
 )
 
-from conftest import random_density
+from conftest import one_atom_path, random_density
 
 
 def two_atom_belief(grid, w1=0.3, c1=0.2, c2=0.6):
@@ -50,6 +50,10 @@ class TestBeliefInvariants:
         with pytest.raises(ValueError):
             Belief(np.array([1.5, -0.5]),
                    (mollified_dirac(grid64, 0.1), mollified_dirac(grid64, 0.2)))
+
+    def test_nan_weight_rejected(self, grid64):
+        with pytest.raises(ValueError):
+            Belief(np.array([np.nan]), (mollified_dirac(grid64, 0.1),))
 
     def test_shared_grid(self, grid64):
         other = build_grid(1, 32)
@@ -215,7 +219,7 @@ class TestBeliefHolderModulus:
                      (mollified_dirac(g, 0.0), mollified_dirac(g, 0.125)))
         b = constant_drift(g, tg, 1.0)
         bp = push_forward(mu0, b, 0.0, tg)
-        atom_mod = fp_holder_modulus(solve_fp_forward(mu0.atoms[0], b, 0.0, tg))
+        atom_mod = belief_holder_modulus(one_atom_path(mu0.atoms[0], b, 0.0, tg))
         assert belief_holder_modulus(bp) == pytest.approx(atom_mod, rel=1e-6)
 
     def test_bounded_by_max_atom_modulus(self, grid64):
@@ -223,7 +227,7 @@ class TestBeliefHolderModulus:
         mu0 = two_atom_belief(grid64)
         b = constant_drift(grid64, tg, 0.5)
         bp = push_forward(mu0, b, 0.05, tg)
-        per_atom = max(fp_holder_modulus(solve_fp_forward(a, b, 0.05, tg))
+        per_atom = max(belief_holder_modulus(one_atom_path(a, b, 0.05, tg))
                        for a in mu0.atoms)
         assert belief_holder_modulus(bp) <= per_atom + 1e-9
 

@@ -164,6 +164,13 @@ class TestSimulateObserved:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_events"] == 0
 
+    def test_grouping_key_rejected(self, tmp_path, capsys):
+        path = self.scenario_config(tmp_path, filter={
+            "tolerance": 0.05, "observation_dt": 0.04, "grouping": "union_find"})
+        assert main(["simulate-observed", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "filter.grouping" in capsys.readouterr().err
+
     def test_bad_true_atom_exit_2(self, tmp_path, capsys):
         path = self.scenario_config(tmp_path, true_atom=5)
         assert main(["simulate-observed", "--config", path,
@@ -301,6 +308,27 @@ class TestConfigHandling:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["solve-complete", "--config", path]) == 0
         assert (tmp_path / "from_config" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-complete", "solve-blind",
+                                     "simulate-observed", "validate-weak"])
+def test_cfl_violation_exit_2_at_time_steps(tmp_path, capsys, command):
+    coarse = {"T": 1.0, "steps": 8}  # dt = 0.125 against h = 1/64
+    if command == "solve-complete":
+        cfg = dict(base_complete_config(), time=coarse)
+    elif command == "solve-blind":
+        cfg = dict(blind_config(), time=coarse)
+    elif command == "simulate-observed":
+        cfg = dict(illustrative_scenario(0.1, 0.5, 0.5, 64).to_config(), time=coarse)
+    else:
+        # drift speed 5 at dt/h = 2
+        cfg = TestValidateWeak.config(grid={"dim": 1, "n": 32},
+                                      time={"T": 0.4, "steps": 16},
+                                      drift={"kind": "constant", "value": 5.0})
+    path = write_config(tmp_path, "cfl.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "time.steps" in err and "CFL" in err
 
 
 def test_shipped_illustrative_config_is_valid():

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blindmfg.beliefs import belief_holder_modulus
 from blindmfg.hjb_fp import (
     DriftField,
     Hamiltonian,
     TimeGrid,
     constant_drift,
-    fp_holder_modulus,
     fp_step,
     hjb_linear_step,
     optimal_drift,
@@ -25,7 +25,7 @@ from blindmfg.torus import (
     uniform_density,
 )
 
-from conftest import circle_distance, hopf_lax_eikonal, random_density
+from conftest import circle_distance, hopf_lax_eikonal, one_atom_path, random_density
 
 ALL_KINDS = [Hamiltonian("abs"), Hamiltonian("smoothed_abs", smoothing=0.3),
              Hamiltonian("capped_quadratic", cap=2.0)]
@@ -52,6 +52,11 @@ class TestHamiltonian:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Hamiltonian("quartic")
+
+
+def test_time_grid_rejects_nan_horizon():
+    with pytest.raises(ValueError):
+        TimeGrid(np.nan, 4)
 
 
 class TestSolveHjbBackward:
@@ -273,20 +278,22 @@ class TestAdjointness:
 
 
 class TestFpHolderModulus:
+    """Hölder modulus of density paths, taken as one-atom belief paths."""
+
     def test_stationary_path_zero(self, grid64):
         tg = TimeGrid(0.5, 64)
-        path = solve_fp_forward(uniform_density(grid64), zero_drift(grid64, tg),
-                                0.0, tg)
-        assert fp_holder_modulus(path) == 0.0
+        path = one_atom_path(uniform_density(grid64), zero_drift(grid64, tg),
+                             0.0, tg)
+        assert belief_holder_modulus(path) == 0.0
 
     def test_diffusion_stable_under_refinement(self):
         g = build_grid(1, 64)
         mods = []
         for nt in (128, 256, 512):
             tg = TimeGrid(0.5, nt)
-            path = solve_fp_forward(mollified_dirac(g, 0.5), zero_drift(g, tg),
-                                    0.05, tg)
-            mods.append(fp_holder_modulus(path))
+            path = one_atom_path(mollified_dirac(g, 0.5), zero_drift(g, tg),
+                                 0.05, tg)
+            mods.append(belief_holder_modulus(path))
         assert all(np.isfinite(m) and m > 0 for m in mods)
         assert (max(mods) - min(mods)) / min(mods) < 0.2
 
@@ -295,7 +302,7 @@ class TestFpHolderModulus:
         # sqrt of the largest sampled time gap
         g = build_grid(1, 128)
         tg = TimeGrid(0.25, 32)
-        path = solve_fp_forward(mollified_dirac(g, 0.1),
-                                constant_drift(g, tg, 1.0), 0.0, tg)
-        mod = fp_holder_modulus(path)
+        path = one_atom_path(mollified_dirac(g, 0.1),
+                             constant_drift(g, tg, 1.0), 0.0, tg)
+        mod = belief_holder_modulus(path)
         assert abs(mod - np.sqrt(0.25)) < 0.1

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from blindmfg.beliefs import (
     Belief,
     constant_cost,
     illustrative_cost,
+    moment_form_cost,
     product_form_cost,
     push_forward,
     ramp_cylinder,
@@ -15,6 +18,7 @@ from blindmfg.hjb_fp import DriftField, Hamiltonian, TimeGrid, constant_drift
 from blindmfg.payments import (
     FilterConfig,
     PaymentSignature,
+    _signatures,
     filter_step,
     illustrative_scenario,
     in_consistency_set,
@@ -78,6 +82,38 @@ class TestSmoothedWellProfile:
         assert np.allclose(cm.running(m).values, f0.values, atol=1e-9)
 
 
+def catalogue_cost(kind, grid):
+    coords = grid.coords()
+    if kind == "product":
+        phi = np.ones(grid.shape)
+        for c in coords:
+            phi = phi * np.cos(2 * np.pi * c)
+        return product_form_cost(ScalarField(grid, 0.3 * phi),
+                                 ScalarField(grid, np.sin(2 * np.pi * coords[0])))
+    if kind == "illustrative":
+        return illustrative_cost(smoothed_well_profile(grid), 0.5)
+    if kind == "moment_sqrt":
+        return moment_form_cost(np.sqrt)
+    return constant_cost(smoothed_well_profile(grid))
+
+
+class TestSignatures:
+    @pytest.mark.parametrize("kind,dim,n", [
+        ("product", 1, 256), ("illustrative", 1, 256), ("moment_sqrt", 1, 256),
+        ("constant", 1, 256), ("product", 2, 64), ("product", 2, 200)])
+    def test_rows_equal_per_atom_running_bitwise(self, kind, dim, n):
+        g = build_grid(dim, n)
+        rng = np.random.default_rng(n + dim)
+        cm = catalogue_cost(kind, g)
+        atoms = (mollified_dirac(g, [0.3] * dim), mollified_dirac(g, [0.35] * dim),
+                 *(random_density(g, rng) for _ in range(3)))
+        mu = Belief(np.full(5, 0.2), atoms)
+        sigs = _signatures(mu, cm)
+        assert sigs.shape == (5,) + g.shape
+        for row, a in zip(sigs, mu.atoms):
+            assert np.array_equal(row, cm.running(a).values)
+
+
 class TestInConsistencySet:
     def test_single_atom_always(self, grid64):
         cm = constant_cost(constant_field(grid64, 1.0))
@@ -120,14 +156,13 @@ class TestPartitionByPayment:
         groups = partition_by_payment(mu, cm, 1e-6)
         assert sorted(map(sorted, groups)) == [[0, 1], [2]]
 
-    @pytest.mark.parametrize("grouping", ["union_find", "exact"])
-    def test_is_partition(self, grouping, grid64):
+    def test_is_partition(self, grid64):
         rng = np.random.default_rng(7)
         x = grid64.axis_coords()
         cm = product_form_cost(ScalarField(grid64, np.cos(2 * np.pi * x)))
         mu = Belief(rng.dirichlet(np.ones(5)),
                     tuple(random_density(grid64, rng) for _ in range(5)))
-        groups = partition_by_payment(mu, cm, 1e-3, grouping=grouping)
+        groups = partition_by_payment(mu, cm, 1e-3)
         flat = sorted(i for grp in groups for i in grp)
         assert flat == list(range(5))
 
@@ -179,6 +214,10 @@ class TestFilterStep:
         twice = filter_step(once, obs, cm, fc)
         assert np.array_equal(once.weights, twice.weights)
         assert once.n_atoms == twice.n_atoms
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            FilterConfig(tolerance=np.nan)
 
     def test_weights_renormalized(self, grid256):
         cm, mu = self.setup(grid256)
@@ -346,3 +385,22 @@ class TestTraceOutput:
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("t,n_atoms,")
         assert "payment_sup_gap" in header
+
+    # with true atom 1 the survivor's local index shifts from 1 to 0
+    @pytest.mark.parametrize("true_atom", [0, 1])
+    def test_payment_sup_gap_matches_per_atom_oracle(self, tmp_path, true_atom):
+        sc = small_scenario()
+        trace = simulate_observed(sc.belief, true_atom, sc.cost, sc.hamiltonian,
+                                  sc.sigma, sc.time_grid, sc.filter_config,
+                                  sc.solver_config)
+        csv_path = tmp_path / "trace.csv"
+        write_trace_csv(trace, csv_path, sc.cost)
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
+        gaps = [float(r[-1]) for r in rows[1:]]
+        oracle = []
+        for b, alive in zip(trace.beliefs, trace.surviving_indices):
+            observed = sc.cost.running(b.atoms[alive.index(true_atom)]).values
+            oracle.append(max(float(np.max(np.abs(sc.cost.running(a).values - observed)))
+                              for a in b.atoms))
+        assert gaps == oracle
+        assert max(gaps) > 0.0

@@ -47,6 +47,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(relaxation=1.1)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=np.nan)
+
     def test_unknown_averaging(self):
         with pytest.raises(ValueError):
             SolverConfig(averaging="anderson")

@@ -84,6 +84,13 @@ class TestDensityInvariants:
         with pytest.raises(ValueError):
             ScalarField(grid64, vals)
 
+    @pytest.mark.parametrize("build", [Density, density_from_values, normalize_stack],
+                             ids=lambda f: f.__name__)
+    def test_all_nan_density_rejected(self, grid64, build):
+        # every comparison with NaN is False, so each check must fail closed
+        with pytest.raises(ValueError):
+            build(grid64, np.full(64, np.nan))
+
 
 class TestIntegrate:
     def test_unit_mass(self, grid64):
