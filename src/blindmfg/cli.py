@@ -7,8 +7,9 @@ the resolved config and SHA-256 checksums of all artifacts.  Exit codes:
 validation failure (including time steps too coarse for the CFL
 condition), 3 numerical non-convergence (artifacts still written).  All
 CSV floats carry 17 significant digits; identical config and seed
-reproduce byte-identical outputs, except the wall_time column of
-history.csv and hence its checksum in manifest.json.
+reproduce every listed artifact and manifest.json byte for byte.  The
+solve commands also write telemetry.json, the per-iteration wall times,
+which the manifest does not list.
 """
 
 from __future__ import annotations
@@ -342,6 +343,9 @@ def _solve_common(cfg: dict, out: Path, blind: bool, seed: int,
     _write_path_csv(out / "m.csv", tg, grid,
                     _weighted_sum(sol.belief.weights, sol.belief.values), "m")
     write_history_csv(sol, out / "history.csv")
+    # wall-clock times differ between reruns, so the manifest leaves them out
+    _write_json(out / "telemetry.json", {
+        "wall_time": [row["wall_time"] for row in sol.diagnostics["history"]]})
     if blind:
         for i, p in enumerate(sol.belief.atom_paths):
             name = f"m_{i}.csv"
@@ -391,7 +395,8 @@ def cmd_simulate_observed(cfg: dict, out: Path, seed: int) -> int:
     try:
         fc = FilterConfig(
             tolerance=_number(fsub, "filter", "tolerance"),
-            observation_dt=_number(fsub, "filter", "observation_dt", default=0.0),
+            observation_dt=_number(fsub, "filter", "observation_dt", lo=0,
+                                   default=0.0),
         )
     except ValueError as exc:
         raise ConfigError("filter", str(exc))

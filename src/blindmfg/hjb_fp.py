@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import Density, ScalarField, TorusGrid, density_from_values
+from .torus import Density, ScalarField, TorusGrid, _periodic_pairs, density_from_values
 
 __all__ = [
     "Hamiltonian",
@@ -50,9 +50,9 @@ class Hamiltonian:
     def __post_init__(self):
         if self.kind not in ("abs", "smoothed_abs", "capped_quadratic"):
             raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
-        if self.kind == "smoothed_abs" and self.smoothing < 0:
+        if self.kind == "smoothed_abs" and not self.smoothing >= 0:
             raise ValueError("smoothing must be >= 0")
-        if self.kind == "capped_quadratic" and self.cap <= 0:
+        if self.kind == "capped_quadratic" and not self.cap > 0:
             raise ValueError("cap must be > 0")
 
     @property
@@ -107,7 +107,7 @@ class TimeGrid:
 
 def _check_cfl(tg: TimeGrid, grid: TorusGrid, speed: float, what: str) -> None:
     ratio = tg.dt * speed / grid.spacing
-    if ratio > _CFL_SLACK:
+    if not ratio <= _CFL_SLACK:
         raise ValueError(
             f"CFL violation for {what}: dt*speed/h = {ratio:.4g} > 1 "
             f"(dt={tg.dt:.4g}, speed={speed:.4g}, h={grid.spacing:.4g})"
@@ -164,15 +164,19 @@ def constant_drift(grid: TorusGrid, tg: TimeGrid, velocity) -> DriftField:
 # elementary steps
 
 @functools.lru_cache(maxsize=8)
-def _laplacian_eigenvalues(grid: TorusGrid) -> np.ndarray:
-    """Eigenvalues of the periodic centered Laplacian, shaped grid.shape."""
+def _diffusion_denominator(grid: TorusGrid, sigma: float, dt: float) -> np.ndarray:
+    """Fourier symbol 1 - dt*sigma*eig of I - dt*sigma*Lap, shaped grid.shape.
+
+    eig are the eigenvalues of the periodic centered Laplacian.
+    """
     n = grid.n
     h2 = grid.spacing ** 2
     eig = (2.0 * np.cos(2.0 * np.pi * np.arange(n) / n) - 2.0) / h2
     if grid.dim == 2:
         eig = eig[:, None] + eig[None, :]
-    eig.flags.writeable = False
-    return eig
+    denom = 1.0 - dt * sigma * eig
+    denom.flags.writeable = False
+    return denom
 
 
 def implicit_diffusion(grid: TorusGrid, v: np.ndarray, sigma: float, dt: float) -> np.ndarray:
@@ -181,20 +185,37 @@ def implicit_diffusion(grid: TorusGrid, v: np.ndarray, sigma: float, dt: float) 
     The operator is circulant, so the solve is a division in Fourier
     space; it is symmetric, hence self-adjoint for the duality checks.
     `v` may carry leading batch axes; each field is solved on its own.
+    The transforms run one grid axis at a time, last axis first, which is
+    the order and the pocketfft routine that np.fft.fftn/ifftn use.
     """
     if sigma == 0.0 or dt == 0.0:
         return v.copy()
-    denom = 1.0 - dt * sigma * _laplacian_eigenvalues(grid)
-    axes = tuple(range(-grid.dim, 0))
-    return np.real(np.fft.ifftn(np.fft.fftn(v, axes=axes) / denom, axes=axes))
+    axes = range(-1, -grid.dim - 1, -1)
+    w = v
+    for ax in axes:
+        w = np.fft.fft(w, axis=ax)
+    w /= _diffusion_denominator(grid, sigma, dt)
+    for ax in axes:
+        w = np.fft.ifft(w, axis=ax)
+    return w.real
 
 
 def _diff_minus(grid: TorusGrid, v: np.ndarray, ax: int) -> np.ndarray:
-    return (v - np.roll(v, 1, axis=ax - grid.dim)) / grid.spacing
+    """Backward difference (v[i] - v[i-1]) / h along grid axis `ax`."""
+    out = np.empty_like(v)
+    for own, nb in _periodic_pairs(ax - grid.dim, -1):
+        np.subtract(v[own], v[nb], out=out[own])
+    out /= grid.spacing
+    return out
 
 
 def _diff_plus(grid: TorusGrid, v: np.ndarray, ax: int) -> np.ndarray:
-    return (np.roll(v, -1, axis=ax - grid.dim) - v) / grid.spacing
+    """Forward difference (v[i+1] - v[i]) / h along grid axis `ax`."""
+    out = np.empty_like(v)
+    for own, nb in _periodic_pairs(ax - grid.dim, 1):
+        np.subtract(v[nb], v[own], out=out[own])
+    out /= grid.spacing
+    return out
 
 
 def godunov_hamiltonian(grid: TorusGrid, u: np.ndarray, H: Hamiltonian) -> np.ndarray:
@@ -231,16 +252,23 @@ def fp_step(grid: TorusGrid, m: np.ndarray, b: np.ndarray,
     `m` may carry leading batch axes: every density moves with drift b.
     """
     md = implicit_diffusion(grid, m, sigma, dt)
-    out = md.copy()
-    h = grid.spacing
+    out = md
     for ax in range(grid.dim):
         axis = ax - grid.dim
         bax = b[ax]
         bp = np.maximum(bax, 0.0)
         bm = np.minimum(bax, 0.0)
         # donor-cell flux F_{i+1/2} = b+_i m_i + b-_{i+1} m_{i+1}
-        flux = bp * md + np.roll(bm * md, -1, axis=axis)
-        out += dt * (np.roll(flux, 1, axis=axis) - flux) / h
+        flux = bp * md
+        div = bm * md
+        for own, nb in _periodic_pairs(axis, 1):
+            np.add(flux[own], div[nb], out=flux[own])
+        # dt * (F_{i-1/2} - F_{i+1/2}) / h, written over b-*m
+        for own, nb in _periodic_pairs(axis, -1):
+            np.subtract(flux[nb], flux[own], out=div[own])
+        div *= dt
+        div /= grid.spacing
+        out = out + div
     return out
 
 

@@ -55,6 +55,8 @@ class FilterConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
+        if not self.observation_dt >= 0:
+            raise ValueError("observation_dt must be >= 0")
 
 
 @dataclass

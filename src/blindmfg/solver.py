@@ -191,7 +191,7 @@ def cross_solution_coupling(sol1: EquilibriumSolution, sol2: EquilibriumSolution
 def write_history_csv(sol: EquilibriumSolution, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "drift_gap", "value_change", "wall_time"])
+        writer.writerow(["iter", "drift_gap", "value_change"])
         for row in sol.diagnostics["history"]:
             writer.writerow([row["iter"], f"{row['drift_gap']:.17g}",
-                             f"{row['value_change']:.17g}", f"{row['wall_time']:.17g}"])
+                             f"{row['value_change']:.17g}"])

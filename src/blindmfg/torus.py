@@ -7,6 +7,7 @@ periodic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -210,12 +211,41 @@ def laplacian(phi: ScalarField) -> ScalarField:
 
 
 def laplacian_array(grid: TorusGrid, v: np.ndarray) -> np.ndarray:
-    """Second-order centered periodic Laplacian on raw values."""
+    """Second-order centered periodic Laplacian on raw values.
+
+    Per axis, node i gets (v[i+1] - 2 v[i] + v[i-1]) / h^2, evaluated left
+    to right.
+    """
     h2 = grid.spacing ** 2
     out = np.zeros_like(v)
+    two_v = 2.0 * v
     for ax in range(grid.dim):
-        out += (np.roll(v, -1, axis=ax) - 2.0 * v + np.roll(v, 1, axis=ax)) / h2
+        term = np.empty_like(v)
+        for own, nb in _periodic_pairs(ax - grid.dim, 1):
+            np.subtract(v[nb], two_v[own], out=term[own])
+        for own, nb in _periodic_pairs(ax - grid.dim, -1):
+            np.add(term[own], v[nb], out=term[own])
+        term /= h2
+        out += term
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _periodic_pairs(axis: int, step: int) -> tuple:
+    """Index pairs (own, neighbour) that map node i to node i + step, periodically.
+
+    `axis` counts from the end (-1 is the last axis), so leading batch axes
+    pass through, and `step` is 1 or -1.  The first pair covers the
+    interior, the second the one wrap-around slice; both are tuples of
+    basic slices, so `op(v[nb], v[own], out=out[own])` over the two pairs
+    fills `out[i] = op(v[i + step], v[i])` along the whole axis with views
+    instead of the copies that np.roll makes.
+    """
+    head, tail = slice(None, -1), slice(1, None)
+    first, last = slice(None, 1), slice(-1, None)
+    pairs = ((head, tail), (last, first)) if step == 1 else ((tail, head), (first, last))
+    rest = (slice(None),) * (-1 - axis)
+    return tuple(((Ellipsis, own) + rest, (Ellipsis, nb) + rest) for own, nb in pairs)
 
 
 def circular_mean(m: Density) -> float:

@@ -110,7 +110,7 @@ class TestSolveBlind:
         for name in ("belief_path.json", "m_0.csv", "m_1.csv", "history.csv"):
             assert (out / name).exists()
         history = (out / "history.csv").read_text().splitlines()
-        assert history[0] == "iter,drift_gap,value_change,wall_time"
+        assert history[0] == "iter,drift_gap,value_change"
         assert len(history) > 2
 
     def test_forced_nonconvergence_exit_3(self, tmp_path):
@@ -129,8 +129,13 @@ class TestSolveBlind:
         o1, o2 = tmp_path / "o1", tmp_path / "o2"
         main(["solve-blind", "--config", path, "--out", str(o1)])
         main(["solve-blind", "--config", path, "--out", str(o2)])
-        for name in ("u.csv", "m.csv", "belief_path.json", "summary.json"):
-            assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
+        manifest = json.loads((o1 / "manifest.json").read_text())
+        assert "telemetry.json" not in manifest["artifacts"]
+        for name in list(manifest["artifacts"]) + ["manifest.json"]:
+            assert (o1 / name).read_bytes() == (o2 / name).read_bytes(), name
+        telemetry = json.loads((o1 / "telemetry.json").read_text())
+        summary = json.loads((o1 / "summary.json").read_text())
+        assert len(telemetry["wall_time"]) == summary["iterations"]
 
 
 class TestSimulateObserved:
@@ -170,6 +175,13 @@ class TestSimulateObserved:
         assert main(["simulate-observed", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "filter.grouping" in capsys.readouterr().err
+
+    def test_negative_observation_dt_exit_2(self, tmp_path, capsys):
+        path = self.scenario_config(tmp_path, filter={
+            "tolerance": 0.05, "observation_dt": -1.0})
+        assert main(["simulate-observed", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "filter.observation_dt" in capsys.readouterr().err
 
     def test_bad_true_atom_exit_2(self, tmp_path, capsys):
         path = self.scenario_config(tmp_path, true_atom=5)

@@ -7,6 +7,7 @@ from blindmfg.hjb_fp import (
     DriftField,
     Hamiltonian,
     TimeGrid,
+    _check_cfl,
     constant_drift,
     fp_step,
     hjb_linear_step,
@@ -52,6 +53,19 @@ class TestHamiltonian:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Hamiltonian("quartic")
+
+    def test_nan_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap"):
+            Hamiltonian("capped_quadratic", cap=np.nan)
+
+    def test_nan_smoothing_rejected(self):
+        with pytest.raises(ValueError, match="smoothing"):
+            Hamiltonian("smoothed_abs", smoothing=np.nan)
+
+
+def test_cfl_check_rejects_nan_speed(grid64):
+    with pytest.raises(ValueError, match="CFL"):
+        _check_cfl(TimeGrid(1.0, 1024), grid64, np.nan, "HJB")
 
 
 def test_time_grid_rejects_nan_horizon():

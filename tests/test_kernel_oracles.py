@@ -1,0 +1,212 @@
+"""Bitwise oracles for the elementary HJB/FP kernels.
+
+The reference formulas below are the textbook np.roll / np.fft.fftn
+forms of each kernel.  The kernels in `hjb_fp` build the same stencils
+from basic slices and run the FFT one axis at a time; every element must
+come out of the same floating-point operation, so the results are
+compared byte for byte (signed zeros included), never to a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from blindmfg.hjb_fp import (
+    Hamiltonian,
+    TimeGrid,
+    ValuePath,
+    _diff_minus,
+    _diff_plus,
+    fp_step,
+    godunov_hamiltonian,
+    implicit_diffusion,
+    optimal_drift,
+    upwind_advection,
+)
+from blindmfg.torus import build_grid, laplacian_array
+
+SIZES = [(1, 8), (1, 128), (1, 256), (2, 32), (2, 50), (2, 64)]
+KINDS = [Hamiltonian("abs"), Hamiltonian("smoothed_abs", smoothing=0.3),
+         Hamiltonian("capped_quadratic", cap=2.0)]
+
+
+# ---------------------------------------------------------------------------
+# reference formulas
+
+def ref_diff_minus(grid, v, ax):
+    return (v - np.roll(v, 1, axis=ax - grid.dim)) / grid.spacing
+
+
+def ref_diff_plus(grid, v, ax):
+    return (np.roll(v, -1, axis=ax - grid.dim) - v) / grid.spacing
+
+
+def ref_implicit_diffusion(grid, v, sigma, dt):
+    if sigma == 0.0 or dt == 0.0:
+        return v.copy()
+    n = grid.n
+    eig = (2.0 * np.cos(2.0 * np.pi * np.arange(n) / n) - 2.0) / grid.spacing ** 2
+    if grid.dim == 2:
+        eig = eig[:, None] + eig[None, :]
+    denom = 1.0 - dt * sigma * eig
+    axes = tuple(range(-grid.dim, 0))
+    return np.real(np.fft.ifftn(np.fft.fftn(v, axes=axes) / denom, axes=axes))
+
+
+def ref_godunov_hamiltonian(grid, u, H):
+    out = np.zeros_like(u)
+    for ax in range(grid.dim):
+        pm = np.maximum(ref_diff_minus(grid, u, ax), 0.0)
+        pp = np.minimum(ref_diff_plus(grid, u, ax), 0.0)
+        out += np.maximum(H.profile(pm), H.profile(pp))
+    return out
+
+
+def ref_upwind_advection(grid, phi, b):
+    out = np.zeros_like(phi)
+    for ax in range(grid.dim):
+        bp = np.maximum(b[ax], 0.0)
+        bm = np.minimum(b[ax], 0.0)
+        out += bp * ref_diff_plus(grid, phi, ax) + bm * ref_diff_minus(grid, phi, ax)
+    return out
+
+
+def ref_fp_step(grid, m, b, sigma, dt):
+    md = ref_implicit_diffusion(grid, m, sigma, dt)
+    out = md.copy()
+    for ax in range(grid.dim):
+        axis = ax - grid.dim
+        bp = np.maximum(b[ax], 0.0)
+        bm = np.minimum(b[ax], 0.0)
+        flux = bp * md + np.roll(bm * md, -1, axis=axis)
+        out += dt * (np.roll(flux, 1, axis=axis) - flux) / grid.spacing
+    return out
+
+
+def ref_optimal_drift(grid, u, H):
+    b = np.empty((u.shape[0], grid.dim) + grid.shape)
+    for ax in range(grid.dim):
+        pm = np.maximum(ref_diff_minus(grid, u, ax), 0.0)
+        pp = np.minimum(ref_diff_plus(grid, u, ax), 0.0)
+        hm, hp = H.profile(pm), H.profile(pp)
+        vel = -H.dprofile(np.where(hm >= hp, pm, pp))
+        tie = np.abs(hm - hp) <= 1e-12 * (np.abs(hm) + np.abs(hp) + 1.0)
+        b[:, ax] = np.where(tie & (pm > 0.0), 0.0, vel)
+    return b
+
+
+def ref_laplacian(grid, v):
+    out = np.zeros_like(v)
+    for ax in range(grid.dim):
+        out += (np.roll(v, -1, axis=ax) - 2.0 * v
+                + np.roll(v, 1, axis=ax)) / grid.spacing ** 2
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+def _frozen(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def _field(rng, lead, grid):
+    """Rounded normals: many equal neighbours, so zero differences (and the
+    signed zeros they produce) and Godunov ties occur; a few -0.0 entries."""
+    v = np.round(rng.normal(size=lead + grid.shape), 1)
+    v[v == 0.0] = -0.0
+    return _frozen(v)
+
+
+def _density(rng, lead, grid):
+    return _frozen(rng.uniform(0.0, 2.0, size=lead + grid.shape))
+
+
+def _drift(rng, grid):
+    return _frozen(np.round(rng.uniform(-1.0, 1.0, size=(grid.dim,) + grid.shape), 2))
+
+
+def _same_bits(new, ref):
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()
+
+
+@pytest.fixture(params=SIZES, ids=lambda s: f"d{s[0]}n{s[1]}")
+def grid(request):
+    return build_grid(*request.param)
+
+
+@pytest.fixture(params=[(), (3,)], ids=["single", "batch"])
+def lead(request):
+    return request.param
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+def test_one_sided_differences(grid, lead):
+    rng = np.random.default_rng(grid.n)
+    v = _field(rng, lead, grid)
+    for ax in range(grid.dim):
+        _same_bits(_diff_minus(grid, v, ax), ref_diff_minus(grid, v, ax))
+        _same_bits(_diff_plus(grid, v, ax), ref_diff_plus(grid, v, ax))
+
+
+@pytest.mark.parametrize("H", KINDS, ids=lambda H: H.kind)
+def test_godunov_hamiltonian(grid, lead, H):
+    u = _field(np.random.default_rng(grid.n + 1), lead, grid)
+    _same_bits(godunov_hamiltonian(grid, u, H), ref_godunov_hamiltonian(grid, u, H))
+
+
+def test_upwind_advection(grid, lead):
+    rng = np.random.default_rng(grid.n + 2)
+    phi, b = _field(rng, lead, grid), _drift(rng, grid)
+    _same_bits(upwind_advection(grid, phi, b), ref_upwind_advection(grid, phi, b))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_implicit_diffusion(grid, lead, sigma):
+    v = _density(np.random.default_rng(grid.n + 3), lead, grid)
+    dt = 0.5 * grid.spacing
+    _same_bits(implicit_diffusion(grid, v, sigma, dt),
+               ref_implicit_diffusion(grid, v, sigma, dt))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_fp_step(grid, lead, sigma):
+    rng = np.random.default_rng(grid.n + 4)
+    m, b = _density(rng, lead, grid), _drift(rng, grid)
+    dt = 0.5 * grid.spacing
+    _same_bits(fp_step(grid, m, b, sigma, dt), ref_fp_step(grid, m, b, sigma, dt))
+
+
+@pytest.mark.parametrize("H", KINDS, ids=lambda H: H.kind)
+@pytest.mark.parametrize("steps", [1, 4])
+def test_optimal_drift(grid, H, steps):
+    u = _field(np.random.default_rng(grid.n + 5), (steps + 1,), grid)
+    path = ValuePath(grid, TimeGrid(1.0, steps), u)
+    _same_bits(optimal_drift(path, H).values, ref_optimal_drift(grid, u, H))
+
+
+def test_laplacian_array(grid):
+    v = _field(np.random.default_rng(grid.n + 6), (), grid)
+    _same_bits(laplacian_array(grid, v), ref_laplacian(grid, v))
+
+
+def test_kernels_leave_inputs_untouched(grid, lead):
+    """Every input above is read-only, so a write would already raise;
+    this also checks that the results never alias an input."""
+    rng = np.random.default_rng(grid.n + 7)
+    u, m, b = _field(rng, lead, grid), _density(rng, lead, grid), _drift(rng, grid)
+    kept = [a.copy() for a in (u, m, b)]
+    dt = 0.5 * grid.spacing
+    results = [
+        _diff_minus(grid, u, 0), _diff_plus(grid, u, 0),
+        godunov_hamiltonian(grid, u, KINDS[1]), upwind_advection(grid, u, b),
+        implicit_diffusion(grid, m, 0.0, dt), implicit_diffusion(grid, m, 0.05, dt),
+        fp_step(grid, m, b, 0.0, dt), fp_step(grid, m, b, 0.05, dt),
+    ]
+    for a, before in zip((u, m, b), kept):
+        assert a.tobytes() == before.tobytes()
+        assert not any(np.shares_memory(r, a) for r in results)

@@ -219,6 +219,11 @@ class TestFilterStep:
         with pytest.raises(ValueError):
             FilterConfig(tolerance=np.nan)
 
+    @pytest.mark.parametrize("obs_dt", [np.nan, -1.0])
+    def test_bad_observation_dt_rejected(self, obs_dt):
+        with pytest.raises(ValueError, match="observation_dt"):
+            FilterConfig(tolerance=0.05, observation_dt=obs_dt)
+
     def test_weights_renormalized(self, grid256):
         cm, mu = self.setup(grid256)
         obs = PaymentSignature(cm.running(mu.atoms[0]))

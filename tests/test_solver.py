@@ -232,6 +232,6 @@ def test_write_history_csv(tmp_path):
     write_history_csv(sol, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "drift_gap", "value_change", "wall_time"]
+    assert rows[0] == ["iter", "drift_gap", "value_change"]
     assert len(rows) - 1 == sol.diagnostics["iterations"]
     assert float(rows[-1][1]) == sol.diagnostics["final_gap"]
