@@ -2,8 +2,8 @@
 
 Subcommands: solve-complete, solve-blind, simulate-observed,
 certify-monotone, validate-weak.  Every run writes a manifest.json with
-the resolved config and SHA-256 checksums of all artifacts.  Exit codes:
-0 success (including negative certification findings), 2 config
+the configuration as given and SHA-256 checksums of all artifacts.  Exit
+codes: 0 success (including negative certification findings), 2 config
 validation failure (including time steps too coarse for the CFL
 condition), 3 numerical non-convergence (artifacts still written).  All
 CSV floats carry 17 significant digits; identical config and seed
@@ -232,17 +232,15 @@ def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief") -> Belief:
 
 
 def _build_solver(cfg: dict) -> SolverConfig:
+    """Solver settings; a key left out takes SolverConfig's own default."""
     sub = cfg.get("solver", {})
-    _check_keys(sub, "solver", {"relaxation", "tol", "max_iter", "averaging"})
-    averaging = sub.get("averaging", "picard")
+    _check_keys(sub, "solver", {"relaxation", "tol", "max_iter"})
+    given = {key: _number(sub, "solver", key) for key in ("relaxation", "tol")
+             if key in sub}
+    if "max_iter" in sub:
+        given["max_iter"] = _number(sub, "solver", "max_iter", lo=1, integer=True)
     try:
-        return SolverConfig(
-            relaxation=_number(sub, "solver", "relaxation", default=0.5),
-            tol=_number(sub, "solver", "tol", default=1e-6),
-            max_iter=_number(sub, "solver", "max_iter", lo=1, default=500,
-                             integer=True),
-            averaging=averaging,
-        )
+        return SolverConfig(**given)
     except ValueError as exc:
         raise ConfigError("solver", str(exc))
 
@@ -380,7 +378,7 @@ def cmd_simulate_observed(cfg: dict, out: Path, seed: int) -> int:
                 {"grid", "time", "sigma", "hamiltonian", "cost", "belief",
                  "filter", "true_atom", "solver", "output"},
                 {"grid", "time", "sigma", "hamiltonian", "cost", "belief",
-                 "filter", "true_atom"})
+                 "filter", "true_atom", "solver"})
     grid = _build_grid(cfg)
     tg = _build_time(cfg)
     sigma = _build_sigma(cfg)
@@ -388,8 +386,7 @@ def cmd_simulate_observed(cfg: dict, out: Path, seed: int) -> int:
     _check_time_steps(tg, grid, H.lipschitz)
     cm = _build_cost(cfg, grid)
     mu0 = _build_belief(cfg, grid)
-    scfg = _build_solver(cfg) if "solver" in cfg else SolverConfig(
-        relaxation=1.0, tol=1e-9, max_iter=60)
+    scfg = _build_solver(cfg)
     fsub = cfg["filter"]
     _check_keys(fsub, "filter", {"tolerance", "observation_dt"}, {"tolerance"})
     try:

@@ -10,7 +10,8 @@ embodiment of the model, labeled as such in its outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,8 +56,8 @@ class FilterConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if not self.observation_dt >= 0:
-            raise ValueError("observation_dt must be >= 0")
+        if not 0 <= self.observation_dt < math.inf:
+            raise ValueError("observation_dt must be finite and >= 0")
 
 
 @dataclass
@@ -292,6 +293,7 @@ class ScenarioBundle:
             "filter": {"tolerance": self.filter_config.tolerance,
                        "observation_dt": self.filter_config.observation_dt},
             "true_atom": 0,
+            "solver": asdict(self.solver_config),
         }
 
 

@@ -52,7 +52,6 @@ class SolverConfig:
     relaxation: float = 0.5
     tol: float = 1e-6
     max_iter: int = 500
-    averaging: str = "picard"  # or "fictitious_play"
 
     def __post_init__(self):
         if not 0 < self.relaxation <= 1:
@@ -61,8 +60,6 @@ class SolverConfig:
             raise ValueError("tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.averaging not in ("picard", "fictitious_play"):
-            raise ValueError(f"unknown averaging {self.averaging!r}")
 
 
 @dataclass(frozen=True)
@@ -112,12 +109,9 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
         if gap < cfg.tol:
             converged = True
             break
-        if cfg.averaging == "picard":
-            # full first step: relaxing toward the zero initial guess has
-            # no virtue, and decoupled systems then finish immediately
-            theta = 1.0 if it == 1 and initial_drift is None else cfg.relaxation
-        else:
-            theta = 1.0 / (it + 1)
+        # full first step: relaxing toward the zero initial guess has
+        # no virtue, and decoupled systems then finish immediately
+        theta = 1.0 if it == 1 and initial_drift is None else cfg.relaxation
         b = DriftField(grid, tg, (1.0 - theta) * b.values + theta * b_raw.values)
     if not np.array_equal(b_raw.values, b_pushed.values):
         bp = push_forward(mu0, b_raw, sigma, tg)

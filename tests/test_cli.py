@@ -62,6 +62,16 @@ class TestSolveComplete:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["gap"] < 1e-8
 
+    def test_manifest_keeps_config_as_given(self, tmp_path):
+        cfg = base_complete_config()
+        cfg["cost"] = {"id": "zero"}
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve-complete", "--config", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # solver.relaxation and solver.max_iter take their defaults unrecorded
+        assert manifest["config"] == cfg
+
     def test_validation_failure_field_path(self, tmp_path, capsys):
         cfg = base_complete_config()
         cfg["sigma"] = -0.1
@@ -144,7 +154,6 @@ class TestSimulateObserved:
         sc = illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150,
                                    observation_dt=0.04, tolerance=0.05)
         cfg = sc.to_config()
-        cfg["solver"] = {"relaxation": 1.0, "tol": 1e-9, "max_iter": 60}
         cfg.update(overrides)
         return write_config(tmp_path, "sim.json", cfg)
 
@@ -175,6 +184,21 @@ class TestSimulateObserved:
         assert main(["simulate-observed", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "filter.grouping" in capsys.readouterr().err
+
+    def test_averaging_key_rejected(self, tmp_path, capsys):
+        path = self.scenario_config(tmp_path, solver={
+            "relaxation": 1.0, "tol": 1e-9, "max_iter": 60, "averaging": "picard"})
+        assert main(["simulate-observed", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "solver.averaging" in capsys.readouterr().err
+
+    def test_missing_solver_exit_2(self, tmp_path, capsys):
+        cfg = illustrative_scenario(0.1, 0.5, 0.5, 64).to_config()
+        del cfg["solver"]
+        path = write_config(tmp_path, "sim.json", cfg)
+        assert main(["simulate-observed", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config.solver" in capsys.readouterr().err
 
     def test_negative_observation_dt_exit_2(self, tmp_path, capsys):
         path = self.scenario_config(tmp_path, filter={

@@ -1,0 +1,81 @@
+"""Every shipped config runs, at a reduced size, through the subcommand
+that README's Command line block names for it, and shows its finding.
+
+The (subcommand, config) pairs are read from README.md, so README cannot
+name a config that does not run, and the pairs must cover configs/*.json,
+so no shipped config can break unseen.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from blindmfg.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+PAIRS = re.findall(r"^blindmfg +([a-z-]+) +--config +(configs/\S+\.json)",
+                   README, flags=re.MULTILINE)
+
+
+def _shrink(command: str, cfg: dict) -> dict:
+    """The same run at a size that takes well under 2 s."""
+    if command == "simulate-observed":
+        # the same dt as T = 2 / 600 steps; the event at t = 0.15 stays
+        cfg["time"] = {"T": 0.5, "steps": 150}
+    elif command == "certify-monotone":
+        cfg["certify"]["trials"] = 300
+    elif command == "solve-blind":
+        cfg["grid"]["n"] = 64
+    return cfg
+
+
+def _race(out: Path) -> None:
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["events"] == [{"time": pytest.approx(0.15), "eliminated": [1]}]
+
+
+def _nonnegative(out: Path) -> None:
+    assert json.loads((out / "report.json").read_text())["nonnegative"]
+
+
+def _violation(out: Path) -> None:
+    report = json.loads((out / "report.json").read_text())
+    assert report["min_pairing"] < 0 and not report["nonnegative"]
+
+
+def _weak(out: Path) -> None:
+    report = json.loads((out / "report.json").read_text())
+    assert report["order_ok"] and report["violation"]["detected"]
+
+
+def _converged(out: Path) -> None:
+    assert json.loads((out / "summary.json").read_text())["converged"]
+
+
+HEADLINE = {
+    "configs/illustrative.json": _race,
+    "configs/certify_product.json": _nonnegative,
+    "configs/certify_moment.json": _violation,
+    "configs/weak.json": _weak,
+    "configs/blind.json": _converged,
+}
+
+
+def test_readme_pairs_cover_every_shipped_config():
+    shipped = {f"configs/{p.name}" for p in (ROOT / "configs").glob("*.json")}
+    named = set(re.findall(r"configs/[\w-]+\.json", README))
+    assert sorted(path for _, path in PAIRS) == sorted(shipped)
+    assert named == shipped == set(HEADLINE)
+
+
+@pytest.mark.parametrize("command,config", PAIRS)
+def test_shipped_config_runs(tmp_path, command, config):
+    cfg = _shrink(command, json.loads((ROOT / config).read_text()))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    HEADLINE[config](out)

@@ -219,7 +219,7 @@ class TestFilterStep:
         with pytest.raises(ValueError):
             FilterConfig(tolerance=np.nan)
 
-    @pytest.mark.parametrize("obs_dt", [np.nan, -1.0])
+    @pytest.mark.parametrize("obs_dt", [np.nan, -1.0, np.inf])
     def test_bad_observation_dt_rejected(self, obs_dt):
         with pytest.raises(ValueError, match="observation_dt"):
             FilterConfig(tolerance=0.05, observation_dt=obs_dt)

@@ -51,10 +51,6 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(tol=np.nan)
 
-    def test_unknown_averaging(self):
-        with pytest.raises(ValueError):
-            SolverConfig(averaging="anderson")
-
 
 class TestSolveCompleteInfo:
     def test_decoupled_converges_immediately(self):
@@ -175,14 +171,6 @@ class TestSolveBlind:
         assert not sol.diagnostics["converged"]
         assert sol.diagnostics["final_gap"] > 0
         assert len(sol.diagnostics["history"]) == 1
-
-    def test_fictitious_play_converges(self):
-        grid, tg, cm, H, sigma = small_setup()
-        mu0 = Belief(np.array([0.5, 0.5]),
-                     (mollified_dirac(grid, 0.2), mollified_dirac(grid, 0.7)))
-        sol = solve_blind(mu0, cm, H, sigma, tg,
-                          SolverConfig(averaging="fictitious_play", tol=1e-5))
-        assert sol.diagnostics["converged"]
 
 
 class TestEquilibriumGap:
