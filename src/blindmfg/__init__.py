@@ -52,7 +52,6 @@ from .monotonicity import (  # noqa: F401
     operator_A_cylinder,
 )
 from .payments import (  # noqa: F401
-    PaymentSignature,
     FilterConfig,
     FilterTrace,
     in_consistency_set,

@@ -19,7 +19,6 @@ from .torus import (
     Density,
     ScalarField,
     TorusGrid,
-    constant_field,
     density_from_values,
     integrate,
     laplacian_array,
@@ -113,21 +112,26 @@ class BeliefPath:
 class CostModel:
     """Running cost f: m -> field and terminal cost U0: m -> field.
 
-    `running_values(grid, m)` maps density values of shape
-    (..., *grid.shape) to running-cost values of the same shape, one
-    field per leading index; it is the model's only running-cost formula.
+    `running_values(grid, m)` and `terminal_values(grid, m)` map density
+    values of shape (..., *grid.shape) to cost values of the same shape,
+    one field per leading index; they are the model's only cost formulas.
     """
 
     kind: str
     running_values: Callable[[TorusGrid, np.ndarray], np.ndarray]
-    terminal: Callable[[Density], ScalarField]
+    terminal_values: Callable[[TorusGrid, np.ndarray], np.ndarray]
 
     def running(self, m: Density) -> ScalarField:
         return ScalarField(m.grid, self.running_values(m.grid, m.values))
 
 
-def _zero_terminal(m: Density) -> ScalarField:
-    return constant_field(m.grid, 0.0)
+def _zero_terminal(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
+    return np.zeros(m.shape)
+
+
+def _broadcast(field: ScalarField):
+    """The cost map that returns `field` whatever the density."""
+    return lambda grid, m: np.broadcast_to(field.values, m.shape)
 
 
 def _integrate_fields(grid: TorusGrid, phi: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -173,13 +177,8 @@ def illustrative_cost(f0: ScalarField, c: float) -> CostModel:
 
 def constant_cost(f_field: ScalarField,
                   terminal_field: ScalarField | None = None) -> CostModel:
-    def running_values(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(f_field.values, m.shape)
-
-    def term(m: Density) -> ScalarField:
-        return terminal_field if terminal_field is not None else constant_field(m.grid, 0.0)
-
-    return CostModel("constant", running_values, term)
+    terminal = _zero_terminal if terminal_field is None else _broadcast(terminal_field)
+    return CostModel("constant", _broadcast(f_field), terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def running_cost_path(bp: BeliefPath, cm: CostModel) -> np.ndarray:
 
 def aggregate_terminal(mu: Belief, cm: CostModel) -> ScalarField:
     return ScalarField(mu.grid, _weighted_sum(mu.weights,
-                                              [cm.terminal(a).values for a in mu.atoms]))
+                                              cm.terminal_values(mu.grid, mu.values)))
 
 
 def _transport_lp(w1: np.ndarray, w2: np.ndarray, cost: np.ndarray) -> float:

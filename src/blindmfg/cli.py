@@ -84,6 +84,18 @@ def _check_keys(obj: dict, path: str, allowed: set, required: set = frozenset())
             raise ConfigError(f"{path}.{key}", "required key missing")
 
 
+def _check_kind(spec: dict, path: str, kinds: dict) -> str:
+    """The kind named by `spec`; `kinds` maps each kind to the keys it reads."""
+    _check_keys(spec, path, {"kind"}.union(*kinds.values()), {"kind"})
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}")
+    for key in spec:
+        if key != "kind" and key not in kinds[kind]:
+            raise ConfigError(f"{path}.{key}", f"not read by kind {kind!r}")
+    return kind
+
+
 def _number(obj: dict, path: str, key: str, lo=None, hi=None, default=None,
             integer: bool = False):
     path = f"{path}.{key}" if path else key
@@ -108,9 +120,7 @@ def _number(obj: dict, path: str, key: str, lo=None, hi=None, default=None,
 
 
 def _build_grid(cfg: dict) -> TorusGrid:
-    sub = cfg.get("grid")
-    if sub is None:
-        raise ConfigError("grid", "required section missing")
+    sub = cfg["grid"]  # each command that reads it requires it
     _check_keys(sub, "grid", {"dim", "n"}, {"dim", "n"})
     dim = _number(sub, "grid", "dim", lo=1, hi=2, integer=True)
     n = _number(sub, "grid", "n", lo=8, integer=True)
@@ -118,9 +128,7 @@ def _build_grid(cfg: dict) -> TorusGrid:
 
 
 def _build_time(cfg: dict) -> TimeGrid:
-    sub = cfg.get("time")
-    if sub is None:
-        raise ConfigError("time", "required section missing")
+    sub = cfg["time"]  # each command that reads it requires it
     _check_keys(sub, "time", {"T", "steps"}, {"T", "steps"})
     T = _number(sub, "time", "T")
     if T <= 0:
@@ -142,13 +150,9 @@ def _build_sigma(cfg: dict) -> float:
 
 
 def _build_hamiltonian(cfg: dict) -> Hamiltonian:
-    sub = cfg.get("hamiltonian")
-    if sub is None:
-        raise ConfigError("hamiltonian", "required section missing")
-    _check_keys(sub, "hamiltonian", {"kind", "delta", "cap"}, {"kind"})
-    kind = sub["kind"]
-    if kind not in ("abs", "smoothed_abs", "capped_quadratic"):
-        raise ConfigError("hamiltonian.kind", f"unknown kind {kind!r}")
+    sub = cfg["hamiltonian"]  # each command that reads it requires it
+    kind = _check_kind(sub, "hamiltonian", {"abs": (), "smoothed_abs": ("delta",),
+                                            "capped_quadratic": ("cap",)})
     delta = _number(sub, "hamiltonian", "delta", lo=0.0, default=0.0)
     cap = _number(sub, "hamiltonian", "cap", default=1.0)
     try:
@@ -159,9 +163,9 @@ def _build_hamiltonian(cfg: dict) -> Hamiltonian:
 
 def _build_field(spec: dict, grid: TorusGrid, path: str) -> ScalarField:
     """Analytic scalar-field catalogue: constant / cosine / sine / well."""
-    _check_keys(spec, path, {"kind", "value", "amplitude", "frequency", "phase"},
-                {"kind"})
-    kind = spec["kind"]
+    wave = ("amplitude", "frequency", "phase")
+    kind = _check_kind(spec, path, {"constant": ("value",), "cosine": wave,
+                                    "sine": wave, "well": ()})
     if kind == "constant":
         value = _number(spec, path, "value")
         return ScalarField(grid, np.full(grid.shape, value))
@@ -175,11 +179,9 @@ def _build_field(spec: dict, grid: TorusGrid, path: str) -> ScalarField:
         for d in range(grid.dim):
             vals = vals * func(2 * np.pi * freq * coords[d] + phase)
         return ScalarField(grid, amp * vals)
-    if kind == "well":
-        if grid.dim != 1:
-            raise ConfigError(path, "well profile requires dim = 1")
-        return smoothed_well_profile(grid)
-    raise ConfigError(f"{path}.kind", f"unknown field kind {kind!r}")
+    if grid.dim != 1:
+        raise ConfigError(path, "well profile requires dim = 1")
+    return smoothed_well_profile(grid)
 
 
 def _build_cost(cfg: dict, grid: TorusGrid) -> CostModel:
@@ -199,7 +201,7 @@ def _build_cost(cfg: dict, grid: TorusGrid) -> CostModel:
         _check_keys(sub, "cost", {"id", "g"}, {"id", "g"})
         catalogue = {"sqrt": np.sqrt, "identity": lambda s: s,
                      "square": lambda s: s * s}
-        if sub["g"] not in catalogue:
+        if not isinstance(sub["g"], str) or sub["g"] not in catalogue:
             raise ConfigError("cost.g", f"unknown moment map {sub['g']!r}")
         return moment_form_cost(catalogue[sub["g"]])
     if cid == "illustrative":
@@ -225,6 +227,9 @@ def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief") -> Belief:
     if sub is None:
         raise ConfigError(key, "required section missing")
     _check_keys(sub, key, {"weights", "atoms"}, {"weights", "atoms"})
+    if not (isinstance(sub["atoms"], list)
+            and all(isinstance(atom, dict) for atom in sub["atoms"])):
+        raise ConfigError(f"{key}.atoms", "expected a list of objects")
     try:
         return belief_from_json(sub, grid)
     except (ValueError, KeyError, TypeError) as exc:
@@ -411,7 +416,7 @@ def cmd_simulate_observed(cfg: dict, out: Path, seed: int) -> int:
         return EXIT_NONCONVERGENCE
 
     _write_json(out / "trace.json", trace_to_json(trace))
-    write_trace_csv(trace, out / "trace.csv", cm)
+    write_trace_csv(trace, out / "trace.csv")
     all_converged = all(s["converged"] for s in trace.segments)
     _write_json(out / "summary.json", {
         "n_events": len(trace.events),
@@ -452,22 +457,19 @@ def cmd_certify_monotone(cfg: dict, out: Path, seed: int) -> int:
 def _drift_from_spec(spec: dict, grid: TorusGrid, tg: TimeGrid,
                      path: str) -> DriftField:
     """Time-constant analytic drift, refinable across ladder levels."""
-    _check_keys(spec, path, {"kind", "value", "amplitude", "frequency"},
-                {"kind"})
-    kind = spec["kind"]
+    kind = _check_kind(spec, path, {"constant": ("value",),
+                                    "sine": ("amplitude", "frequency")})
     if kind == "constant":
         value = _number(spec, path, "value")
         vals = np.full((tg.steps + 1, grid.dim) + grid.shape, value)
         return DriftField(grid, tg, vals)
-    if kind == "sine":
-        amp = _number(spec, path, "amplitude", default=0.5)
-        freq = _number(spec, path, "frequency", default=1, integer=True)
-        coords = grid.coords()
-        vals = np.empty((tg.steps + 1, grid.dim) + grid.shape)
-        for d in range(grid.dim):
-            vals[:, d] = amp * np.sin(2 * np.pi * freq * coords[d])
-        return DriftField(grid, tg, vals)
-    raise ConfigError(f"{path}.kind", f"unknown drift kind {kind!r}")
+    amp = _number(spec, path, "amplitude", default=0.5)
+    freq = _number(spec, path, "frequency", default=1, integer=True)
+    coords = grid.coords()
+    vals = np.empty((tg.steps + 1, grid.dim) + grid.shape)
+    for d in range(grid.dim):
+        vals[:, d] = amp * np.sin(2 * np.pi * freq * coords[d])
+    return DriftField(grid, tg, vals)
 
 
 def cmd_validate_weak(cfg: dict, out: Path, seed: int) -> int:
@@ -480,13 +482,23 @@ def cmd_validate_weak(cfg: dict, out: Path, seed: int) -> int:
     sigma = _build_sigma(cfg)
     phi_spec = cfg["phi"]
     _check_keys(phi_spec, "phi", {"inner"}, {"inner"})
-    for atom in cfg["belief"].get("atoms", []):
-        if isinstance(atom, dict) and atom.get("kind") == "grid":
-            raise ConfigError("belief.atoms",
-                              "refinement ladder needs analytic (dirac) atoms")
+    atoms = _build_belief(cfg, base_grid).atoms
+    if any(atom["kind"] == "grid" for atom in cfg["belief"]["atoms"]):
+        raise ConfigError("belief.atoms",
+                          "refinement ladder needs analytic (dirac) atoms")
     ladder = cfg.get("ladder", {})
     _check_keys(ladder, "ladder", {"levels"})
     levels = _number(ladder, "ladder", "levels", lo=2, default=3, integer=True)
+    new_w = None
+    if "perturb" in cfg:
+        sub = cfg["perturb"]
+        _check_keys(sub, "perturb", {"at_fraction", "weights"},
+                    {"at_fraction", "weights"})
+        frac = _number(sub, "perturb", "at_fraction", lo=0.0, hi=1.0)
+        try:
+            new_w = Belief(np.asarray(sub["weights"], dtype=float), atoms).weights
+        except (ValueError, TypeError) as exc:
+            raise ConfigError("perturb.weights", str(exc))
 
     residuals = []
     finest = None
@@ -506,18 +518,10 @@ def cmd_validate_weak(cfg: dict, out: Path, seed: int) -> int:
     order_ok = all(o >= 0.8 for o in orders)
 
     violation = None
-    if "perturb" in cfg:
-        sub = cfg["perturb"]
-        _check_keys(sub, "perturb", {"at_fraction", "weights"},
-                    {"at_fraction", "weights"})
-        frac = _number(sub, "perturb", "at_fraction", lo=0.0, hi=1.0)
-        new_w = np.asarray(sub["weights"], dtype=float)
+    if new_w is not None:
         bp, drift, phi, tg = finest
         switch = int(frac * tg.steps)
         beliefs = [bp.belief_at(k) for k in range(tg.steps + 1)]
-        if new_w.shape != beliefs[0].weights.shape:
-            raise ConfigError("perturb.weights",
-                              "weight count must match the belief")
         perturbed = [Belief(new_w, b.atoms) if k >= switch else b
                      for k, b in enumerate(beliefs)]
         pert_res = weak_solution_residual(perturbed, drift, sigma, phi)
@@ -554,6 +558,16 @@ _COMMANDS = {
 }
 
 
+def _output_dir(given: str | None, cfg) -> Path:
+    """--out if given, else the config's output.directory, else ./out."""
+    if given is None and isinstance(cfg, dict) and "output" in cfg:
+        _check_keys(cfg["output"], "output", {"directory"})
+        given = cfg["output"].get("directory", "out")
+        if not isinstance(given, str):
+            raise ConfigError("output.directory", f"expected a string, got {given!r}")
+    return Path("out" if given is None else given)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="blindmfg",
@@ -577,20 +591,9 @@ def main(argv=None) -> int:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    out_dir = args.out
-    if out_dir is None and isinstance(cfg, dict) and "output" in cfg:
-        try:
-            _check_keys(cfg["output"], "output", {"directory"})
-        except ConfigError as exc:
-            print(f"config error at {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        out_dir = cfg["output"].get("directory")
-    if out_dir is None:
-        out_dir = "out"
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     try:
+        out = _output_dir(args.out, cfg)
+        out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.seed)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)

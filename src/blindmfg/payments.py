@@ -27,7 +27,6 @@ from .solver import SolverConfig, solve_blind
 from .torus import ScalarField, TorusGrid, build_grid, density_from_values, mollified_dirac
 
 __all__ = [
-    "PaymentSignature",
     "FilterConfig",
     "FilterTrace",
     "in_consistency_set",
@@ -41,11 +40,6 @@ __all__ = [
     "trace_to_json",
     "write_trace_csv",
 ]
-
-
-@dataclass(frozen=True)
-class PaymentSignature:
-    field: ScalarField
 
 
 @dataclass(frozen=True)
@@ -64,11 +58,13 @@ class FilterConfig:
 class FilterTrace:
     times: list
     beliefs: list
-    observations: list
+    payment_gaps: list  # largest sup-norm payment gap among the atoms alive
     events: list  # (time, tuple of eliminated original atom indices)
     true_atom: int
     surviving_indices: list  # original atom indices alive at each trace time
-    segments: list  # replanning records: {t_start, solution, converged}
+    # replanning records {t_start, solution, converged}; solution is None
+    # except for the opening solve and the first solve after an elimination
+    segments: list
 
     def n_atoms_series(self):
         return [b.n_atoms for b in self.beliefs]
@@ -79,9 +75,14 @@ def _signatures(mu: Belief, cm: CostModel) -> np.ndarray:
     return cm.running_values(mu.grid, mu.values)
 
 
-def _matching(sigs: np.ndarray, observed: np.ndarray, tau: float) -> list:
-    """Indices of the atoms whose payment lies within tau of `observed` (sup norm)."""
-    return [i for i, s in enumerate(sigs) if np.max(np.abs(s - observed)) <= tau]
+def _sup_gaps(sigs: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Sup-norm distance from every stacked payment field to `field`, (K,)."""
+    return np.max(np.abs(sigs - field), axis=tuple(range(1, sigs.ndim)))
+
+
+def _consistent(sigs: np.ndarray, tau: float) -> bool:
+    """True iff all stacked payment fields lie within tau of one another."""
+    return all(np.all(_sup_gaps(sigs[i + 1:], s) <= tau) for i, s in enumerate(sigs))
 
 
 def _condition(mu: Belief, kept: list) -> Belief:
@@ -92,12 +93,7 @@ def _condition(mu: Belief, kept: list) -> Belief:
 
 def in_consistency_set(mu: Belief, cm: CostModel, tau: float) -> bool:
     """True iff all atoms induce the same payment field within tau."""
-    sigs = _signatures(mu, cm)
-    for i in range(len(sigs)):
-        for j in range(i + 1, len(sigs)):
-            if np.max(np.abs(sigs[i] - sigs[j])) > tau:
-                return False
-    return True
+    return _consistent(_signatures(mu, cm), tau)
 
 
 def partition_by_payment(mu: Belief, cm: CostModel, tau: float):
@@ -117,21 +113,22 @@ def partition_by_payment(mu: Belief, cm: CostModel, tau: float):
         return i
 
     for i in range(k):
-        for j in range(i + 1, k):
-            if np.max(np.abs(sigs[i] - sigs[j])) <= tau:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+        near = np.flatnonzero(_sup_gaps(sigs[i + 1:], sigs[i]) <= tau) + i + 1
+        for j in near.tolist():
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
     groups: dict = {}
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
     return [tuple(groups[r]) for r in sorted(groups)]
 
 
-def filter_step(mu: Belief, observed: PaymentSignature, cm: CostModel,
+def filter_step(mu: Belief, observed: ScalarField, cm: CostModel,
                 fc: FilterConfig) -> Belief:
     """Hard conditioning on an observed payment field; weights renormalized."""
-    kept = _matching(_signatures(mu, cm), observed.field.values, fc.tolerance)
+    gaps = _sup_gaps(_signatures(mu, cm), observed.values)
+    kept = np.flatnonzero(gaps <= fc.tolerance).tolist()
     if not kept:
         raise ValueError("inconsistent observation: no atom matches the payment")
     if len(kept) == mu.n_atoms:
@@ -179,7 +176,8 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
     grid = mu0.grid
     if not 0 <= true_atom < mu0.n_atoms:
         raise ValueError(f"true_atom index {true_atom} out of range")
-    if not in_consistency_set(mu0, cm, fc.tolerance):
+    sigs = _signatures(mu0, cm)
+    if not _consistent(sigs, fc.tolerance):
         raise ValueError("initial belief is not payment-consistent within tolerance")
     dt = tg.dt
     obs_dt = fc.observation_dt if fc.observation_dt > 0 else dt
@@ -196,8 +194,8 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
     segments = [{"t_start": 0.0, "solution": sol,
                  "converged": sol.diagnostics["converged"]}]
 
-    obs0 = PaymentSignature(ScalarField(grid, _signatures(mu0, cm)[true_atom].copy()))
-    trace = FilterTrace(times=[0.0], beliefs=[belief], observations=[obs0],
+    gap0 = float(_sup_gaps(sigs, sigs[true_atom]).max())
+    trace = FilterTrace(times=[0.0], beliefs=[belief], payment_gaps=[gap0],
                         events=[], true_atom=true_atom,
                         surviving_indices=[tuple(alive)], segments=segments)
 
@@ -213,12 +211,12 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
 
         true_local = alive.index(true_atom)
         sigs = _signatures(belief, cm)
-        # copied, so that the trace keeps one payment field per observation
-        observed = PaymentSignature(ScalarField(grid, sigs[true_local].copy()))
-        kept = _matching(sigs, sigs[true_local], fc.tolerance)
+        gaps = _sup_gaps(sigs, sigs[true_local])
+        kept = np.flatnonzero(gaps <= fc.tolerance).tolist()
         if true_local not in kept:
             raise RuntimeError("filter eliminated the true atom (model inconsistency)")
-        if len(kept) < belief.n_atoms:
+        informed = len(kept) < belief.n_atoms
+        if informed:
             eliminated = tuple(alive[i] for i in range(belief.n_atoms) if i not in kept)
             trace.events.append((t_now, eliminated))
             belief = _condition(belief, kept)
@@ -228,12 +226,13 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
             sub_tg = TimeGrid(steps_left * dt, steps_left)
             warm = DriftField(grid, sub_tg, sol.drift.values[n_adv:].copy())
             sol = solve_blind(belief, cm, H, sigma, sub_tg, cfg, initial_drift=warm)
-            trace.segments.append({"t_start": t_now, "solution": sol,
+            trace.segments.append({"t_start": t_now,
+                                   "solution": sol if informed else None,
                                    "converged": sol.diagnostics["converged"]})
 
         trace.times.append(t_now)
         trace.beliefs.append(belief)
-        trace.observations.append(observed)
+        trace.payment_gaps.append(float(gaps[kept].max()))
         trace.surviving_indices.append(tuple(alive))
 
     return trace
@@ -348,7 +347,7 @@ def trace_to_json(trace: FilterTrace) -> dict:
     }
 
 
-def write_trace_csv(trace: FilterTrace, path, cm: CostModel) -> None:
+def write_trace_csv(trace: FilterTrace, path) -> None:
     import csv as _csv
 
     max_atoms = max(b.n_atoms for b in trace.beliefs)
@@ -357,8 +356,7 @@ def write_trace_csv(trace: FilterTrace, path, cm: CostModel) -> None:
         header = ["t", "n_atoms"] + [f"weight_{i}" for i in range(max_atoms)]
         header.append("payment_sup_gap")
         writer.writerow(header)
-        for t, b, obs in zip(trace.times, trace.beliefs, trace.observations):
-            gap = float(np.max(np.abs(_signatures(b, cm) - obs.field.values)))
+        for t, b, gap in zip(trace.times, trace.beliefs, trace.payment_gaps):
             weights = [f"{float(w):.17g}" for w in b.weights]
             weights += [""] * (max_atoms - b.n_atoms)
             writer.writerow([f"{t:.17g}", b.n_atoms] + weights + [f"{gap:.17g}"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,11 +172,7 @@ def cross_solution_coupling(sol1: EquilibriumSolution, sol2: EquilibriumSolution
         mu2 = sol2.belief.belief_at(k)
         total += tg.dt * lifted_pairing(cm, mu1, mu2)
     # terminal part uses the terminal cost map in place of the running one
-    def terminal_values(grid, m):
-        fields = [cm.terminal(Density(grid, a)).values for a in m.reshape((-1,) + grid.shape)]
-        return np.reshape(fields, m.shape)
-
-    term_cm = CostModel(cm.kind + "_terminal", terminal_values, cm.terminal)
+    term_cm = replace(cm, running_values=cm.terminal_values)
     total += lifted_pairing(term_cm, sol1.belief.belief_at(tg.steps),
                             sol2.belief.belief_at(tg.steps))
     return total

@@ -27,6 +27,7 @@ from blindmfg.torus import (
     build_grid,
     circular_mean,
     constant_field,
+    density_from_values,
     integrate,
     mollified_dirac,
     uniform_density,
@@ -147,6 +148,28 @@ class TestAggregation:
         x = grid64.axis_coords()
         cm = product_form_cost(ScalarField(grid64, np.cos(2 * np.pi * x)))
         assert np.all(aggregate_terminal(two_atom_belief(grid64), cm).values == 0)
+
+    @pytest.mark.parametrize("kind,dim", [
+        ("product_form", 1), ("moment_form", 1), ("illustrative", 1),
+        ("constant", 1), ("constant_terminal", 1), ("constant_terminal", 2)])
+    def test_terminal_values_share_the_running_shape_contract(self, kind, dim):
+        g = build_grid(dim, 32 if dim == 1 else 16)
+        phi = ScalarField(g, np.cos(2 * np.pi * g.coords()[0]))
+        cm = {"product_form": lambda: product_form_cost(phi),
+              "moment_form": lambda: moment_form_cost(np.sqrt),
+              "illustrative": lambda: illustrative_cost(phi, 0.5),
+              "constant": lambda: constant_cost(phi),
+              "constant_terminal": lambda: constant_cost(phi, phi)}[kind]()
+        field = phi.values if kind == "constant_terminal" else np.zeros(g.shape)
+        stack = np.random.default_rng(3).random((2, 3) + g.shape)
+        assert np.array_equal(cm.terminal_values(g, stack),
+                              np.broadcast_to(field, stack.shape))
+        mu = Belief(np.array([0.3, 0.7]),
+                    tuple(density_from_values(g, v) for v in stack[0, :2]))
+        oracle = np.zeros(g.shape)
+        for w in mu.weights:
+            oracle += w * field
+        assert np.array_equal(aggregate_terminal(mu, cm).values, oracle)
 
     @given(alpha=st.floats(0.05, 0.95), seed=st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)

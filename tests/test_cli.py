@@ -325,6 +325,84 @@ class TestValidateWeak:
         assert "phi" in capsys.readouterr().err
 
 
+def _weak_config(**overrides):
+    perturb = {"at_fraction": 0.5, "weights": [0.7, 0.3]}
+    return TestValidateWeak.config(**{"perturb": perturb, **overrides})
+
+
+def _certify_config(**cost):
+    return TestCertifyMonotone.config({"id": "moment_form", **cost}, 10)
+
+
+class TestMalformedConfig:
+    """Malformed sections exit 2 at their field path, never with a traceback."""
+
+    @pytest.mark.parametrize("command,cfg,field", [
+        ("validate-weak", _weak_config(belief=[0.3, 0.7]), "belief"),
+        ("validate-weak",
+         _weak_config(perturb={"at_fraction": 0.5, "weights": ["a", "b"]}),
+         "perturb.weights"),
+        ("validate-weak",
+         _weak_config(perturb={"at_fraction": 0.5, "weights": [1.5, -0.5]}),
+         "perturb.weights"),
+        ("certify-monotone", _certify_config(g=["sqrt"]), "cost.g"),
+        ("solve-blind",
+         dict(blind_config(), belief={"weights": [1.0], "atoms": [[1, 2, 3]]}),
+         "belief.atoms"),
+    ], ids=["belief-list", "weights-strings", "weights-negative", "g-list",
+            "atom-list"])
+    def test_malformed_section_exit_2(self, tmp_path, capsys, command, cfg, field):
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error at {field}:" in capsys.readouterr().err
+
+    def test_output_directory_not_a_string_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(base_complete_config(), output={"directory": ["o"]})
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["solve-complete", "--config", path]) == 2
+        assert "config error at output.directory:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,cfg,field", [
+        ("solve-complete", dict(base_complete_config(),
+                                hamiltonian={"kind": "abs", "cap": 5, "delta": 3}),
+         "hamiltonian.cap"),
+        ("solve-complete", dict(base_complete_config(),
+                                hamiltonian={"kind": "abs", "delta": 3}),
+         "hamiltonian.delta"),
+        ("solve-complete",
+         dict(base_complete_config(),
+              hamiltonian={"kind": "smoothed_abs", "delta": 0.5, "cap": 2}),
+         "hamiltonian.cap"),
+        ("solve-complete",
+         dict(base_complete_config(),
+              hamiltonian={"kind": "capped_quadratic", "cap": 2, "delta": 0.5}),
+         "hamiltonian.delta"),
+        ("certify-monotone", TestCertifyMonotone.config(
+            {"id": "product_form", "phi": {"kind": "cosine", "value": 1.0}}, 10),
+         "cost.phi.value"),
+        ("certify-monotone", TestCertifyMonotone.config(
+            {"id": "product_form", "phi": {"kind": "constant", "value": 1.0,
+                                           "phase": 0.5}}, 10),
+         "cost.phi.phase"),
+        ("certify-monotone", TestCertifyMonotone.config(
+            {"id": "product_form", "phi": {"kind": "well", "amplitude": 2.0}}, 10),
+         "cost.phi.amplitude"),
+        ("validate-weak", _weak_config(
+            drift={"kind": "sine", "amplitude": 0.5, "value": 1.0}), "drift.value"),
+        ("validate-weak", _weak_config(
+            drift={"kind": "constant", "value": 0.5, "frequency": 2}),
+         "drift.frequency"),
+    ], ids=["abs-cap", "abs-delta", "smoothed-cap", "capped-delta", "cosine-value",
+            "constant-phase", "well-amplitude", "sine-drift-value",
+            "constant-drift-frequency"])
+    def test_key_the_kind_never_reads_exit_2(self, tmp_path, capsys, command, cfg,
+                                             field):
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error at {field}:" in capsys.readouterr().err
+
+
 class TestConfigHandling:
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["solve-blind", "--config", str(tmp_path / "nope.json"),

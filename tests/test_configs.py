@@ -6,6 +6,7 @@ name a config that does not run, and the pairs must cover configs/*.json,
 so no shipped config can break unseen.
 """
 
+import copy
 import json
 import re
 from pathlib import Path
@@ -73,9 +74,59 @@ def test_readme_pairs_cover_every_shipped_config():
 
 @pytest.mark.parametrize("command,config", PAIRS)
 def test_shipped_config_runs(tmp_path, command, config):
+    """The finding shows, and a rerun writes every manifest-listed artifact
+    and manifest.json byte for byte again."""
     cfg = _shrink(command, json.loads((ROOT / config).read_text()))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    out, again = tmp_path / "out", tmp_path / "again"
+    for where in (out, again):
+        assert main([command, "--config", str(path), "--out", str(where)]) == 0
     HEADLINE[config](out)
+    names = list(json.loads((out / "manifest.json").read_text())["artifacts"])
+    for name in names + ["manifest.json"]:
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+
+BAD_VALUES = ("x", [], {}, None)
+
+
+def _sites(node, path=()):
+    """Paths to every leaf and every list element under `node`."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, child in items:
+        here = path + (key,)
+        if isinstance(node, list) or not isinstance(child, (dict, list)):
+            yield here
+        if isinstance(child, (dict, list)):
+            yield from _sites(child, here)
+
+
+def _replaced(cfg, site, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in site[:-1]:
+        node = node[key]
+    node[site[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command,config", PAIRS)
+def test_every_malformed_value_exits_cleanly(tmp_path, monkeypatch, command, config):
+    """Each leaf and list element of the reduced config, replaced by each of
+    BAD_VALUES, gives exit 0, 2 or 3 and never a traceback; with no --out,
+    output.directory is read too."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _shrink(command, json.loads((ROOT / config).read_text()))
+    failures = []
+    for site in _sites(cfg):
+        for value in BAD_VALUES:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(_replaced(cfg, site, value)))
+            try:
+                code = main([command, "--config", str(path)])
+            except Exception as exc:  # any raise is the finding
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3):
+                failures.append((".".join(map(str, site)), value, code))
+    assert failures == []

@@ -17,7 +17,6 @@ from blindmfg.beliefs import (
 from blindmfg.hjb_fp import DriftField, Hamiltonian, TimeGrid, constant_drift
 from blindmfg.payments import (
     FilterConfig,
-    PaymentSignature,
     _signatures,
     filter_step,
     illustrative_scenario,
@@ -50,6 +49,25 @@ def small_scenario():
     # unit tests
     return illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150,
                                  observation_dt=0.04, tolerance=0.05)
+
+
+@pytest.fixture(scope="module")
+def small_race():
+    sc = small_scenario()
+    return simulate_observed(sc.belief, 0, sc.cost, sc.hamiltonian, sc.sigma,
+                             sc.time_grid, sc.filter_config, sc.solver_config)
+
+
+@pytest.fixture(scope="module")
+def short_race():
+    """The two-Dirac race of configs/illustrative.json cut to T = 0.5 (same dt)."""
+    g = build_grid(1, 256)
+    mu0 = Belief(np.array([0.5, 0.5]),
+                 (mollified_dirac(g, 0.0), mollified_dirac(g, 0.1)))
+    cm = illustrative_cost(smoothed_well_profile(g), 0.5)
+    return simulate_observed(mu0, 0, cm, Hamiltonian("abs"), 0.0, TimeGrid(0.5, 150),
+                             FilterConfig(tolerance=0.05, observation_dt=0.01),
+                             SolverConfig(relaxation=1.0, tol=1e-9, max_iter=60))
 
 
 class TestSmoothedWellProfile:
@@ -180,13 +198,13 @@ class TestFilterStep:
         cm = constant_cost(constant_field(grid64, 1.0))
         mu = Belief(np.array([0.3, 0.7]),
                     (mollified_dirac(grid64, 0.1), mollified_dirac(grid64, 0.5)))
-        obs = PaymentSignature(cm.running(mu.atoms[0]))
+        obs = cm.running(mu.atoms[0])
         out = filter_step(mu, obs, cm, FilterConfig(tolerance=1e-9))
         assert np.array_equal(out.weights, mu.weights)
 
     def test_single_survivor_becomes_delta(self, grid256):
         cm, mu = self.setup(grid256)
-        obs = PaymentSignature(cm.running(mu.atoms[1]))
+        obs = cm.running(mu.atoms[1])
         out = filter_step(mu, obs, cm, FilterConfig(tolerance=1e-6))
         assert out.n_atoms == 1
         assert out.weights[0] == pytest.approx(1.0, abs=1e-15)
@@ -194,7 +212,7 @@ class TestFilterStep:
 
     def test_inconsistent_observation_raises(self, grid256):
         cm, mu = self.setup(grid256)
-        bogus = PaymentSignature(constant_field(grid256, 42.0))
+        bogus = constant_field(grid256, 42.0)
         with pytest.raises(ValueError, match="inconsistent observation"):
             filter_step(mu, bogus, cm, FilterConfig(tolerance=1e-6))
 
@@ -208,7 +226,7 @@ class TestFilterStep:
         k = int(rng.integers(2, 6))
         mu = Belief(rng.dirichlet(np.ones(k)),
                     tuple(random_density(g, rng) for _ in range(k)))
-        obs = PaymentSignature(cm.running(mu.atoms[int(rng.integers(k))]))
+        obs = cm.running(mu.atoms[int(rng.integers(k))])
         fc = FilterConfig(tolerance=1e-4)
         once = filter_step(mu, obs, cm, fc)
         twice = filter_step(once, obs, cm, fc)
@@ -226,7 +244,7 @@ class TestFilterStep:
 
     def test_weights_renormalized(self, grid256):
         cm, mu = self.setup(grid256)
-        obs = PaymentSignature(cm.running(mu.atoms[0]))
+        obs = cm.running(mu.atoms[0])
         out = filter_step(mu, obs, cm, FilterConfig(tolerance=1e-6))
         assert abs(out.weights.sum() - 1.0) < 1e-12
 
@@ -331,24 +349,24 @@ class TestSimulateObserved:
             assert abs(b.weights.sum() - 1.0) < 1e-12
 
 
-    def test_short_race_every_segment_converges(self):
-        """The two-Dirac race of configs/illustrative.json cut to T = 0.5
-        (same dt): 50 replanning segments, the wrong atom at 0.1 leaves at
-        t = 1/4 - 0.1."""
-        g = build_grid(1, 256)
-        mu0 = Belief(np.array([0.5, 0.5]),
-                     (mollified_dirac(g, 0.0), mollified_dirac(g, 0.1)))
-        cm = illustrative_cost(smoothed_well_profile(g), 0.5)
-        trace = simulate_observed(mu0, 0, cm, Hamiltonian("abs"), 0.0,
-                                  TimeGrid(0.5, 150),
-                                  FilterConfig(tolerance=0.05, observation_dt=0.01),
-                                  SolverConfig(relaxation=1.0, tol=1e-9, max_iter=60))
+    def test_short_race_every_segment_converges(self, short_race):
+        """50 replanning segments; the wrong atom at 0.1 leaves at t = 1/4 - 0.1."""
+        trace = short_race
         assert len(trace.segments) == 50
         assert all(s["converged"] for s in trace.segments)
         assert len(trace.events) == 1
         t_event, eliminated = trace.events[0]
         assert eliminated == (1,)
         assert abs(t_event - 0.15) < 1e-9
+
+    @pytest.mark.parametrize("race", ["small_race", "short_race"])
+    def test_solutions_kept_only_where_information_set_the_belief(self, request,
+                                                                  race):
+        trace = request.getfixturevalue(race)
+        assert sum(s["solution"] is not None for s in trace.segments) \
+            == 1 + len(trace.events)
+        kept = [s["t_start"] for s in trace.segments if s["solution"] is not None]
+        assert kept == [0.0] + [t for t, _ in trace.events]
 
 
 class TestIllustrativeScenario:
@@ -386,7 +404,7 @@ class TestTraceOutput:
         assert len(body["events"]) == 1
         assert body["n_atoms"][0] == 2 and body["n_atoms"][-1] == 1
         csv_path = tmp_path / "trace.csv"
-        write_trace_csv(trace, csv_path, sc.cost)
+        write_trace_csv(trace, csv_path)
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("t,n_atoms,")
         assert "payment_sup_gap" in header
@@ -399,7 +417,7 @@ class TestTraceOutput:
                                   sc.sigma, sc.time_grid, sc.filter_config,
                                   sc.solver_config)
         csv_path = tmp_path / "trace.csv"
-        write_trace_csv(trace, csv_path, sc.cost)
+        write_trace_csv(trace, csv_path)
         rows = list(csv.reader(csv_path.read_text().splitlines()))
         gaps = [float(r[-1]) for r in rows[1:]]
         oracle = []
