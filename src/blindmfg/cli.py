@@ -230,6 +230,9 @@ def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief") -> Belief:
     if not (isinstance(sub["atoms"], list)
             and all(isinstance(atom, dict) for atom in sub["atoms"])):
         raise ConfigError(f"{key}.atoms", "expected a list of objects")
+    for i, atom in enumerate(sub["atoms"]):
+        if "bandwidth" in atom:  # absent means the default; null is an error
+            _number(atom, f"{key}.atoms[{i}]", "bandwidth")
     try:
         return belief_from_json(sub, grid)
     except (ValueError, KeyError, TypeError) as exc:
@@ -559,13 +562,19 @@ _COMMANDS = {
 
 
 def _output_dir(given: str | None, cfg) -> Path:
-    """--out if given, else the config's output.directory, else ./out."""
+    """--out if given, else the config's output.directory, else ./out;
+    created if missing."""
     if given is None and isinstance(cfg, dict) and "output" in cfg:
         _check_keys(cfg["output"], "output", {"directory"})
         given = cfg["output"].get("directory", "out")
         if not isinstance(given, str):
             raise ConfigError("output.directory", f"expected a string, got {given!r}")
-    return Path("out" if given is None else given)
+    out = Path("out" if given is None else given)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError("output.directory", f"cannot create {str(out)!r}: {exc}")
+    return out
 
 
 def main(argv=None) -> int:
@@ -593,7 +602,6 @@ def main(argv=None) -> int:
 
     try:
         out = _output_dir(args.out, cfg)
-        out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.seed)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """Backward HJB and forward Fokker-Planck solvers on the periodic grid.
 
 The HJB step treats the Hamiltonian explicitly with a Godunov upwind flux
-and the diffusion implicitly (circulant solve via FFT).  The FP step is
-built as the exact discrete adjoint of the linearized HJB step, so the
-duality pairing <HJB-step phi, m> = <phi, FP-step m> holds to machine
-precision and mass/positivity are preserved by construction.
+and the diffusion implicitly.  The implicit diffusion is a circulant
+solve: on 1-D grids of at most _DENSE_MAX_N nodes it is one matmul with
+the cached dense symmetric inverse, elsewhere a division in Fourier space.
+The FP step is built as the exact discrete adjoint of the linearized HJB
+step, so the duality pairing <HJB-step phi, m> = <phi, FP-step m> holds
+to machine precision and mass/positivity are preserved by construction.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ __all__ = [
 ]
 
 _CFL_SLACK = 1.0 + 1e-12
+
+# Largest 1-D grid whose implicit diffusion is a dense matmul: up to here
+# one matmul beats the four FFT calls per solve, at n = 512 it no longer does.
+_DENSE_MAX_N = 256
 
 
 @dataclass(frozen=True)
@@ -179,17 +185,28 @@ def _diffusion_denominator(grid: TorusGrid, sigma: float, dt: float) -> np.ndarr
     return denom
 
 
-def implicit_diffusion(grid: TorusGrid, v: np.ndarray, sigma: float, dt: float) -> np.ndarray:
-    """Solve (I - dt*sigma*Lap) w = v exactly on the periodic grid.
+@functools.lru_cache(maxsize=8)
+def _diffusion_matrix(grid: TorusGrid, sigma: float, dt: float) -> np.ndarray:
+    """(I - dt*sigma*Lap)^-1 as a dense n x n array, for a 1-D grid.
 
-    The operator is circulant, so the solve is a division in Fourier
-    space; it is symmetric, hence self-adjoint for the duality checks.
-    `v` may carry leading batch axes; each field is solved on its own.
+    The inverse of a circulant is the circulant of the inverse transform
+    of 1/symbol; symmetrising makes D == D.T exactly, so the matmul is
+    self-adjoint to the last bit.
+    """
+    col = np.fft.ifft(1.0 / _diffusion_denominator(grid, sigma, dt)).real
+    idx = np.arange(grid.n)
+    D = col[(idx[:, None] - idx[None, :]) % grid.n]
+    D = 0.5 * (D + D.T)
+    D.flags.writeable = False
+    return D
+
+
+def _fft_diffusion(grid: TorusGrid, v: np.ndarray, sigma: float, dt: float) -> np.ndarray:
+    """implicit_diffusion as a division in Fourier space.
+
     The transforms run one grid axis at a time, last axis first, which is
     the order and the pocketfft routine that np.fft.fftn/ifftn use.
     """
-    if sigma == 0.0 or dt == 0.0:
-        return v.copy()
     axes = range(-1, -grid.dim - 1, -1)
     w = v
     for ax in axes:
@@ -198,6 +215,22 @@ def implicit_diffusion(grid: TorusGrid, v: np.ndarray, sigma: float, dt: float) 
     for ax in axes:
         w = np.fft.ifft(w, axis=ax)
     return w.real
+
+
+def implicit_diffusion(grid: TorusGrid, v: np.ndarray, sigma: float, dt: float) -> np.ndarray:
+    """Solve (I - dt*sigma*Lap) w = v exactly on the periodic grid.
+
+    The operator is circulant and symmetric, hence self-adjoint for the
+    duality checks.  1-D grids of at most _DENSE_MAX_N nodes apply its
+    cached dense inverse, other grids divide in Fourier space.  `v` may
+    carry leading batch axes; each field is solved on its own, so a
+    batched row has the bits of the same row solved alone.
+    """
+    if sigma == 0.0 or dt == 0.0:
+        return v.copy()
+    if grid.dim == 1 and grid.n <= _DENSE_MAX_N:
+        return (v[..., None, :] @ _diffusion_matrix(grid, sigma, dt))[..., 0, :]
+    return _fft_diffusion(grid, v, sigma, dt)
 
 
 def _diff_minus(grid: TorusGrid, v: np.ndarray, ax: int) -> np.ndarray:
@@ -251,7 +284,7 @@ def fp_step(grid: TorusGrid, m: np.ndarray, b: np.ndarray,
 
     `m` may carry leading batch axes: every density moves with drift b.
     """
-    md = implicit_diffusion(grid, m, sigma, dt)
+    md = m if sigma == 0.0 else implicit_diffusion(grid, m, sigma, dt)
     out = md
     for ax in range(grid.dim):
         axis = ax - grid.dim
@@ -294,7 +327,8 @@ def solve_hjb_backward(running_cost: np.ndarray, terminal_cost: ScalarField,
     dt = tg.dt
     for k in range(tg.steps - 1, -1, -1):
         ham = godunov_hamiltonian(grid, u[k + 1], H)
-        u[k] = implicit_diffusion(grid, u[k + 1] + dt * (f[k] - ham), sigma, dt)
+        w = u[k + 1] + dt * (f[k] - ham)
+        u[k] = w if sigma == 0.0 else implicit_diffusion(grid, w, sigma, dt)
     return ValuePath(grid, tg, u)
 
 

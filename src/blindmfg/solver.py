@@ -84,7 +84,8 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
     Each iteration applies the map once: pushforward under drift b,
     belief-averaged costs, backward HJB value u, drift b_raw = optimal_drift(u).
     The last iterate is returned: value u, drift b_raw, and the belief
-    pushed forward under b_raw.
+    pushed forward under b_raw.  The loop stops at the first non-finite
+    drift gap; the belief then stays the one pushed forward under b.
     """
     cfg = cfg or SolverConfig()
     grid = mu0.grid
@@ -109,11 +110,13 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
         if gap < cfg.tol:
             converged = True
             break
+        if not np.isfinite(gap):
+            break  # a NaN gap never falls below tol, and the drift is lost
         # full first step: relaxing toward the zero initial guess has
         # no virtue, and decoupled systems then finish immediately
         theta = 1.0 if it == 1 and initial_drift is None else cfg.relaxation
         b = DriftField(grid, tg, (1.0 - theta) * b.values + theta * b_raw.values)
-    if not np.array_equal(b_raw.values, b_pushed.values):
+    if np.isfinite(gap) and not np.array_equal(b_raw.values, b_pushed.values):
         bp = push_forward(mu0, b_raw, sigma, tg)
         running = running_cost_path(bp, cm)
     diagnostics = {

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ class TestSolveBlind:
         summary = json.loads((out / "summary.json").read_text())
         assert not summary["converged"]
         assert (out / "u.csv").exists()
+
+    def test_non_finite_gap_exit_3_with_diagnostics(self, tmp_path, monkeypatch):
+        import blindmfg.cli as cli
+
+        build_cost = cli._build_cost
+
+        def nan_cost(cfg, grid):
+            cm = build_cost(cfg, grid)
+            return replace(cm, running_values=lambda g, m: np.full(m.shape, np.nan))
+
+        monkeypatch.setattr(cli, "_build_cost", nan_cost)
+        path = write_config(tmp_path, "b.json", blind_config())
+        out = tmp_path / "out"
+        assert main(["solve-blind", "--config", path, "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["converged"] and summary["iterations"] == 1
+        assert (out / "history.csv").read_text().splitlines()[1].startswith("1,nan,")
 
     def test_determinism(self, tmp_path):
         path = write_config(tmp_path, "b.json", blind_config())
@@ -316,6 +334,14 @@ class TestValidateWeak:
         report = json.loads((out / "report.json").read_text())
         assert report["violation"]["detected"]
 
+    def test_null_bandwidth_exit_2(self, tmp_path, capsys):
+        cfg = self.config()
+        cfg["belief"]["atoms"][1]["bandwidth"] = None
+        path = write_config(tmp_path, "w.json", cfg)
+        assert main(["validate-weak", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error at belief.atoms[1].bandwidth:" in capsys.readouterr().err
+
     def test_missing_phi_exit_2(self, tmp_path, capsys):
         cfg = self.config()
         del cfg["phi"]
@@ -413,6 +439,23 @@ class TestConfigHandling:
         path.write_text("{not json")
         assert main(["solve-blind", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("via", ["--out", "output.directory"])
+    def test_output_directory_is_a_file_exit_2(self, tmp_path, monkeypatch, capsys,
+                                               via):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        cfg = TestCertifyMonotone.config(
+            {"id": "product_form", "phi": {"kind": "cosine"}}, 10)
+        argv = ["certify-monotone", "--config", "c.json"]
+        if via == "--out":
+            argv += ["--out", "taken"]
+        else:
+            cfg["output"] = {"directory": "taken"}
+        write_config(tmp_path, "c.json", cfg)
+        assert main(argv) == 2
+        assert "config error at output.directory:" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_output_directory_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

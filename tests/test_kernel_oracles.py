@@ -5,17 +5,25 @@ forms of each kernel.  The kernels in `hjb_fp` build the same stencils
 from basic slices and run the FFT one axis at a time; every element must
 come out of the same floating-point operation, so the results are
 compared byte for byte (signed zeros included), never to a tolerance.
+
+The one exception is the dense matmul that replaces the FFT solve of the
+implicit diffusion on small 1-D grids: it sums in another order, so it is
+held to the FFT oracle by a tolerance fixed from float64 rounding, while
+the FFT path itself stays pinned bit for bit at every size.
 """
 
 import numpy as np
 import pytest
 
+from blindmfg import hjb_fp
 from blindmfg.hjb_fp import (
     Hamiltonian,
     TimeGrid,
     ValuePath,
     _diff_minus,
     _diff_plus,
+    _diffusion_matrix,
+    _fft_diffusion,
     fp_step,
     godunov_hamiltonian,
     implicit_diffusion,
@@ -70,8 +78,8 @@ def ref_upwind_advection(grid, phi, b):
     return out
 
 
-def ref_fp_step(grid, m, b, sigma, dt):
-    md = ref_implicit_diffusion(grid, m, sigma, dt)
+def ref_fp_step(grid, m, b, sigma, dt, diffuse=ref_implicit_diffusion):
+    md = diffuse(grid, m, sigma, dt)
     out = md.copy()
     for ax in range(grid.dim):
         axis = ax - grid.dim
@@ -127,6 +135,11 @@ def _drift(rng, grid):
     return _frozen(np.round(rng.uniform(-1.0, 1.0, size=(grid.dim,) + grid.shape), 2))
 
 
+def _dense(grid, sigma):
+    """Whether implicit_diffusion takes the dense matmul path."""
+    return sigma > 0 and grid.dim == 1 and grid.n <= hjb_fp._DENSE_MAX_N
+
+
 def _same_bits(new, ref):
     assert new.dtype == ref.dtype and new.shape == ref.shape
     assert new.tobytes() == ref.tobytes()
@@ -169,16 +182,44 @@ def test_upwind_advection(grid, lead):
 def test_implicit_diffusion(grid, lead, sigma):
     v = _density(np.random.default_rng(grid.n + 3), lead, grid)
     dt = 0.5 * grid.spacing
-    _same_bits(implicit_diffusion(grid, v, sigma, dt),
-               ref_implicit_diffusion(grid, v, sigma, dt))
+    # the FFT path is pinned at every size; test_dense_diffusion_matches_fft
+    # holds the dense path to it
+    kernel = _fft_diffusion if _dense(grid, sigma) else implicit_diffusion
+    _same_bits(kernel(grid, v, sigma, dt), ref_implicit_diffusion(grid, v, sigma, dt))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
-def test_fp_step(grid, lead, sigma):
+def test_fp_step(grid, lead, sigma, monkeypatch):
     rng = np.random.default_rng(grid.n + 4)
     m, b = _density(rng, lead, grid), _drift(rng, grid)
     dt = 0.5 * grid.spacing
+    if _dense(grid, sigma):
+        # the stencils around the dense diffusion, then the FFT path
+        _same_bits(fp_step(grid, m, b, sigma, dt),
+                   ref_fp_step(grid, m, b, sigma, dt, implicit_diffusion))
+        monkeypatch.setattr(hjb_fp, "_DENSE_MAX_N", 0)
     _same_bits(fp_step(grid, m, b, sigma, dt), ref_fp_step(grid, m, b, sigma, dt))
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1])
+@pytest.mark.parametrize("n", [8, 128, 256])
+def test_dense_diffusion_matches_fft(n, lead, sigma):
+    grid = build_grid(1, n)
+    assert _dense(grid, sigma)
+    v = _density(np.random.default_rng(n + 3), lead, grid)
+    dt = 0.5 * grid.spacing
+    diff = implicit_diffusion(grid, v, sigma, dt) - ref_implicit_diffusion(grid, v, sigma, dt)
+    assert np.max(np.abs(diff)) <= 1e-14
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1])
+@pytest.mark.parametrize("n", [8, 128, 256])
+def test_diffusion_matrix_symmetric_and_conservative(n, sigma):
+    grid = build_grid(1, n)
+    D = _diffusion_matrix(grid, sigma, 0.5 * grid.spacing)
+    assert not D.flags.writeable
+    assert np.array_equal(D, D.T)
+    assert np.max(np.abs(D.sum(axis=0) - 1.0)) <= 4e-15
 
 
 @pytest.mark.parametrize("H", KINDS, ids=lambda H: H.kind)

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,19 @@ class TestSolveBlind:
         assert not sol.diagnostics["converged"]
         assert sol.diagnostics["final_gap"] > 0
         assert len(sol.diagnostics["history"]) == 1
+
+    def test_non_finite_gap_stops_at_once(self):
+        grid, tg, cm, H, sigma = small_setup()
+        nan_cost = replace(cm, running_values=lambda g, m: np.full(m.shape, np.nan))
+        mu0 = Belief(np.array([1.0]), (mollified_dirac(grid, 0.3),))
+        sol = solve_blind(mu0, nan_cost, H, sigma, tg, SolverConfig(max_iter=50))
+        diag = sol.diagnostics
+        assert not diag["converged"]
+        assert diag["iterations"] == 1
+        assert np.isnan(diag["final_gap"])
+        assert np.isnan(diag["history"][0]["drift_gap"])
+        # the belief is the one pushed forward under the last finite drift
+        assert diag["mass_error"] < 1e-12
 
 
 class TestEquilibriumGap:
