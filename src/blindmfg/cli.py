@@ -311,9 +311,22 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed: int,
     _write_json(out / "manifest.json", manifest)
 
 
+def _finite_or_null(obj):
+    """`obj` with each non-finite float replaced by None: strict JSON
+    has no NaN or Infinity, so a failed run's diagnostics read as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -336,16 +336,30 @@ def optimal_drift(u: ValuePath, H: Hamiltonian) -> DriftField:
     """Feedback drift b = -D_pH(grad u) with the Godunov upwind gradient choice."""
     grid = u.grid
     b = np.empty((u.time_grid.steps + 1, grid.dim) + grid.shape)
+    # in place, each temporary freed once dead: the arrays span all of
+    # space-time, and this runs once per fixed-point iteration
     for ax in range(grid.dim):
-        pm = np.maximum(_diff_minus(grid, u.values, ax), 0.0)
-        pp = np.minimum(_diff_plus(grid, u.values, ax), 0.0)
+        pm = _diff_minus(grid, u.values, ax)
+        np.maximum(pm, 0.0, out=pm)
+        pp = _diff_plus(grid, u.values, ax)
+        np.minimum(pp, 0.0, out=pp)
         hm, hp = H.profile(pm), H.profile(pp)
-        p_sel = np.where(hm >= hp, pm, pp)
-        vel = -H.dprofile(p_sel)
+        np.copyto(pp, pm, where=hm >= hp)  # pp: the selected gradient
         # two-sided tie (local max of u): both branches are equally
         # optimal; pick the stationary, reflection-symmetric choice
-        tie = np.abs(hm - hp) <= 1e-12 * (np.abs(hm) + np.abs(hp) + 1.0)
-        b[:, ax] = np.where(tie & (pm > 0.0), 0.0, vel)
+        tie = np.subtract(hm, hp)
+        np.abs(tie, out=tie)
+        np.abs(hm, out=hm)
+        hm += np.abs(hp, out=hp)
+        hm += 1.0
+        hm *= 1e-12
+        tie = tie <= hm
+        del hm, hp
+        tie &= pm > 0.0
+        del pm
+        np.negative(H.dprofile(pp), out=b[:, ax])
+        del pp
+        b[:, ax][tie] = 0.0
     return DriftField(grid, u.time_grid, b)
 
 

@@ -152,6 +152,27 @@ class TestSolveBlind:
         assert not summary["converged"] and summary["iterations"] == 1
         assert (out / "history.csv").read_text().splitlines()[1].startswith("1,nan,")
 
+    def test_non_finite_diagnostics_are_strict_json(self, tmp_path, monkeypatch):
+        import blindmfg.cli as cli
+
+        build_cost = cli._build_cost
+        monkeypatch.setattr(cli, "_build_cost", lambda cfg, grid: replace(
+            build_cost(cfg, grid),
+            running_values=lambda g, m: np.full(m.shape, np.nan)))
+        path = write_config(tmp_path, "b.json", blind_config())
+        out = tmp_path / "out"
+        assert main(["solve-blind", "--config", path, "--out", str(out)]) == 3
+
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
+                for p in out.glob("*.json")}
+        assert {"summary.json", "manifest.json", "telemetry.json",
+                "belief_path.json"} <= set(docs)
+        assert docs["summary.json"]["gap"] is None
+        assert docs["summary.json"]["hjb_residual"] is None
+
     def test_determinism(self, tmp_path):
         path = write_config(tmp_path, "b.json", blind_config())
         o1, o2 = tmp_path / "o1", tmp_path / "o2"

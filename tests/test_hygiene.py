@@ -1,4 +1,5 @@
-"""Static hygiene of the package sources: no dead imports, no stale __all__.
+"""Static hygiene of the package sources: no dead imports, no stale
+__all__, no environment switches.
 
 Walks src/blindmfg/*.py with `ast` only, so it needs no linter.
 """
@@ -68,3 +69,23 @@ def test_all_entries_are_defined(path):
     tree = _tree(path)
     missing = sorted(set(_all_entries(tree)) - _defined_names(tree))
     assert not missing, f"{path.name}: __all__ names undefined: {', '.join(missing)}"
+
+
+_ENV_ACCESS = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_switches(path):
+    """Behaviour comes from the config and the command line only: a knob
+    read from the environment would be one that no config documents."""
+    tree = _tree(path)
+    os_names = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for alias in node.names if alias.name == "os"}
+    hits = sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in _ENV_ACCESS
+            and isinstance(node.value, ast.Name) and node.value.id in os_names)
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in _ENV_ACCESS for alias in node.names)))
+    assert not hits, f"{path.name}: process environment used at lines {hits}"

@@ -187,6 +187,98 @@ class TestSolveBlind:
         assert diag["mass_error"] < 1e-12
 
 
+class TestDampedIteration:
+    """Relaxation 1 is plain Picard; damped runs are Anderson-accelerated."""
+
+    def test_undamped_is_plain_picard(self):
+        from blindmfg.beliefs import aggregate_terminal, push_forward, running_cost_path
+        from blindmfg.hjb_fp import optimal_drift, solve_hjb_backward, zero_drift
+
+        grid, tg, cm, H, sigma = small_setup()
+        mu0 = Belief(np.array([0.5, 0.5]),
+                     (mollified_dirac(grid, 0.2), mollified_dirac(grid, 0.4)))
+        cfg = SolverConfig(relaxation=1.0)
+        sol = solve_blind(mu0, cm, H, sigma, tg, cfg)
+        b, u_prev, rows = zero_drift(grid, tg), None, []
+        for _ in range(cfg.max_iter):
+            bp = push_forward(mu0, b, sigma, tg)
+            u = solve_hjb_backward(running_cost_path(bp, cm),
+                                   aggregate_terminal(bp.belief_at(tg.steps), cm),
+                                   H, sigma, tg)
+            b_new = optimal_drift(u, H)
+            rows.append((float(np.max(np.abs(b_new.values - b.values))),
+                         np.inf if u_prev is None
+                         else float(np.max(np.abs(u.values - u_prev)))))
+            if rows[-1][0] < cfg.tol:
+                break
+            b, u_prev = b_new, u.values
+        assert sol.diagnostics["converged"] and len(rows) > 2
+        assert np.array_equal(sol.drift.values, b_new.values)
+        assert np.array_equal(sol.value.values, u.values)
+        assert [(row["drift_gap"], row["value_change"])
+                for row in sol.diagnostics["history"]] == rows
+
+    def test_pushed_drifts_stay_in_the_bound(self, monkeypatch):
+        import blindmfg.solver as solver_module
+
+        # at this coupling, unclipped extrapolation overshoots the bound
+        # 0.5 by about 3e-3 on the way to the fixed point
+        grid, tg = build_grid(1, 32), TimeGrid(0.5, 64)
+        H = Hamiltonian("capped_quadratic", cap=0.5)
+        sups = []
+        push_forward = solver_module.push_forward
+
+        def spy(mu0, b, sigma, tg):
+            sups.append(b.sup_norm())
+            return push_forward(mu0, b, sigma, tg)
+
+        monkeypatch.setattr(solver_module, "push_forward", spy)
+        mu0 = Belief(np.array([1.0]), (mollified_dirac(grid, 0.3),))
+        sol = solve_blind(mu0, mild_product_cost(grid, 2.0), H, 0.02, tg,
+                          SolverConfig(relaxation=0.5, max_iter=30))
+        assert sol.diagnostics["converged"]
+        assert max(sups) <= H.lipschitz
+
+    def test_damped_race_converges_in_every_segment(self):
+        from blindmfg.payments import illustrative_scenario, simulate_observed
+
+        # bang-bang drifts on the benchmark race: the gap grows now and
+        # then, and without the history restart one of the 50 segments
+        # stalls; damped Picard left 14 of them unconverged
+        sc = illustrative_scenario(0.1, 0.5, 0.5, 256, observation_dt=0.01)
+        tg = TimeGrid(0.5, 150)
+
+        def race(cfg):
+            return simulate_observed(sc.belief, 0, sc.cost, sc.hamiltonian,
+                                     sc.sigma, tg, sc.filter_config, cfg)
+
+        damped = race(SolverConfig())
+        assert all(seg["converged"] for seg in damped.segments)
+        plain = race(SolverConfig(relaxation=1.0, tol=1e-9, max_iter=60))
+        assert damped.events == plain.events
+        assert damped.surviving_indices == plain.surviving_indices
+
+    def test_strong_coupling_converges_where_damped_picard_stalls(self):
+        # damped Picard does not converge here in 100 iterations, nor does
+        # Anderson when a restart drops the newest secant pair too
+        grid, tg, _, H, _ = small_setup()
+        mu0 = Belief(np.array([0.3, 0.3, 0.4]),
+                     tuple(mollified_dirac(grid, c) for c in (0.15, 0.45, 0.75)))
+        sol = solve_blind(mu0, mild_product_cost(grid, 2.0), H, 0.05, tg,
+                          SolverConfig(relaxation=0.5, tol=1e-8, max_iter=100))
+        assert sol.diagnostics["converged"]
+
+    def test_damped_matches_undamped_in_fewer_iterations(self):
+        grid, tg, cm, H, sigma = small_setup()
+        m0 = mollified_dirac(grid, 0.3)
+        plain = solve_complete_info(m0, cm, H, sigma, tg, SolverConfig(relaxation=1.0))
+        damped = solve_complete_info(m0, cm, H, sigma, tg, SolverConfig(relaxation=0.5))
+        assert plain.diagnostics["converged"] and damped.diagnostics["converged"]
+        assert np.max(np.abs(damped.drift.values - plain.drift.values)) < 1e-6
+        # damped Picard, (1 - 0.5) b + 0.5 G(b), needed 13 iterations here
+        assert damped.diagnostics["iterations"] < 13
+
+
 class TestEquilibriumGap:
     def test_converged_below_tol(self):
         grid, tg, cm, H, sigma = small_setup()
