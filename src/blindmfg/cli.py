@@ -42,6 +42,8 @@ from .hjb_fp import DriftField, Hamiltonian, TimeGrid, _check_cfl
 from .monotonicity import certify_blind_monotone
 from .payments import (
     FilterConfig,
+    _observation_steps,
+    in_consistency_set,
     simulate_observed,
     smoothed_well_profile,
     trace_to_json,
@@ -60,6 +62,9 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
+
+# Largest estimated space-time state a run may allocate (see _state_bytes).
+MAX_STATE_BYTES = 2 ** 30
 
 
 class ConfigError(Exception):
@@ -137,6 +142,26 @@ def _build_time(cfg: dict) -> TimeGrid:
     return TimeGrid(T, steps)
 
 
+def _state_bytes(atoms: int, steps: int, n: int, dim: int) -> int:
+    """Estimated bytes of a run's space-time arrays: the belief's atom
+    paths plus value, drift and cost, each (steps + 1) x n^dim floats."""
+    return (atoms + 3) * (steps + 1) * n ** dim * 8
+
+
+def _check_size(cfg: dict, key: str, n: int, dim: int, steps: int) -> None:
+    """Reject, before anything is allocated, a run whose estimated state
+    exceeds MAX_STATE_BYTES; the atoms are counted in the raw `key`
+    section, whose own errors are reported when it is built."""
+    sub = cfg.get(key)
+    atoms = sub.get("atoms") if isinstance(sub, dict) else None
+    count = len(atoms) if isinstance(atoms, list) else 1
+    need = _state_bytes(count, steps, n, dim)
+    if need > MAX_STATE_BYTES:
+        raise ConfigError("grid.n", f"{count} atom(s) on {n}^{dim} nodes over "
+                          f"{steps} steps need about {need / 2**30:.3g} GiB, "
+                          f"above the {MAX_STATE_BYTES / 2**30:g} GiB cap")
+
+
 def _check_time_steps(tg: TimeGrid, grid: TorusGrid, speed: float) -> None:
     """The solvers' CFL condition, reported at the config field that sets dt."""
     try:
@@ -191,6 +216,8 @@ def _build_cost(cfg: dict, grid: TorusGrid) -> CostModel:
     if not isinstance(sub, dict) or "id" not in sub:
         raise ConfigError("cost.id", "required key missing")
     cid = sub["id"]
+    if cid in ("moment_form", "illustrative") and grid.dim != 1:
+        raise ConfigError("cost.id", f"{cid} cost requires dim = 1")
     if cid == "product_form":
         _check_keys(sub, "cost", {"id", "phi", "base"}, {"id", "phi"})
         phi = _build_field(sub["phi"], grid, "cost.phi")
@@ -341,6 +368,7 @@ def _solve_common(cfg: dict, out: Path, blind: bool, seed: int,
                 {"grid", "time", "sigma", "hamiltonian", "cost"})
     grid = _build_grid(cfg)
     tg = _build_time(cfg)
+    _check_size(cfg, "belief" if blind else "density", grid.n, grid.dim, tg.steps)
     sigma = _build_sigma(cfg)
     H = _build_hamiltonian(cfg)
     # optimal and relaxed drifts are bounded by H.lipschitz
@@ -402,6 +430,7 @@ def cmd_simulate_observed(cfg: dict, out: Path, seed: int) -> int:
                  "filter", "true_atom", "solver"})
     grid = _build_grid(cfg)
     tg = _build_time(cfg)
+    _check_size(cfg, "belief", grid.n, grid.dim, tg.steps)
     sigma = _build_sigma(cfg)
     H = _build_hamiltonian(cfg)
     _check_time_steps(tg, grid, H.lipschitz)
@@ -418,6 +447,13 @@ def cmd_simulate_observed(cfg: dict, out: Path, seed: int) -> int:
         )
     except ValueError as exc:
         raise ConfigError("filter", str(exc))
+    try:
+        _observation_steps(tg, fc)
+    except ValueError as exc:
+        raise ConfigError("filter.observation_dt", str(exc))
+    if not in_consistency_set(mu0, cm, fc.tolerance):
+        raise ConfigError("belief", "the atoms' payments differ by more than "
+                          "filter.tolerance at t = 0")
     true_atom = _number(cfg, "", "true_atom", lo=0, integer=True)
     if true_atom >= mu0.n_atoms:
         raise ConfigError("true_atom",
@@ -495,6 +531,14 @@ def cmd_validate_weak(cfg: dict, out: Path, seed: int) -> int:
                 {"grid", "time", "sigma", "drift", "belief", "phi"})
     base_grid = _build_grid(cfg)
     base_tg = _build_time(cfg)
+    ladder = cfg.get("ladder", {})
+    _check_keys(ladder, "ladder", {"levels"})
+    levels = _number(ladder, "ladder", "levels", lo=2, default=3, integer=True)
+    # level by level, so that a huge level count stops at the first
+    # level past the cap instead of forming 4**levels
+    for lvl in range(levels):
+        _check_size(cfg, "belief", base_grid.n * 2 ** lvl, base_grid.dim,
+                    base_tg.steps * 4 ** lvl)
     sigma = _build_sigma(cfg)
     phi_spec = cfg["phi"]
     _check_keys(phi_spec, "phi", {"inner"}, {"inner"})
@@ -502,9 +546,6 @@ def cmd_validate_weak(cfg: dict, out: Path, seed: int) -> int:
     if any(atom["kind"] == "grid" for atom in cfg["belief"]["atoms"]):
         raise ConfigError("belief.atoms",
                           "refinement ladder needs analytic (dirac) atoms")
-    ladder = cfg.get("ladder", {})
-    _check_keys(ladder, "ladder", {"levels"})
-    levels = _number(ladder, "ladder", "levels", lo=2, default=3, integer=True)
     new_w = None
     if "perturb" in cfg:
         sub = cfg["perturb"]

@@ -151,7 +151,10 @@ class DriftField:
     values: np.ndarray  # (steps+1, dim) + grid.shape
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        """max |b|, from the two extremes: no drift-sized temporary."""
+        if not self.values.size:
+            return 0.0
+        return float(np.maximum(np.abs(self.values.max()), np.abs(self.values.min())))
 
 
 def zero_drift(grid: TorusGrid, tg: TimeGrid) -> DriftField:
@@ -233,42 +236,74 @@ def implicit_diffusion(grid: TorusGrid, v: np.ndarray, sigma: float, dt: float) 
     return _fft_diffusion(grid, v, sigma, dt)
 
 
-def _diff_minus(grid: TorusGrid, v: np.ndarray, ax: int) -> np.ndarray:
-    """Backward difference (v[i] - v[i-1]) / h along grid axis `ax`."""
-    out = np.empty_like(v)
-    for own, nb in _periodic_pairs(ax - grid.dim, -1):
-        np.subtract(v[own], v[nb], out=out[own])
-    out /= grid.spacing
-    return out
+def _along(axis: int, part: slice) -> tuple:
+    """Index taking `part` of `axis` (counted from the end) and all of
+    every later axis, leading batch axes included."""
+    return (Ellipsis, part) + (slice(None),) * (-1 - axis)
 
 
-def _diff_plus(grid: TorusGrid, v: np.ndarray, ax: int) -> np.ndarray:
-    """Forward difference (v[i+1] - v[i]) / h along grid axis `ax`."""
-    out = np.empty_like(v)
-    for own, nb in _periodic_pairs(ax - grid.dim, 1):
-        np.subtract(v[nb], v[own], out=out[own])
-    out /= grid.spacing
+class _GhostDiff:
+    """One-sided periodic differences along one grid axis, in a reused buffer.
+
+    For fields of shape `shape`, `buf` has n + 1 entries along the axis,
+    buf[j] = (v[j] - v[j-1]) / h for j = 0..n with indices mod n: a ghost
+    cell at each end.  Its views `minus` (buf[:-1]) and `plus` (buf[1:])
+    are the backward and forward differences at every node.  The views
+    are built once, so calling on a new field of the same shape costs two
+    subtractions, one copy and one division.
+    """
+
+    def __init__(self, grid: TorusGrid, shape: tuple, ax: int):
+        axis = ax - grid.dim
+        ghost = list(shape)
+        ghost[axis] += 1
+        self.buf = np.empty(ghost)
+        self.minus = self.buf[_along(axis, slice(None, -1))]
+        self.plus = self.buf[_along(axis, slice(1, None))]
+        self._parts = [(own, nb, self.minus[own]) for own, nb in _periodic_pairs(axis, -1)]
+        self._end = self.buf[_along(axis, slice(-1, None))]
+        self._start = self.buf[_along(axis, slice(None, 1))]
+        self._h = grid.spacing
+
+    def __call__(self, v: np.ndarray) -> "_GhostDiff":
+        for own, nb, out in self._parts:
+            np.subtract(v[own], v[nb], out=out)
+        self._end[...] = self._start
+        self.buf /= self._h
+        return self
+
+
+def _godunov_into(diffs: list, u: np.ndarray, H: Hamiltonian, pp: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Godunov Hamiltonian of u into `out`; `diffs` (one _GhostDiff per
+    axis) and `pp` are scratch.  The profiles are never -0.0, so the first
+    axis is written, not added to zeros, with the same bits."""
+    for ax, d in enumerate(diffs):
+        d(u)
+        np.minimum(d.plus, 0.0, out=pp)
+        pm = np.maximum(d.minus, 0.0, out=d.minus)
+        if ax == 0:
+            np.maximum(H.profile(pm), H.profile(pp), out=out)
+        else:
+            out += np.maximum(H.profile(pm), H.profile(pp))
     return out
 
 
 def godunov_hamiltonian(grid: TorusGrid, u: np.ndarray, H: Hamiltonian) -> np.ndarray:
     """Godunov numerical Hamiltonian, summed per axis."""
-    out = np.zeros_like(u)
-    for ax in range(grid.dim):
-        pm = np.maximum(_diff_minus(grid, u, ax), 0.0)
-        pp = np.minimum(_diff_plus(grid, u, ax), 0.0)
-        out += np.maximum(H.profile(pm), H.profile(pp))
-    return out
+    diffs = [_GhostDiff(grid, u.shape, ax) for ax in range(grid.dim)]
+    return _godunov_into(diffs, u, H, np.empty(u.shape), np.empty(u.shape))
 
 
 def upwind_advection(grid: TorusGrid, phi: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Upwind b . grad(phi) for the linearized backward transport."""
     out = np.zeros_like(phi)
     for ax in range(grid.dim):
+        d = _GhostDiff(grid, phi.shape, ax)(phi)
         bax = b[ax]
         bp = np.maximum(bax, 0.0)
         bm = np.minimum(bax, 0.0)
-        out += bp * _diff_plus(grid, phi, ax) + bm * _diff_minus(grid, phi, ax)
+        out += bp * d.plus + bm * d.minus
     return out
 
 
@@ -278,31 +313,68 @@ def hjb_linear_step(grid: TorusGrid, phi: np.ndarray, b: np.ndarray,
     return implicit_diffusion(grid, phi + dt * upwind_advection(grid, phi, b), sigma, dt)
 
 
+class _DonorCell:
+    """The FP step for stacked densities of one shape, in reused buffers.
+
+    Per axis, the donor-cell flux F_{i+1/2} = b+_i m_i + b-_{i+1} m_{i+1}
+    and the divergence dt * (F_{i-1/2} - F_{i+1/2}) / h are built in
+    contiguous buffers of the stacked shape.  Node i + 1 along the axis
+    is s = n**(axes after it) entries further on in the flat buffer, so
+    each shifted sum is one flat operation, and a slab operation then
+    redoes the nodes whose neighbour wraps around the axis.
+    """
+
+    def __init__(self, grid: TorusGrid, shape: tuple):
+        self.grid = grid
+        self.bp = np.empty((grid.dim,) + grid.shape)
+        self.bm = np.empty_like(self.bp)
+        self.inflow = np.empty(shape)  # b+ m
+        self.outflow = np.empty(shape)  # b- m
+        self.flux = np.empty(shape)
+        self.div = np.empty(shape)
+        A, B, F, D = (a.reshape(-1) for a in (self.inflow, self.outflow, self.flux, self.div))
+        self.axes = []
+        for ax in range(grid.dim):
+            s = grid.n ** (grid.dim - 1 - ax)
+            first = _along(ax - grid.dim, slice(None, 1))
+            last = _along(ax - grid.dim, slice(-1, None))
+            # (x, y, out) of each ufunc call, flat first, then the wrapped slab
+            flux_parts = ((A[:-s], B[s:], F[:-s]),
+                          (self.inflow[last], self.outflow[first], self.flux[last]))
+            div_parts = ((F[:-s], F[s:], D[s:]),
+                         (self.flux[last], self.flux[first], self.div[first]))
+            self.axes.append((self.bp[ax], self.bm[ax], flux_parts, div_parts))
+
+    def __call__(self, m: np.ndarray, b: np.ndarray, sigma: float, dt: float,
+                 out: np.ndarray) -> np.ndarray:
+        np.maximum(b, 0.0, out=self.bp)
+        np.minimum(b, 0.0, out=self.bm)
+        md = m if sigma == 0.0 else implicit_diffusion(self.grid, m, sigma, dt)
+        div = self.div
+        for ax, (bp, bm, flux_parts, div_parts) in enumerate(self.axes):
+            np.multiply(bp, md, out=self.inflow)
+            np.multiply(bm, md, out=self.outflow)
+            for args in flux_parts:
+                np.add(*args)
+            for args in div_parts:
+                np.subtract(*args)
+            div *= dt
+            div /= self.grid.spacing
+            if ax == 0:
+                np.add(md, div, out=out)
+            else:
+                out += div
+        return out
+
+
 def fp_step(grid: TorusGrid, m: np.ndarray, b: np.ndarray,
             sigma: float, dt: float) -> np.ndarray:
     """One forward FP step, the exact transpose of hjb_linear_step.
 
     `m` may carry leading batch axes: every density moves with drift b.
     """
-    md = m if sigma == 0.0 else implicit_diffusion(grid, m, sigma, dt)
-    out = md
-    for ax in range(grid.dim):
-        axis = ax - grid.dim
-        bax = b[ax]
-        bp = np.maximum(bax, 0.0)
-        bm = np.minimum(bax, 0.0)
-        # donor-cell flux F_{i+1/2} = b+_i m_i + b-_{i+1} m_{i+1}
-        flux = bp * md
-        div = bm * md
-        for own, nb in _periodic_pairs(axis, 1):
-            np.add(flux[own], div[nb], out=flux[own])
-        # dt * (F_{i-1/2} - F_{i+1/2}) / h, written over b-*m
-        for own, nb in _periodic_pairs(axis, -1):
-            np.subtract(flux[nb], flux[own], out=div[own])
-        div *= dt
-        div /= grid.spacing
-        out = out + div
-    return out
+    out = np.empty(np.shape(m))
+    return _DonorCell(grid, out.shape)(m, b, sigma, dt, out)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +397,18 @@ def solve_hjb_backward(running_cost: np.ndarray, terminal_cost: ScalarField,
     u = np.empty((tg.steps + 1,) + grid.shape)
     u[tg.steps] = terminal_cost.values
     dt = tg.dt
+    diffs = [_GhostDiff(grid, grid.shape, ax) for ax in range(grid.dim)]
+    pp, w = np.empty(grid.shape), np.empty(grid.shape)
     for k in range(tg.steps - 1, -1, -1):
-        ham = godunov_hamiltonian(grid, u[k + 1], H)
-        w = u[k + 1] + dt * (f[k] - ham)
-        u[k] = w if sigma == 0.0 else implicit_diffusion(grid, w, sigma, dt)
+        # w = u[k+1] + dt * (f[k] - ham), built in place
+        _godunov_into(diffs, u[k + 1], H, pp, out=w)
+        np.subtract(f[k], w, out=w)
+        w *= dt
+        if sigma == 0.0:
+            np.add(u[k + 1], w, out=u[k])
+        else:
+            w += u[k + 1]
+            u[k] = implicit_diffusion(grid, w, sigma, dt)
     return ValuePath(grid, tg, u)
 
 
@@ -339,10 +419,9 @@ def optimal_drift(u: ValuePath, H: Hamiltonian) -> DriftField:
     # in place, each temporary freed once dead: the arrays span all of
     # space-time, and this runs once per fixed-point iteration
     for ax in range(grid.dim):
-        pm = _diff_minus(grid, u.values, ax)
-        np.maximum(pm, 0.0, out=pm)
-        pp = _diff_plus(grid, u.values, ax)
-        np.minimum(pp, 0.0, out=pp)
+        d = _GhostDiff(grid, u.values.shape, ax)(u.values)
+        pp = np.minimum(d.plus, 0.0)
+        pm = np.maximum(d.minus, 0.0, out=d.minus)
         hm, hp = H.profile(pm), H.profile(pp)
         np.copyto(pp, pm, where=hm >= hp)  # pp: the selected gradient
         # two-sided tie (local max of u): both branches are equally
@@ -356,7 +435,7 @@ def optimal_drift(u: ValuePath, H: Hamiltonian) -> DriftField:
         tie = tie <= hm
         del hm, hp
         tie &= pm > 0.0
-        del pm
+        del pm, d
         np.negative(H.dprofile(pp), out=b[:, ax])
         del pp
         b[:, ax][tie] = 0.0
@@ -379,8 +458,10 @@ def solve_fp_stack(grid: TorusGrid, m0: np.ndarray, b: DriftField, sigma: float,
     _check_cfl(tg, grid, b.sup_norm(), "FP advection")
     m = np.empty((m0.shape[0], tg.steps + 1) + grid.shape)
     m[:, 0] = m0
+    dt = tg.dt
+    step = _DonorCell(grid, m[:, 0].shape)
     for k in range(tg.steps):
-        m[:, k + 1] = fp_step(grid, m[:, k], b.values[k], sigma, tg.dt)
+        step(m[:, k], b.values[k], sigma, dt, out=m[:, k + 1])
     return m
 
 

@@ -168,6 +168,19 @@ def tower_check(mu: Belief, b: DriftField, sigma: float, tg: TimeGrid,
     return abs(lhs - rhs)
 
 
+def _observation_steps(tg: TimeGrid, fc: FilterConfig) -> int:
+    """Solver steps between two observations; observation_dt must be a
+    whole multiple of the solver dt (0 observes at every step)."""
+    dt = tg.dt
+    obs_dt = fc.observation_dt if fc.observation_dt > 0 else dt
+    ratio = obs_dt / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(steps * dt - obs_dt) > 1e-9 * tg.horizon:
+        raise ValueError(f"observation_dt {obs_dt:.6g} is not a multiple of "
+                         f"the solver dt {dt:.6g}")
+    return steps
+
+
 def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian,
                       sigma: float, tg: TimeGrid, fc: FilterConfig,
                       cfg: SolverConfig | None = None) -> FilterTrace:
@@ -180,10 +193,7 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
     if not _consistent(sigs, fc.tolerance):
         raise ValueError("initial belief is not payment-consistent within tolerance")
     dt = tg.dt
-    obs_dt = fc.observation_dt if fc.observation_dt > 0 else dt
-    steps_per_obs = int(round(obs_dt / dt))
-    if steps_per_obs < 1 or abs(steps_per_obs * dt - obs_dt) > 1e-9 * tg.horizon:
-        raise ValueError("observation_dt must be a multiple of the solver dt")
+    steps_per_obs = _observation_steps(tg, fc)
 
     belief = mu0
     alive = list(range(mu0.n_atoms))

@@ -2,12 +2,14 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blindmfg.cli import _write_path_csv, main
+from blindmfg import cli
+from blindmfg.cli import MAX_STATE_BYTES, _state_bytes, _write_path_csv, main
 from blindmfg.hjb_fp import TimeGrid
 from blindmfg.payments import illustrative_scenario
 from blindmfg.torus import build_grid
@@ -252,6 +254,29 @@ class TestSimulateObserved:
                      "--out", str(tmp_path / "o")]) == 2
         assert "true_atom" in capsys.readouterr().err
 
+    def test_observation_dt_off_the_time_grid_exit_2(self, tmp_path, capsys):
+        cfg = illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150).to_config()
+        dt = cfg["time"]["T"] / cfg["time"]["steps"]
+        cfg["filter"]["observation_dt"] = 1.5 * dt
+        path = write_config(tmp_path, "sim.json", cfg)
+        assert main(["simulate-observed", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error at filter.observation_dt:" in err
+        assert "multiple of the solver dt" in err
+
+    def test_payment_inconsistent_prior_exit_2(self, tmp_path, capsys):
+        # an atom in the payment well pays differently from one outside it
+        cfg = illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150,
+                                    observation_dt=0.04).to_config()
+        cfg["belief"]["atoms"][1]["center"] = 0.33
+        path = write_config(tmp_path, "sim.json", cfg)
+        assert main(["simulate-observed", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error at belief:" in err
+        assert "filter.tolerance" in err
+
 
 class TestCertifyMonotone:
     @staticmethod
@@ -396,8 +421,14 @@ class TestMalformedConfig:
         ("solve-blind",
          dict(blind_config(), belief={"weights": [1.0], "atoms": [[1, 2, 3]]}),
          "belief.atoms"),
+        ("certify-monotone",
+         dict(_certify_config(g="sqrt"), grid={"dim": 2, "n": 16}), "cost.id"),
+        ("simulate-observed",
+         dict(illustrative_scenario(0.1, 0.5, 0.5, 64).to_config(),
+              filter={"tolerance": 0.05, "observation_dt": 1e308}),
+         "filter.observation_dt"),
     ], ids=["belief-list", "weights-strings", "weights-negative", "g-list",
-            "atom-list"])
+            "atom-list", "moment-form-2d", "observation-dt-overflow"])
     def test_malformed_section_exit_2(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, "c.json", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -488,8 +519,65 @@ class TestConfigHandling:
         assert (tmp_path / "from_config" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["solve-complete", "solve-blind",
-                                     "simulate-observed", "validate-weak"])
+def _sized_config(command, n, steps):
+    """A valid config of `command` on an n-node 1-D grid over `steps` steps."""
+    if command == "solve-complete":
+        cfg = base_complete_config()
+    elif command == "solve-blind":
+        cfg = blind_config()
+    elif command == "simulate-observed":
+        cfg = illustrative_scenario(0.1, 0.5, 0.5, 64).to_config()
+        cfg["filter"]["observation_dt"] = 0.0
+    else:
+        cfg = TestValidateWeak.config(ladder={"levels": 2})
+    cfg["grid"] = {"dim": 1, "n": n}
+    cfg["time"] = dict(cfg["time"], steps=steps)
+    return cfg
+
+
+SIZED = ["solve-complete", "solve-blind", "simulate-observed", "validate-weak"]
+
+
+class TestSizeGuard:
+    """Runs whose space-time state would exceed MAX_STATE_BYTES exit 2 at
+    grid.n before any array is allocated."""
+
+    def test_state_estimate(self):
+        assert _state_bytes(3, 256, 128, 1) == 6 * 257 * 128 * 8
+        assert _state_bytes(1, 16, 32, 2) == 4 * 17 * 32 * 32 * 8
+        assert _state_bytes(2, 600, 256, 1) < MAX_STATE_BYTES
+
+    @pytest.mark.parametrize("command", SIZED)
+    def test_oversized_run_exit_2_without_allocating(self, tmp_path, capsys, command):
+        # about 34 GB of state at the base level alone
+        path = write_config(tmp_path, "big.json", _sized_config(command, 2 ** 20, 1024))
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "config error at grid.n:" in capsys.readouterr().err
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("command", SIZED)
+    def test_cap_is_the_estimate(self, tmp_path, monkeypatch, capsys, command):
+        """A cap equal to the run's estimate admits it; one byte less
+        rejects it.  validate-weak is sized by its finest level."""
+        cfg = _sized_config(command, 64, 128)
+        levels = 2 if command == "validate-weak" else 1
+        atoms = len((cfg.get("belief") or cfg["density"])["atoms"])
+        need = _state_bytes(atoms, 128 * 4 ** (levels - 1), 64 * 2 ** (levels - 1), 1)
+        path = write_config(tmp_path, "c.json", cfg)
+        monkeypatch.setattr(cli, "MAX_STATE_BYTES", need - 1)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config error at grid.n:" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "MAX_STATE_BYTES", need)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command", SIZED)
 def test_cfl_violation_exit_2_at_time_steps(tmp_path, capsys, command):
     coarse = {"T": 1.0, "steps": 8}  # dt = 0.125 against h = 1/64
     if command == "solve-complete":

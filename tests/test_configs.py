@@ -9,9 +9,11 @@ so no shipped config can break unseen.
 import copy
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blindmfg.cli import main
 
@@ -102,12 +104,19 @@ def _sites(node, path=()):
             yield from _sites(child, here)
 
 
+_DELETE = object()
+
+
 def _replaced(cfg, site, value):
+    """`cfg` with the value at `site` replaced, or removed for _DELETE."""
     cfg = copy.deepcopy(cfg)
     node = cfg
     for key in site[:-1]:
         node = node[key]
-    node[site[-1]] = value
+    if value is _DELETE:
+        del node[site[-1]]
+    else:
+        node[site[-1]] = value
     return cfg
 
 
@@ -130,3 +139,44 @@ def test_every_malformed_value_exits_cleanly(tmp_path, monkeypatch, command, con
             if code not in (0, 2, 3):
                 failures.append((".".join(map(str, site)), value, code))
     assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing
+
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["abs", "dirac", "cosine", "constant", "sqrt", ""]),
+    st.just([]), st.just({}), st.lists(st.floats(-1.0, 2.0), max_size=3),
+    st.just(_DELETE),
+)
+
+
+def _small(command: str, cfg: dict, dim: int, n: int, steps: int) -> dict:
+    """The shipped config on a dim-D grid of n <= 16 nodes, <= 16 steps."""
+    cfg["grid"] = {"dim": dim, "n": n}
+    if "time" in cfg:
+        cfg["time"]["steps"] = steps
+    if command == "certify-monotone":
+        cfg["certify"]["trials"] = 4
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(PAIRS), dim=st.sampled_from([1, 1, 2]),
+       n=st.integers(8, 16), steps=st.integers(1, 16), data=st.data())
+def test_fuzzed_configs_exit_cleanly(pair, dim, n, steps, data):
+    """Small configs with up to three leaves replaced or deleted give exit
+    0, 2 or 3 and never raise."""
+    command, config = pair
+    cfg = _small(command, json.loads((ROOT / config).read_text()), dim, n, steps)
+    sites = list(_sites(cfg))
+    for _ in range(data.draw(st.integers(0, 3))):
+        cfg = _replaced(cfg, data.draw(st.sampled_from(sites)), data.draw(FUZZ_VALUES))
+        sites = list(_sites(cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3)

@@ -89,3 +89,35 @@ def test_no_environment_switches(path):
         or (isinstance(node, ast.ImportFrom) and node.module == "os"
             and any(alias.name in _ENV_ACCESS for alias in node.names)))
     assert not hits, f"{path.name}: process environment used at lines {hits}"
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _referenced_names(node: ast.AST) -> set:
+    """Names that `node` reads, looks up as an attribute or imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_used(path):
+    """A module-level `_` function or class that nothing in the package
+    refers to outside its own definition is dead code."""
+    nodes = [(p, node) for p in MODULES for node in _tree(p).body]
+    dead = []
+    for d in _private_definitions(_tree(path)):
+        if not any(d.name in _referenced_names(node) for p, node in nodes
+                   if (p, node.lineno) != (path, d.lineno)):
+            dead.append(f"{d.name} (line {d.lineno})")
+    assert not dead, f"{path.name}: private and never used: {', '.join(dead)}"

@@ -1,10 +1,12 @@
 """Bitwise oracles for the elementary HJB/FP kernels.
 
 The reference formulas below are the textbook np.roll / np.fft.fftn
-forms of each kernel.  The kernels in `hjb_fp` build the same stencils
-from basic slices and run the FFT one axis at a time; every element must
-come out of the same floating-point operation, so the results are
-compared byte for byte (signed zeros included), never to a tolerance.
+forms of each kernel, and plain loops of them for the time sweeps.  The
+kernels in `hjb_fp` build the same stencils from ghost-cell differences,
+flat shifts and basic slices in reused buffers, and run the FFT one axis
+at a time; every element must come out of the same floating-point
+operation, so the results are compared byte for byte (signed zeros
+included), never to a tolerance.
 
 The one exception is the dense matmul that replaces the FFT solve of the
 implicit diffusion on small 1-D grids: it sums in another order, so it is
@@ -12,25 +14,29 @@ held to the FFT oracle by a tolerance fixed from float64 rounding, while
 the FFT path itself stays pinned bit for bit at every size.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from blindmfg import hjb_fp
 from blindmfg.hjb_fp import (
+    DriftField,
     Hamiltonian,
     TimeGrid,
     ValuePath,
-    _diff_minus,
-    _diff_plus,
     _diffusion_matrix,
+    _GhostDiff,
     _fft_diffusion,
     fp_step,
     godunov_hamiltonian,
     implicit_diffusion,
     optimal_drift,
+    solve_fp_stack,
+    solve_hjb_backward,
     upwind_advection,
 )
-from blindmfg.torus import build_grid, laplacian_array
+from blindmfg.torus import ScalarField, build_grid, laplacian_array
 
 SIZES = [(1, 8), (1, 128), (1, 256), (2, 32), (2, 50), (2, 64)]
 KINDS = [Hamiltonian("abs"), Hamiltonian("smoothed_abs", smoothing=0.3),
@@ -162,8 +168,10 @@ def test_one_sided_differences(grid, lead):
     rng = np.random.default_rng(grid.n)
     v = _field(rng, lead, grid)
     for ax in range(grid.dim):
-        _same_bits(_diff_minus(grid, v, ax), ref_diff_minus(grid, v, ax))
-        _same_bits(_diff_plus(grid, v, ax), ref_diff_plus(grid, v, ax))
+        d = _GhostDiff(grid, v.shape, ax)(v)
+        assert d.buf.shape[ax - grid.dim] == grid.n + 1
+        _same_bits(d.minus, ref_diff_minus(grid, v, ax))
+        _same_bits(d.plus, ref_diff_plus(grid, v, ax))
 
 
 @pytest.mark.parametrize("H", KINDS, ids=lambda H: H.kind)
@@ -243,7 +251,7 @@ def test_kernels_leave_inputs_untouched(grid, lead):
     kept = [a.copy() for a in (u, m, b)]
     dt = 0.5 * grid.spacing
     results = [
-        _diff_minus(grid, u, 0), _diff_plus(grid, u, 0),
+        _GhostDiff(grid, u.shape, 0)(u).buf,
         godunov_hamiltonian(grid, u, KINDS[1]), upwind_advection(grid, u, b),
         implicit_diffusion(grid, m, 0.0, dt), implicit_diffusion(grid, m, 0.05, dt),
         fp_step(grid, m, b, 0.0, dt), fp_step(grid, m, b, 0.05, dt),
@@ -251,3 +259,98 @@ def test_kernels_leave_inputs_untouched(grid, lead):
     for a, before in zip((u, m, b), kept):
         assert a.tobytes() == before.tobytes()
         assert not any(np.shares_memory(r, a) for r in results)
+
+
+# ---------------------------------------------------------------------------
+# sweeps: the time loops against written-out loops of the step formulas
+
+SWEEP_SIZES = [(1, 8), (1, 128), (1, 256), (2, 20)]
+
+
+def ref_hjb_sweep(grid, f, terminal, H, sigma, tg, diffuse):
+    u = np.empty((tg.steps + 1,) + grid.shape)
+    u[tg.steps] = terminal
+    for k in range(tg.steps - 1, -1, -1):
+        ham = ref_godunov_hamiltonian(grid, u[k + 1], H)
+        u[k] = diffuse(grid, u[k + 1] + tg.dt * (f[k] - ham), sigma, tg.dt)
+    return u
+
+
+def ref_fp_sweep(grid, m0, b, sigma, tg, diffuse):
+    m = np.empty((m0.shape[0], tg.steps + 1) + grid.shape)
+    m[:, 0] = m0
+    for k in range(tg.steps):
+        m[:, k + 1] = ref_fp_step(grid, m[:, k], b[k], sigma, tg.dt, diffuse)
+    return m
+
+
+def _sweep_time(grid, steps):
+    """A time grid with dt = 0.3 h: within the CFL bound of every drift
+    below and of every Hamiltonian in KINDS, and not a power of two, so
+    that a reordered product with dt changes bits."""
+    return TimeGrid(0.3 * grid.spacing * steps, steps)
+
+
+def _each_diffusion(grid, sigma, monkeypatch):
+    """(reference diffusion, set-up) pairs: on the dense path the stencils
+    around implicit_diffusion itself, then the FFT path against the
+    textbook FFT solve."""
+    if _dense(grid, sigma):
+        yield implicit_diffusion
+        monkeypatch.setattr(hjb_fp, "_DENSE_MAX_N", 0)
+    yield ref_implicit_diffusion
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("H", KINDS, ids=lambda H: H.kind)
+@pytest.mark.parametrize("size", SWEEP_SIZES, ids=lambda s: f"d{s[0]}n{s[1]}")
+def test_hjb_sweep(size, H, sigma, monkeypatch):
+    grid = build_grid(*size)
+    tg = _sweep_time(grid, 5)
+    rng = np.random.default_rng(grid.n + 8)
+    f, terminal = _field(rng, (tg.steps + 1,), grid), _field(rng, (), grid)
+    for diffuse in _each_diffusion(grid, sigma, monkeypatch):
+        u = solve_hjb_backward(f, ScalarField(grid, terminal), H, sigma, tg)
+        _same_bits(u.values, ref_hjb_sweep(grid, f, terminal, H, sigma, tg, diffuse))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("size", SWEEP_SIZES, ids=lambda s: f"d{s[0]}n{s[1]}")
+def test_fp_sweep(size, K, sigma, monkeypatch):
+    grid = build_grid(*size)
+    tg = _sweep_time(grid, 5)
+    rng = np.random.default_rng(grid.n + 9)
+    m0 = _density(rng, (K,), grid)
+    b = _frozen(np.round(rng.uniform(-1.0, 1.0, (tg.steps + 1, grid.dim) + grid.shape), 2))
+    for diffuse in _each_diffusion(grid, sigma, monkeypatch):
+        m = solve_fp_stack(grid, m0, DriftField(grid, tg, b), sigma, tg)
+        _same_bits(m, ref_fp_sweep(grid, m0, b, sigma, tg, diffuse))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("size", [(1, 64), (2, 16)], ids=lambda s: f"d{s[0]}n{s[1]}")
+def test_sweep_memory_is_per_step(size, sigma):
+    """Above its output, a sweep holds O(K n^d) scratch, not O(steps n^d):
+    over 400 steps the extra peak stays within 10 K grid fields plus 64 KiB
+    of fixed overhead, a quarter or less of 400 fields."""
+    grid = build_grid(*size)
+    tg = _sweep_time(grid, 400)
+    field = 8 * grid.n ** grid.dim
+    rng = np.random.default_rng(grid.n + 10)
+    K = 3
+    m0 = _density(rng, (K,), grid)
+    b = DriftField(grid, tg, rng.uniform(-1.0, 1.0, (tg.steps + 1, grid.dim) + grid.shape))
+    f = rng.normal(size=(tg.steps + 1,) + grid.shape)
+    terminal = ScalarField(grid, rng.normal(size=grid.shape))
+    runs = [lambda: solve_fp_stack(grid, m0, b, sigma, tg),
+            lambda: solve_hjb_backward(f, terminal, KINDS[1], sigma, tg).values]
+    for run in runs:
+        run()  # caches (the dense inverse) fill outside the measurement
+        tracemalloc.start()
+        try:
+            out = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 10 * K * field + 2 ** 16, (peak - out.nbytes) / field
