@@ -20,7 +20,7 @@ from .torus import (
     ScalarField,
     TorusGrid,
     density_from_values,
-    integrate,
+    integrate_stack,
     laplacian_array,
     mollified_dirac,
     normalize_stack,
@@ -105,7 +105,8 @@ class BeliefPath:
         return tuple(DensityPath(self.grid, self.time_grid, v) for v in self.values)
 
     def belief_at(self, k: int) -> Belief:
-        return Belief(self.weights, tuple(p.at(k) for p in self.atom_paths))
+        atoms = normalize_stack(self.grid, self.values[:, k])
+        return Belief(self.weights, tuple(Density(self.grid, a) for a in atoms))
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,8 @@ def _broadcast(field: ScalarField):
 
 def _integrate_fields(grid: TorusGrid, phi: np.ndarray, m: np.ndarray) -> np.ndarray:
     """∫ phi dm for every field of m, kept as size-1 grid axes."""
-    axes = tuple(range(-grid.dim, 0))
-    return np.add.reduce(phi * m, axis=axes, keepdims=True) * grid.cell_volume
+    vals = integrate_stack(grid, phi, m)
+    return vals.reshape(vals.shape + (1,) * grid.dim)
 
 
 def product_form_cost(phi: ScalarField, base: ScalarField | None = None) -> CostModel:
@@ -152,7 +153,7 @@ def product_form_cost(phi: ScalarField, base: ScalarField | None = None) -> Cost
     return CostModel("product_form", running_values, _zero_terminal)
 
 
-def moment_form_cost(g: Callable, kind: str = "moment_form") -> CostModel:
+def moment_form_cost(g: Callable) -> CostModel:
     """f(m)(x) = x * g(first moment of m); d = 1 only, g elementwise."""
 
     def running_values(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
@@ -161,7 +162,7 @@ def moment_form_cost(g: Callable, kind: str = "moment_form") -> CostModel:
         x = grid.axis_coords()
         return x * g(_integrate_fields(grid, x, m))
 
-    return CostModel(kind, running_values, _zero_terminal)
+    return CostModel("moment_form", running_values, _zero_terminal)
 
 
 def illustrative_cost(f0: ScalarField, c: float) -> CostModel:
@@ -188,6 +189,13 @@ def push_forward(mu0: Belief, b: DriftField, sigma: float, tg: TimeGrid) -> Beli
     """Transport every atom along the same FP flow; weights never change."""
     m0 = mu0.values
     return BeliefPath(mu0.grid, tg, mu0.weights, solve_fp_stack(mu0.grid, m0, b, sigma, tg))
+
+
+def _sum_in_order(total: float, terms) -> float:
+    """total + terms[0] + terms[1] + ..., added left to right."""
+    for term in terms:
+        total += term
+    return total
 
 
 def _weighted_sum(weights: np.ndarray, fields) -> np.ndarray:
@@ -283,31 +291,20 @@ class CylinderFunctional:
     psi_s: Callable[[float, float], float]
     psi_t: Callable[[float, float], float]
 
-    def value(self, t: float, m: Density) -> float:
-        return self.psi(t, integrate(self.inner, m))
-
     def value_belief(self, t: float, mu: Belief) -> float:
-        return float(sum(w * self.value(t, a) for w, a in zip(mu.weights, mu.atoms)))
+        s = integrate_stack(mu.grid, self.inner.values, mu.values).tolist()
+        return float(_sum_in_order(0.0, [w * self.psi(t, si) for w, si in zip(mu.weights, s)]))
 
 
-def static_cylinder(inner: ScalarField, outer=None, outer_d=None) -> CylinderFunctional:
-    """Time-independent cylinder functional; identity outer map by default."""
-    if outer is None:
-        return CylinderFunctional(inner, lambda t, s: s, lambda t, s: 1.0, lambda t, s: 0.0)
-    return CylinderFunctional(inner, lambda t, s: outer(s),
-                              lambda t, s: outer_d(s), lambda t, s: 0.0)
+def static_cylinder(inner: ScalarField) -> CylinderFunctional:
+    """∫inner dm, time-independent."""
+    return CylinderFunctional(inner, lambda t, s: s, lambda t, s: 1.0, lambda t, s: 0.0)
 
 
-def ramp_cylinder(inner: ScalarField, horizon: float, outer=None, outer_d=None) -> CylinderFunctional:
-    """(T - t) * outer(∫inner dm); vanishes at the horizon as required."""
-    if outer is None:
-        outer, outer_d = (lambda s: s), (lambda s: 1.0)
-    return CylinderFunctional(
-        inner,
-        lambda t, s: (horizon - t) * outer(s),
-        lambda t, s: (horizon - t) * outer_d(s),
-        lambda t, s: -outer(s),
-    )
+def ramp_cylinder(inner: ScalarField, horizon: float) -> CylinderFunctional:
+    """(T - t) * ∫inner dm; vanishes at the horizon as required."""
+    return CylinderFunctional(inner, lambda t, s: (horizon - t) * s,
+                              lambda t, s: horizon - t, lambda t, s: -s)
 
 
 def _generator_field(grid: TorusGrid, h_vals: np.ndarray, lap_h: np.ndarray,
@@ -326,34 +323,34 @@ def weak_solution_residual(path, b: DriftField, sigma: float,
     """
     tg = b.time_grid
     grid = b.grid
-    if isinstance(path, BeliefPath):
-        beliefs = [path.belief_at(k) for k in range(tg.steps + 1)]
-    else:
-        beliefs = list(path)
-        if len(beliefs) != tg.steps + 1:
+    if not isinstance(path, BeliefPath):
+        path = list(path)
+        if len(path) != tg.steps + 1:
             raise ValueError("belief sequence length must match the time grid")
-    times = tg.times
-    T = tg.horizon
-    # terminal-vanishing check on the values the path actually visits
-    for w, a in zip(beliefs[-1].weights, beliefs[-1].atoms):
-        if abs(phi.psi(T, integrate(phi.inner, a))) > 1e-12:
-            raise ValueError("test functional must vanish at the horizon")
     h_vals = phi.inner.values
+
+    def at(k):
+        """Weights, ∫h dm_i and the (K, *grid) atom values at step k."""
+        if isinstance(path, BeliefPath):
+            w, m = path.weights, normalize_stack(grid, path.values[:, k])
+        else:
+            w, m = path[k].weights, path[k].values
+        return w.tolist(), integrate_stack(grid, h_vals, m).tolist(), m
+
+    # terminal-vanishing check on the values the path actually visits
+    _, s, _ = at(tg.steps)
+    if any(abs(phi.psi(tg.horizon, si)) > 1e-12 for si in s):
+        raise ValueError("test functional must vanish at the horizon")
     lap_h = laplacian_array(grid, h_vals)
-    dt = tg.dt
-    vol = grid.cell_volume
     acc = 0.0
-    for k in range(tg.steps):
+    for k, t in enumerate(tg.times[:-1]):
+        w, s, m = at(k)
         gen = _generator_field(grid, h_vals, lap_h, b.values[k], sigma)
-        mu = beliefs[k]
-        t = times[k]
-        for w, a in zip(mu.weights, mu.atoms):
-            s = integrate(phi.inner, a)
-            gen_m = float(np.sum(gen * a.values) * vol)
-            acc += dt * w * (-phi.psi_t(t, s) - phi.psi_s(t, s) * gen_m)
-    mu0 = beliefs[0]
-    for w, a in zip(mu0.weights, mu0.atoms):
-        acc -= w * phi.psi(0.0, integrate(phi.inner, a))
+        gen_m = integrate_stack(grid, gen, m).tolist()
+        acc = _sum_in_order(acc, [tg.dt * wi * (-phi.psi_t(t, si) - phi.psi_s(t, si) * gi)
+                                  for wi, si, gi in zip(w, s, gen_m)])
+    w, s, _ = at(0)
+    acc = _sum_in_order(acc, [-(wi * phi.psi(0.0, si)) for wi, si in zip(w, s)])
     return abs(acc)
 
 

@@ -55,7 +55,7 @@ from .solver import (
     solve_complete_info,
     write_history_csv,
 )
-from .torus import ScalarField, TorusGrid, build_grid
+from .torus import ScalarField, TorusGrid, _images_formed, build_grid
 
 __all__ = ["main"]
 
@@ -148,18 +148,35 @@ def _state_bytes(atoms: int, steps: int, n: int, dim: int) -> int:
     return (atoms + 3) * (steps + 1) * n ** dim * 8
 
 
-def _check_size(cfg: dict, key: str, n: int, dim: int, steps: int) -> None:
+def _certify_bytes(max_atoms: int, grid: TorusGrid) -> int:
+    """Estimated peak bytes of a certify-monotone run with K = 2 max_atoms
+    atoms a trial: 6K + 8 fields of n^dim floats (a trial's raw draws,
+    atom stack, pairing copy, running costs and products; the cost's own
+    fields; the witness atoms as JSON numbers, about 5 floats' worth per
+    value), and the mollified-Dirac temporaries, 4 arrays of
+    K x dim x n x images floats at the sampler's bandwidth."""
+    atoms = 2 * max_atoms
+    images = _images_formed(2.0 * grid.spacing)
+    return ((6 * atoms + 8) * grid.n ** grid.dim
+            + 4 * atoms * grid.dim * grid.n * images) * 8
+
+
+def _check_need(need: int, what: str) -> None:
     """Reject, before anything is allocated, a run whose estimated state
-    exceeds MAX_STATE_BYTES; the atoms are counted in the raw `key`
-    section, whose own errors are reported when it is built."""
+    `need` exceeds MAX_STATE_BYTES."""
+    if need > MAX_STATE_BYTES:
+        raise ConfigError("grid.n", f"{what} need about {need / 2**30:.3g} GiB, "
+                          f"above the {MAX_STATE_BYTES / 2**30:g} GiB cap")
+
+
+def _check_size(cfg: dict, key: str, n: int, dim: int, steps: int) -> None:
+    """_check_need for a space-time run; the atoms are counted in the raw
+    `key` section, whose own errors are reported when it is built."""
     sub = cfg.get(key)
     atoms = sub.get("atoms") if isinstance(sub, dict) else None
     count = len(atoms) if isinstance(atoms, list) else 1
-    need = _state_bytes(count, steps, n, dim)
-    if need > MAX_STATE_BYTES:
-        raise ConfigError("grid.n", f"{count} atom(s) on {n}^{dim} nodes over "
-                          f"{steps} steps need about {need / 2**30:.3g} GiB, "
-                          f"above the {MAX_STATE_BYTES / 2**30:g} GiB cap")
+    _check_need(_state_bytes(count, steps, n, dim),
+                f"{count} atom(s) on {n}^{dim} nodes over {steps} steps")
 
 
 def _check_time_steps(tg: TimeGrid, grid: TorusGrid, speed: float) -> None:
@@ -486,7 +503,6 @@ def cmd_certify_monotone(cfg: dict, out: Path, seed: int) -> int:
     _check_keys(cfg, "config", {"grid", "cost", "certify", "output"},
                 {"grid", "cost", "certify"})
     grid = _build_grid(cfg)
-    cm = _build_cost(cfg, grid)
     sub = cfg["certify"]
     _check_keys(sub, "certify", {"trials", "max_atoms", "seed"}, {"trials"})
     trials = _number(sub, "certify", "trials", lo=1, integer=True)
@@ -494,6 +510,10 @@ def cmd_certify_monotone(cfg: dict, out: Path, seed: int) -> int:
                         default=8, integer=True)
     sampler_seed = _number(sub, "certify", "seed", lo=0, default=seed,
                            integer=True)
+    # before the cost, whose fields are grid-sized
+    _check_need(_certify_bytes(max_atoms, grid),
+                f"trials of {2 * max_atoms} atoms on {grid.n}^{grid.dim} nodes")
+    cm = _build_cost(cfg, grid)
     report = certify_blind_monotone(cm, grid, sampler_seed, trials, max_atoms)
     body = report.to_json()
     body["nonnegative"] = bool(report.min_over_trials >= -1e-10)

@@ -19,6 +19,7 @@ from .beliefs import (
     CostModel,
     CylinderFunctional,
     _generator_field,
+    _sum_in_order,
     _weighted_sum,
     belief_to_json,
 )
@@ -26,7 +27,7 @@ from .torus import (
     Density,
     ScalarField,
     TorusGrid,
-    integrate,
+    integrate_stack,
     laplacian_array,
     mollified_dirac_stack,
     normalize_stack,
@@ -118,11 +119,7 @@ def lifted_pairing(cm: CostModel, mu1: Belief, mu2: Belief) -> float:
     signed_weights = np.concatenate([mu1.weights, -mu2.weights])
     atoms = np.concatenate([mu1.values, mu2.values])
     ftilde = _weighted_sum(signed_weights, cm.running_values(grid, atoms))
-    integrals = (ftilde * atoms).reshape(len(atoms), -1).sum(axis=-1) * grid.cell_volume
-    total = 0.0
-    for s, v in zip(signed_weights.tolist(), integrals.tolist()):
-        total += s * v
-    return total
+    return _sum_in_order(0.0, (signed_weights * integrate_stack(grid, ftilde, atoms)).tolist())
 
 
 def counterexample_gap(g, x: float, y: float, z: float) -> float:
@@ -204,17 +201,16 @@ def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
 
 def duality_pairing(phi: ScalarField, diff: SignedBeliefDiff) -> float:
     """<phi, mu> = sum_i s_i ∫ phi dm_i."""
-    total = 0.0
-    for s, a in zip(diff.signed_weights, diff.atoms):
-        if a.grid != phi.grid:
-            raise ValueError("grid mismatch in duality pairing")
-        total += s * integrate(phi, a)
-    return total
+    if any(a.grid != phi.grid for a in diff.atoms):
+        raise ValueError("grid mismatch in duality pairing")
+    atoms = np.reshape([a.values for a in diff.atoms], (-1,) + phi.grid.shape)
+    return _sum_in_order(0.0, (diff.signed_weights
+                               * integrate_stack(phi.grid, phi.values, atoms)).tolist())
 
 
 def operator_A_cylinder(mu: Belief, b_components: np.ndarray, sigma: float,
-                        phi: CylinderFunctional, t: float = 0.0) -> float:
-    """Generator of the pushforward flow on a cylinder functional.
+                        phi: CylinderFunctional) -> float:
+    """Generator of the pushforward flow on a cylinder functional at t = 0.
 
     Equals d/dt of phi along the belief pushforward to scheme order;
     `b_components` is a frozen-drift array of shape (dim,) + grid.shape.
@@ -222,9 +218,6 @@ def operator_A_cylinder(mu: Belief, b_components: np.ndarray, sigma: float,
     grid = mu.grid
     h_vals = phi.inner.values
     gen = _generator_field(grid, h_vals, laplacian_array(grid, h_vals), b_components, sigma)
-    vol = grid.cell_volume
-    total = 0.0
-    for w, a in zip(mu.weights, mu.atoms):
-        s = integrate(phi.inner, a)
-        total += w * phi.psi_s(t, s) * float(np.sum(gen * a.values) * vol)
-    return total
+    s, gen_m = integrate_stack(grid, np.stack([h_vals, gen])[:, None], mu.values).tolist()
+    return _sum_in_order(0.0, [w * phi.psi_s(0.0, si) * gi
+                               for w, si, gi in zip(mu.weights.tolist(), s, gen_m)])

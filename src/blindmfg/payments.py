@@ -24,7 +24,8 @@ from .beliefs import (
 )
 from .hjb_fp import DriftField, Hamiltonian, TimeGrid, fp_step
 from .solver import SolverConfig, solve_blind
-from .torus import ScalarField, TorusGrid, build_grid, density_from_values, mollified_dirac
+from .torus import (ScalarField, TorusGrid, build_grid, density_from_values, integrate_stack,
+                    mollified_dirac)
 
 __all__ = [
     "FilterConfig",
@@ -156,7 +157,8 @@ def tower_check(mu: Belief, b: DriftField, sigma: float, tg: TimeGrid,
     for g in groups:
         for i in g:
             class_of[i] = g
-    phi_vals = [phi.value(t, a) for a in mu_t.atoms]
+    phi_vals = [phi.psi(t, s) for s in
+                integrate_stack(mu_t.grid, phi.inner.values, mu_t.values).tolist()]
     w = mu_t.weights
     lhs = 0.0
     for i in range(mu_t.n_atoms):

@@ -195,11 +195,9 @@ class _Anderson:
 
 
 def solve_complete_info(m0: Density, cm: CostModel, H: Hamiltonian, sigma: float,
-                        tg: TimeGrid, cfg: SolverConfig | None = None,
-                        initial_drift: DriftField | None = None) -> EquilibriumSolution:
+                        tg: TimeGrid, cfg: SolverConfig | None = None) -> EquilibriumSolution:
     """Complete-information game = blind game with a one-atom belief."""
-    return solve_blind(Belief(np.array([1.0]), (m0,)), cm, H, sigma, tg, cfg,
-                       initial_drift=initial_drift)
+    return solve_blind(Belief(np.array([1.0]), (m0,)), cm, H, sigma, tg, cfg)
 
 
 def _hjb_residual(u: ValuePath, running: np.ndarray, H: Hamiltonian,

@@ -8,7 +8,6 @@ periodic.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ __all__ = [
     "mollified_dirac",
     "mollified_dirac_stack",
     "integrate",
+    "integrate_stack",
     "laplacian",
     "wasserstein1_circle",
     "circular_mean",
@@ -142,6 +142,12 @@ _IMAGES = np.arange(-5.0, 6.0)
 _EXP_CUTOFF = 40.0
 
 
+def _images_formed(bandwidth: float) -> int:
+    """Gaussian images mollified_dirac_stack evaluates per centre and node:
+    only the nearest while the reach _EXP_CUTOFF * bandwidth is below 0.45."""
+    return 1 if _EXP_CUTOFF * bandwidth < 0.45 else _IMAGES.size
+
+
 def mollified_dirac_stack(grid: TorusGrid, centers, bandwidth: float | None = None) -> np.ndarray:
     """Wrapped-Gaussian Dirac realizations, (J, *grid.shape), for J centers (J, dim).
 
@@ -155,30 +161,21 @@ def mollified_dirac_stack(grid: TorusGrid, centers, bandwidth: float | None = No
     c = np.asarray(centers, dtype=float)
     if c.ndim != 2 or c.shape[1] != grid.dim:
         raise ValueError(f"center must have {grid.dim} coordinate(s)")
-    x = grid.axis_coords()
-    # x - c spans [x[0] - max c, x[-1] - min c]; image k has a nonzero
-    # term only if that span shifted by k comes within reach of zero
-    reach = _EXP_CUTOFF * bandwidth
-    c_lo, c_hi = float(c.min()), float(c.max())
-    if not (math.isfinite(c_lo) and math.isfinite(c_hi)):
+    if not np.isfinite(c).all():
         raise ValueError("center must be finite")
-    lo = min(max(math.floor(-reach - (x[-1] - c_lo)) + 6, 0), _IMAGES.size)
-    hi = max(min(math.ceil(reach - (x[0] - c_hi)) + 5, _IMAGES.size), lo)
-    # image-major, so that the elementwise loops run along the grid
-    z = ((x - c[..., None]) + _IMAGES[lo:hi, None, None, None]) / bandwidth
-    arg = -0.5 * z ** 2
-    e = np.zeros_like(z)
-    np.exp(arg, out=e, where=arg > -0.5 * _EXP_CUTOFF ** 2)
-    if reach < 0.45:
+    d = grid.axis_coords() - c[..., None]
+    if _images_formed(bandwidth) == 1:
         # images lie 1 apart and a term is nonzero only within reach < 1/2
-        # of its image, so each node has at most one nonzero term and the
-        # image sum is exact in any order
-        prof = e.sum(axis=0)
+        # of its image, so the nearest image, d + k with k = -rint(d), is
+        # the one nonzero term at each node
+        d = (d - np.rint(d))[..., None]
     else:
-        # the eleven image slots, zero where skipped, summed in one fixed order
-        terms = np.zeros(c.shape + (grid.n, _IMAGES.size))
-        terms[..., lo:hi] = np.moveaxis(e, 0, -1)
-        prof = terms.sum(axis=-1)
+        d = d[..., None] + _IMAGES
+    # the image axis last, summed along that contiguous axis in one fixed order
+    arg = -0.5 * (d / bandwidth) ** 2
+    e = np.zeros_like(arg)
+    np.exp(arg, out=e, where=arg > -0.5 * _EXP_CUTOFF ** 2)
+    prof = e.sum(axis=-1)
     if grid.dim == 1:
         vals = prof[:, 0]
     else:
@@ -198,11 +195,18 @@ def mollified_dirac(grid: TorusGrid, center, bandwidth: float | None = None) -> 
     return Density(grid, mollified_dirac_stack(grid, c[None], bandwidth)[0])
 
 
+def integrate_stack(grid: TorusGrid, phi: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """∫ phi dm for every field m of a (..., *grid.shape) stack (rectangle rule);
+    each field is summed over its flattened grid axes, as it would be alone."""
+    v = phi * values
+    return v.reshape(v.shape[:v.ndim - grid.dim] + (-1,)).sum(axis=-1) * grid.cell_volume
+
+
 def integrate(phi: ScalarField, m: Density) -> float:
     """∫ phi dm on the grid (rectangle rule, exact for the discrete measure)."""
     if phi.grid != m.grid:
         raise ValueError("integrate: fields live on different grids")
-    return float(np.sum(phi.values * m.values) * m.grid.cell_volume)
+    return float(integrate_stack(m.grid, phi.values, m.values))
 
 
 def laplacian(phi: ScalarField) -> ScalarField:

@@ -576,6 +576,51 @@ class TestSizeGuard:
         monkeypatch.setattr(cli, "MAX_STATE_BYTES", need)
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
 
+    @staticmethod
+    def certify_config(dim, n, cost_id="product_form", trials=3):
+        cost = ({"id": "product_form", "phi": {"kind": "cosine"}} if cost_id == "product_form"
+                else {"id": "moment_form", "g": "sqrt"})
+        return {"grid": {"dim": dim, "n": n}, "cost": cost,
+                "certify": {"trials": trials, "seed": 0}}
+
+    @staticmethod
+    def traced_main(argv):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return code, peak
+
+    def test_oversized_certify_exit_2_without_allocating(self, tmp_path, capsys):
+        """4e6 nodes: about 5 GiB with the Dirac temporaries and the
+        witness; the check precedes the cost, whose field alone is 32 MB."""
+        path = write_config(tmp_path, "big.json", self.certify_config(1, 4_000_000))
+        code, peak = self.traced_main(["certify-monotone", "--config", path,
+                                       "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error at grid.n:" in capsys.readouterr().err
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("dim,n,cost_id", [(1, 4096, "moment_form"), (1, 64, "product_form"),
+                                               (2, 64, "product_form")])
+    def test_certify_estimate_covers_its_peak(self, tmp_path, dim, n, cost_id):
+        path = write_config(tmp_path, "c.json", self.certify_config(dim, n, cost_id))
+        code, peak = self.traced_main(["certify-monotone", "--config", path,
+                                       "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert peak <= cli._certify_bytes(8, build_grid(dim, n))
+
+    def test_certify_cap_is_the_estimate(self, tmp_path, monkeypatch, capsys):
+        need = cli._certify_bytes(8, build_grid(1, 256))
+        path = write_config(tmp_path, "c.json", self.certify_config(1, 256, trials=1))
+        monkeypatch.setattr(cli, "MAX_STATE_BYTES", need - 1)
+        assert main(["certify-monotone", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config error at grid.n:" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "MAX_STATE_BYTES", need)
+        assert main(["certify-monotone", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
 
 @pytest.mark.parametrize("command", SIZED)
 def test_cfl_violation_exit_2_at_time_steps(tmp_path, capsys, command):

@@ -121,3 +121,80 @@ def test_every_private_helper_is_used(path):
                    if (p, node.lineno) != (path, d.lineno)):
             dead.append(f"{d.name} (line {d.lineno})")
     assert not dead, f"{path.name}: private and never used: {', '.join(dead)}"
+
+
+ROOT = SRC.parents[1]
+CALLER_DIRS = ("src", "tests", "perfbench")
+
+
+def _defaulted_parameters(tree: ast.Module) -> list:
+    """(name, positional params, defaulted params, line) of every function
+    and method, nested ones included; a method's positional parameters
+    drop `self`/`cls`, so call positions line up with `obj.method(...)`."""
+    out = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if in_class and not static:
+                    positional = positional[1:]
+                defaulted = positional[len(positional) - len(args.defaults):] \
+                    if args.defaults else []
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                if defaulted:
+                    out.append((child.name, positional, defaulted, child.lineno))
+                visit(child, False)
+            else:
+                visit(child, isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return out
+
+
+def _calls_by_name() -> dict:
+    """Called name -> list of (positional count or None, keyword names or
+    None); None stands for a `*args` or `**kwargs`, which may pass any."""
+    calls = {}
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(_tree(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name is None:
+                    continue
+                npos = (None if any(isinstance(a, ast.Starred) for a in node.args)
+                        else len(node.args))
+                keywords = (None if any(k.arg is None for k in node.keywords)
+                            else {k.arg for k in node.keywords})
+                calls.setdefault(name, []).append((npos, keywords))
+    return calls
+
+
+def _passes(call, positional, param) -> bool:
+    npos, keywords = call
+    if keywords is None or param in keywords:
+        return True
+    if param not in positional:
+        return False
+    return npos is None or positional.index(param) < npos
+
+
+def test_every_default_parameter_is_passed():
+    """A defaulted parameter that no call in src/, tests/ or perfbench/
+    ever passes is a knob nothing reads: delete it."""
+    calls = _calls_by_name()
+    never = []
+    for path in MODULES:
+        for name, positional, defaulted, line in _defaulted_parameters(_tree(path)):
+            for param in defaulted:
+                if not any(_passes(c, positional, param) for c in calls.get(name, [])):
+                    never.append(f"{path.name}:{line} {name}({param}=)")
+    assert not never, "defaulted parameters no call passes: " + ", ".join(never)

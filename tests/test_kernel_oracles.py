@@ -20,6 +20,16 @@ import numpy as np
 import pytest
 
 from blindmfg import hjb_fp
+from blindmfg.beliefs import (
+    Belief,
+    CylinderFunctional,
+    illustrative_cost,
+    product_form_cost,
+    push_forward,
+    ramp_cylinder,
+    static_cylinder,
+    weak_solution_residual,
+)
 from blindmfg.hjb_fp import (
     DriftField,
     Hamiltonian,
@@ -28,6 +38,7 @@ from blindmfg.hjb_fp import (
     _diffusion_matrix,
     _GhostDiff,
     _fft_diffusion,
+    constant_drift,
     fp_step,
     godunov_hamiltonian,
     implicit_diffusion,
@@ -36,7 +47,16 @@ from blindmfg.hjb_fp import (
     solve_hjb_backward,
     upwind_advection,
 )
-from blindmfg.torus import ScalarField, build_grid, laplacian_array
+from blindmfg.monotonicity import SignedBeliefDiff, duality_pairing, operator_A_cylinder
+from blindmfg.payments import partition_by_payment, tower_check
+from blindmfg.torus import (
+    ScalarField,
+    build_grid,
+    density_from_values,
+    integrate_stack,
+    laplacian_array,
+    mollified_dirac_stack,
+)
 
 SIZES = [(1, 8), (1, 128), (1, 256), (2, 32), (2, 50), (2, 64)]
 KINDS = [Hamiltonian("abs"), Hamiltonian("smoothed_abs", smoothing=0.3),
@@ -354,3 +374,164 @@ def test_sweep_memory_is_per_step(size, sigma):
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes <= 10 * K * field + 2 ** 16, (peak - out.nbytes) / field
+
+
+# ---------------------------------------------------------------------------
+# belief-level integrals: every ∫ field dm goes through integrate_stack, and
+# each caller below is held bit for bit to a written-out per-atom loop
+
+BELIEF_GRIDS = [(1, 64), (2, 16)]
+
+
+def ref_integral(grid, phi, a):
+    return float(np.sum(phi * a) * grid.cell_volume)
+
+
+def ref_belief_at(bp, k):
+    """One density_from_values per atom slice."""
+    return Belief(bp.weights, tuple(density_from_values(bp.grid, v[k]) for v in bp.values))
+
+
+def ref_weak_solution_residual(beliefs, b, sigma, phi):
+    tg, grid = b.time_grid, b.grid
+    h = phi.inner.values
+    for a in beliefs[-1].atoms:
+        if abs(phi.psi(tg.horizon, ref_integral(grid, h, a.values))) > 1e-12:
+            raise ValueError("test functional must vanish at the horizon")
+    lap_h = laplacian_array(grid, h)
+    acc = 0.0
+    for k in range(tg.steps):
+        gen = sigma * lap_h + upwind_advection(grid, h, b.values[k])
+        t = tg.times[k]
+        for w, a in zip(beliefs[k].weights, beliefs[k].atoms):
+            s = ref_integral(grid, h, a.values)
+            gen_m = ref_integral(grid, gen, a.values)
+            acc += tg.dt * w * (-phi.psi_t(t, s) - phi.psi_s(t, s) * gen_m)
+    for w, a in zip(beliefs[0].weights, beliefs[0].atoms):
+        acc -= w * phi.psi(0.0, ref_integral(grid, h, a.values))
+    return abs(acc)
+
+
+def ref_operator_A_cylinder(mu, b_components, sigma, phi):
+    grid = mu.grid
+    h = phi.inner.values
+    gen = sigma * laplacian_array(grid, h) + upwind_advection(grid, h, b_components)
+    total = 0.0
+    for w, a in zip(mu.weights, mu.atoms):
+        s = ref_integral(grid, h, a.values)
+        total += w * phi.psi_s(0.0, s) * ref_integral(grid, gen, a.values)
+    return total
+
+
+def ref_duality_pairing(phi, diff):
+    total = 0.0
+    for s, a in zip(diff.signed_weights, diff.atoms):
+        total += s * ref_integral(phi.grid, phi.values, a.values)
+    return total
+
+
+def ref_tower_check(mu, b, sigma, tg, t, phi, cm, tau):
+    mu_t = ref_belief_at(push_forward(mu, b, sigma, tg), int(round(t / tg.dt)))
+    class_of = {i: g for g in partition_by_payment(mu_t, cm, tau) for i in g}
+    phi_vals = [phi.psi(t, ref_integral(mu.grid, phi.inner.values, a.values))
+                for a in mu_t.atoms]
+    w = mu_t.weights
+    lhs = 0.0
+    for i in range(mu_t.n_atoms):
+        g = class_of[i]
+        wg = float(sum(w[j] for j in g))
+        lhs += w[i] * (sum(w[j] * phi_vals[j] for j in g) / wg)
+    rhs = float(sum(w[j] * phi_vals[j] for j in range(mu_t.n_atoms)))
+    return abs(lhs - rhs)
+
+
+def _same_float(new, ref):
+    assert float(new).hex() == float(ref).hex()
+
+
+def _belief(grid, weights, centers):
+    atoms = mollified_dirac_stack(grid, np.reshape(centers, (len(weights), grid.dim)))
+    return Belief(np.asarray(weights), tuple(density_from_values(grid, a) for a in atoms))
+
+
+def _inner(grid):
+    return ScalarField(grid, np.cos(2 * np.pi * grid.coords()[0])
+                       + 0.5 * np.sin(2 * np.pi * grid.coords()[-1]))
+
+
+def _sine_cylinder(grid, horizon):
+    """(T - t) sin(∫ h dm): psi_s depends on the integral."""
+    return CylinderFunctional(_inner(grid),
+                              lambda t, s: (horizon - t) * np.sin(s),
+                              lambda t, s: (horizon - t) * np.cos(s),
+                              lambda t, s: -np.sin(s))
+
+
+@pytest.mark.parametrize("lead", [(5,), (5, 7)], ids=["K", "K-steps"])
+@pytest.mark.parametrize("size", BELIEF_GRIDS, ids=lambda s: f"d{s[0]}n{s[1]}")
+def test_integrate_stack_fields_equal_whole_sums(size, lead):
+    grid = build_grid(*size)
+    rng = np.random.default_rng(grid.n + 11)
+    phi, values = _field(rng, (), grid), _density(rng, lead, grid)
+    out = integrate_stack(grid, phi, values)
+    assert out.shape == lead
+    for idx in np.ndindex(*lead):
+        _same_bits(out[idx], np.sum(phi * values[idx]) * grid.spacing ** grid.dim)
+
+
+@pytest.mark.parametrize("size", BELIEF_GRIDS, ids=lambda s: f"d{s[0]}n{s[1]}")
+def test_weak_solution_residual_equals_per_atom_loop(size):
+    grid = build_grid(*size)
+    tg = TimeGrid(0.25, 16)
+    rng = np.random.default_rng(grid.n + 12)
+    mu0 = _belief(grid, [0.2, 0.5, 0.3], rng.random((3, grid.dim)))
+    b = DriftField(grid, tg, _frozen(np.round(
+        rng.uniform(-1.0, 1.0, (tg.steps + 1, grid.dim) + grid.shape), 2)))
+    bp = push_forward(mu0, b, 0.05, tg)
+    beliefs = [ref_belief_at(bp, k) for k in range(tg.steps + 1)]
+    for k, mu in enumerate(beliefs):
+        for new, ref in zip(bp.belief_at(k).atoms, mu.atoms):
+            _same_bits(new.values, ref.values)
+    half = tg.steps // 2
+    perturbed = [Belief(np.array([0.5, 0.1, 0.4]), mu.atoms) if k >= half else mu
+                 for k, mu in enumerate(beliefs)]
+    for phi in (ramp_cylinder(_inner(grid), tg.horizon),
+                _sine_cylinder(grid, tg.horizon)):
+        _same_float(weak_solution_residual(bp, b, 0.05, phi),
+                    ref_weak_solution_residual(beliefs, b, 0.05, phi))
+        _same_float(weak_solution_residual(beliefs, b, 0.05, phi),
+                    ref_weak_solution_residual(beliefs, b, 0.05, phi))
+        pert = weak_solution_residual(perturbed, b, 0.05, phi)
+        _same_float(pert, ref_weak_solution_residual(perturbed, b, 0.05, phi))
+        assert pert != weak_solution_residual(bp, b, 0.05, phi)
+
+
+@pytest.mark.parametrize("size", BELIEF_GRIDS, ids=lambda s: f"d{s[0]}n{s[1]}")
+def test_operator_A_and_duality_pairing_equal_per_atom_loops(size):
+    grid = build_grid(*size)
+    rng = np.random.default_rng(grid.n + 13)
+    mu = _belief(grid, rng.dirichlet(np.ones(8)), rng.random((8, grid.dim)))
+    nu = _belief(grid, rng.dirichlet(np.ones(5)), rng.random((5, grid.dim)))
+    drift = _drift(rng, grid)
+    for phi in (static_cylinder(_inner(grid)), _sine_cylinder(grid, 1.0)):
+        _same_float(operator_A_cylinder(mu, drift, 0.05, phi),
+                    ref_operator_A_cylinder(mu, drift, 0.05, phi))
+    diff = SignedBeliefDiff.from_beliefs(mu, nu)
+    field = ScalarField(grid, _field(rng, (), grid))
+    _same_float(duality_pairing(field, diff), ref_duality_pairing(field, diff))
+
+
+@pytest.mark.parametrize("tau", [1e-6, 10.0], ids=["two-classes", "one-class"])
+def test_tower_check_equals_per_atom_loop(grid64, tau):
+    """Atoms at 0.1/0.9 and 0.35/0.65 pay alike in pairs under a cos cost."""
+    tg = TimeGrid(0.25, 64)
+    x = grid64.axis_coords()
+    mu = _belief(grid64, [0.2, 0.3, 0.1, 0.4], [0.1, 0.9, 0.35, 0.65])
+    b = constant_drift(grid64, tg, 0.0)
+    phi = CylinderFunctional(ScalarField(grid64, np.sin(2 * np.pi * x)),
+                             lambda t, s: np.exp(s), lambda t, s: np.exp(s),
+                             lambda t, s: 0.0)
+    for cm in (product_form_cost(ScalarField(grid64, np.cos(2 * np.pi * x))),
+               illustrative_cost(ScalarField(grid64, np.cos(2 * np.pi * x) + 1.5), 0.5)):
+        _same_float(tower_check(mu, b, 0.02, tg, 0.125, phi, cm, tau=tau),
+                    ref_tower_check(mu, b, 0.02, tg, 0.125, phi, cm, tau))
