@@ -22,10 +22,9 @@ from .beliefs import (
     illustrative_cost,
     push_forward,
 )
-from .hjb_fp import DriftField, Hamiltonian, TimeGrid, fp_step
+from .hjb_fp import DriftField, Hamiltonian, TimeGrid
 from .solver import SolverConfig, solve_blind
-from .torus import (ScalarField, TorusGrid, build_grid, density_from_values, integrate_stack,
-                    mollified_dirac)
+from .torus import ScalarField, TorusGrid, build_grid, integrate_stack, mollified_dirac
 
 __all__ = [
     "FilterConfig",
@@ -86,8 +85,16 @@ def _consistent(sigs: np.ndarray, tau: float) -> bool:
     return all(np.all(_sup_gaps(sigs[i + 1:], s) <= tau) for i, s in enumerate(sigs))
 
 
+def _matching(sigs: np.ndarray, field: np.ndarray, tau: float):
+    """Atoms whose payment lies within tau of `field`, and every atom's gap."""
+    gaps = _sup_gaps(sigs, field)
+    return np.flatnonzero(gaps <= tau).tolist(), gaps
+
+
 def _condition(mu: Belief, kept: list) -> Belief:
-    """mu restricted to the atoms `kept`, weights renormalized."""
+    """mu restricted to the atoms `kept`, weights renormalized (mu if all are kept)."""
+    if len(kept) == mu.n_atoms:
+        return mu
     w = mu.weights[kept]
     return Belief(w / w.sum(), tuple(mu.atoms[i] for i in kept))
 
@@ -128,12 +135,11 @@ def partition_by_payment(mu: Belief, cm: CostModel, tau: float):
 def filter_step(mu: Belief, observed: ScalarField, cm: CostModel,
                 fc: FilterConfig) -> Belief:
     """Hard conditioning on an observed payment field; weights renormalized."""
-    gaps = _sup_gaps(_signatures(mu, cm), observed.values)
-    kept = np.flatnonzero(gaps <= fc.tolerance).tolist()
+    if observed.grid != mu.grid:
+        raise ValueError("observed payment and belief on different grids")
+    kept, _ = _matching(_signatures(mu, cm), observed.values, fc.tolerance)
     if not kept:
         raise ValueError("inconsistent observation: no atom matches the payment")
-    if len(kept) == mu.n_atoms:
-        return mu
     return _condition(mu, kept)
 
 
@@ -186,9 +192,11 @@ def _observation_steps(tg: TimeGrid, fc: FilterConfig) -> int:
 def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian,
                       sigma: float, tg: TimeGrid, fc: FilterConfig,
                       cfg: SolverConfig | None = None) -> FilterTrace:
-    """Receding-horizon play with payment observations and belief filtering."""
+    """Receding-horizon play with payment observations and belief filtering.
+
+    Each observation reads the latest solve's belief path.  The trace stops
+    early at a non-finite solve gap or true-atom payment gap."""
     cfg = cfg or SolverConfig()
-    grid = mu0.grid
     if not 0 <= true_atom < mu0.n_atoms:
         raise ValueError(f"true_atom index {true_atom} out of range")
     sigs = _signatures(mu0, cm)
@@ -211,32 +219,27 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
                         events=[], true_atom=true_atom,
                         surviving_indices=[tuple(alive)], segments=segments)
 
-    while steps_left > 0:
+    while steps_left > 0 and math.isfinite(sol.diagnostics["final_gap"]):
         n_adv = min(steps_per_obs, steps_left)
-        m = belief.values
-        for s in range(n_adv):
-            m = fp_step(grid, m, sol.drift.values[s], sigma, dt)
-        belief = Belief(belief.weights,
-                        tuple(density_from_values(grid, mk) for mk in m))
+        belief = sol.belief.belief_at(n_adv)
         t_now += n_adv * dt
         steps_left -= n_adv
 
         true_local = alive.index(true_atom)
         sigs = _signatures(belief, cm)
-        gaps = _sup_gaps(sigs, sigs[true_local])
-        kept = np.flatnonzero(gaps <= fc.tolerance).tolist()
-        if true_local not in kept:
-            raise RuntimeError("filter eliminated the true atom (model inconsistency)")
+        kept, gaps = _matching(sigs, sigs[true_local], fc.tolerance)
+        if true_local not in kept:  # its own gap is NaN
+            break
         informed = len(kept) < belief.n_atoms
         if informed:
             eliminated = tuple(alive[i] for i in range(belief.n_atoms) if i not in kept)
             trace.events.append((t_now, eliminated))
-            belief = _condition(belief, kept)
             alive = [alive[i] for i in kept]
+        belief = _condition(belief, kept)
 
         if steps_left > 0:
             sub_tg = TimeGrid(steps_left * dt, steps_left)
-            warm = DriftField(grid, sub_tg, sol.drift.values[n_adv:].copy())
+            warm = DriftField(mu0.grid, sub_tg, sol.drift.values[n_adv:].copy())
             sol = solve_blind(belief, cm, H, sigma, sub_tg, cfg, initial_drift=warm)
             trace.segments.append({"t_start": t_now,
                                    "solution": sol if informed else None,

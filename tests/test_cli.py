@@ -278,6 +278,50 @@ class TestSimulateObserved:
         assert "filter.tolerance" in err
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_payments_exit_3_with_trace(self, tmp_path, capsys):
+        # phi * ∫phi dm overflows to ±inf: the opening solve's gap is NaN,
+        # so the trace ends at t = 0 before any observation under its drift
+        cfg = {"grid": {"dim": 1, "n": 256}, "time": {"T": 0.1, "steps": 30},
+               "sigma": 0.0, "hamiltonian": {"kind": "abs"},
+               "cost": {"id": "product_form",
+                        "phi": {"kind": "cosine", "amplitude": 1e160}},
+               "belief": {"weights": [1.0], "atoms": [{"kind": "dirac", "center": 0.3}]},
+               "filter": {"tolerance": 1e-6}, "true_atom": 0,
+               "solver": {"relaxation": 1.0, "tol": 1e-9, "max_iter": 5}}
+        path = write_config(tmp_path, "sim.json", cfg)
+        out = tmp_path / "out"
+        assert main(["simulate-observed", "--config", path, "--out", str(out)]) == 3
+        assert "config error" not in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["segments_converged"] is False
+        trace = json.loads((out / "trace.json").read_text())
+        assert trace["times"] == [0.0] and trace["segments_converged"] == [False]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == ["summary.json", "trace.csv", "trace.json"]
+        assert len((out / "trace.csv").read_text().splitlines()) == 2
+
+    def test_non_finite_payment_ends_trace_exit_3(self, tmp_path, monkeypatch):
+        # payments that turn NaN after t = 0 under converged solves: the
+        # true atom no longer matches its own payment, so the trace stops
+        import blindmfg.payments as payments
+
+        signatures = payments._signatures
+        first = {}
+
+        def nan_after_start(mu, cm):
+            m0 = first.setdefault("values", mu.values)
+            sigs = signatures(mu, cm)
+            return sigs if np.array_equal(mu.values, m0) else sigs * np.nan
+
+        monkeypatch.setattr(payments, "_signatures", nan_after_start)
+        path = self.scenario_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate-observed", "--config", path, "--out", str(out)]) == 3
+        trace = json.loads((out / "trace.json").read_text())
+        assert trace["times"] == [0.0] and trace["segments_converged"] == [True]
+
+
 class TestCertifyMonotone:
     @staticmethod
     def config(cost, trials):

@@ -6,7 +6,9 @@ name a config that does not run, and the pairs must cover configs/*.json,
 so no shipped config can break unseen.
 """
 
+import contextlib
 import copy
+import io
 import json
 import re
 import tempfile
@@ -92,6 +94,17 @@ def test_shipped_config_runs(tmp_path, command, config):
 
 BAD_VALUES = ("x", [], {}, None)
 
+# what a bad config that names no field prints: every exit 2 names one
+BARE_PATH = "config error at config:"
+
+
+def _run(argv):
+    """main(argv)'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
 
 def _sites(node, path=()):
     """Paths to every leaf and every list element under `node`."""
@@ -123,8 +136,8 @@ def _replaced(cfg, site, value):
 @pytest.mark.parametrize("command,config", PAIRS)
 def test_every_malformed_value_exits_cleanly(tmp_path, monkeypatch, command, config):
     """Each leaf and list element of the reduced config, replaced by each of
-    BAD_VALUES, gives exit 0, 2 or 3 and never a traceback; with no --out,
-    output.directory is read too."""
+    BAD_VALUES, gives exit 0, 2 or 3 and never a traceback, and an exit 2
+    names a field; with no --out, output.directory is read too."""
     monkeypatch.chdir(tmp_path)
     cfg = _shrink(command, json.loads((ROOT / config).read_text()))
     failures = []
@@ -133,11 +146,11 @@ def test_every_malformed_value_exits_cleanly(tmp_path, monkeypatch, command, con
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(_replaced(cfg, site, value)))
             try:
-                code = main([command, "--config", str(path)])
+                code, err = _run([command, "--config", str(path)])
             except Exception as exc:  # any raise is the finding
-                code = f"{type(exc).__name__}: {exc}"
-            if code not in (0, 2, 3):
-                failures.append((".".join(map(str, site)), value, code))
+                code, err = f"{type(exc).__name__}: {exc}", ""
+            if code not in (0, 2, 3) or (code == 2 and BARE_PATH in err):
+                failures.append((".".join(map(str, site)), value, code, err))
     assert failures == []
 
 
@@ -168,7 +181,7 @@ def _small(command: str, cfg: dict, dim: int, n: int, steps: int) -> dict:
        n=st.integers(8, 16), steps=st.integers(1, 16), data=st.data())
 def test_fuzzed_configs_exit_cleanly(pair, dim, n, steps, data):
     """Small configs with up to three leaves replaced or deleted give exit
-    0, 2 or 3 and never raise."""
+    0, 2 or 3 and never raise, and an exit 2 names a field."""
     command, config = pair
     cfg = _small(command, json.loads((ROOT / config).read_text()), dim, n, steps)
     sites = list(_sites(cfg))
@@ -178,5 +191,6 @@ def test_fuzzed_configs_exit_cleanly(pair, dim, n, steps, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+        code, err = _run([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
     assert code in (0, 2, 3)
+    assert not (code == 2 and BARE_PATH in err), err

@@ -14,9 +14,10 @@ from blindmfg.beliefs import (
     ramp_cylinder,
     static_cylinder,
 )
-from blindmfg.hjb_fp import DriftField, Hamiltonian, TimeGrid, constant_drift
+from blindmfg.hjb_fp import DriftField, Hamiltonian, TimeGrid, constant_drift, fp_step
 from blindmfg.payments import (
     FilterConfig,
+    _observation_steps,
     _signatures,
     filter_step,
     illustrative_scenario,
@@ -28,11 +29,12 @@ from blindmfg.payments import (
     trace_to_json,
     write_trace_csv,
 )
-from blindmfg.solver import SolverConfig, solve_complete_info
+from blindmfg.solver import SolverConfig, solve_blind, solve_complete_info
 from blindmfg.torus import (
     ScalarField,
     build_grid,
     constant_field,
+    density_from_values,
     mollified_dirac,
 )
 
@@ -58,16 +60,20 @@ def small_race():
                              sc.time_grid, sc.filter_config, sc.solver_config)
 
 
-@pytest.fixture(scope="module")
-def short_race():
+def short_race_args():
     """The two-Dirac race of configs/illustrative.json cut to T = 0.5 (same dt)."""
     g = build_grid(1, 256)
     mu0 = Belief(np.array([0.5, 0.5]),
                  (mollified_dirac(g, 0.0), mollified_dirac(g, 0.1)))
     cm = illustrative_cost(smoothed_well_profile(g), 0.5)
-    return simulate_observed(mu0, 0, cm, Hamiltonian("abs"), 0.0, TimeGrid(0.5, 150),
-                             FilterConfig(tolerance=0.05, observation_dt=0.01),
-                             SolverConfig(relaxation=1.0, tol=1e-9, max_iter=60))
+    return (mu0, 0, cm, Hamiltonian("abs"), 0.0, TimeGrid(0.5, 150),
+            FilterConfig(tolerance=0.05, observation_dt=0.01),
+            SolverConfig(relaxation=1.0, tol=1e-9, max_iter=60))
+
+
+@pytest.fixture(scope="module")
+def short_race():
+    return simulate_observed(*short_race_args())
 
 
 class TestSmoothedWellProfile:
@@ -248,6 +254,15 @@ class TestFilterStep:
         out = filter_step(mu, obs, cm, FilterConfig(tolerance=1e-6))
         assert abs(out.weights.sum() - 1.0) < 1e-12
 
+    def test_observation_on_another_grid_rejected(self):
+        # a 1-D field would broadcast against the 2-D payments
+        g1, g2 = build_grid(1, 16), build_grid(2, 16)
+        cm = constant_cost(constant_field(g2, 1.0))
+        mu = Belief(np.array([0.5, 0.5]),
+                    (mollified_dirac(g2, [0.3, 0.3]), mollified_dirac(g2, [0.6, 0.2])))
+        with pytest.raises(ValueError, match="different grids"):
+            filter_step(mu, constant_field(g1, 1.0), cm, FilterConfig(tolerance=1e-9))
+
 
 class TestTowerCheck:
     def test_constant_cost_exact_zero(self, grid64):
@@ -367,6 +382,65 @@ class TestSimulateObserved:
             == 1 + len(trace.events)
         kept = [s["t_start"] for s in trace.segments if s["solution"] is not None]
         assert kept == [0.0] + [t for t, _ in trace.events]
+
+
+def fp_advance_reference(mu0, true_atom, cm, H, sigma, tg, fc, cfg):
+    """The filter loop written out with a second forward integration: each
+    segment advances the belief by fp_step at tg.dt under the segment's
+    drift, atom by atom through density_from_values.  Returns the atom
+    values at every observation."""
+    grid = mu0.grid
+    steps_per_obs = _observation_steps(tg, fc)
+    belief, alive, steps_left = mu0, list(range(mu0.n_atoms)), tg.steps
+    sol = solve_blind(mu0, cm, H, sigma, tg, cfg)
+    atoms = [mu0.values]
+    while steps_left > 0:
+        n_adv = min(steps_per_obs, steps_left)
+        m = belief.values
+        for s in range(n_adv):
+            m = fp_step(grid, m, sol.drift.values[s], sigma, tg.dt)
+        belief = Belief(belief.weights, tuple(density_from_values(grid, mk) for mk in m))
+        steps_left -= n_adv
+        sigs = _signatures(belief, cm)
+        true_sig = sigs[alive.index(true_atom)]
+        kept = [i for i, sig in enumerate(sigs)
+                if np.max(np.abs(sig - true_sig)) <= fc.tolerance]
+        if len(kept) < belief.n_atoms:
+            w = belief.weights[kept]
+            belief = Belief(w / w.sum(), tuple(belief.atoms[i] for i in kept))
+        alive = [alive[i] for i in kept]
+        atoms.append(belief.values)
+        if steps_left > 0:
+            sub_tg = TimeGrid(steps_left * tg.dt, steps_left)
+            warm = DriftField(grid, sub_tg, sol.drift.values[n_adv:].copy())
+            sol = solve_blind(belief, cm, H, sigma, sub_tg, cfg, initial_drift=warm)
+    return atoms
+
+
+class TestObservationsReadTheSolvedPath:
+    """Each observation is read off the solve's belief path, which runs on
+    TimeGrid(steps_left * dt, steps_left); its dt differs from tg.dt by an
+    ulp on some segments, so the fp_step replay agrees to rounding only."""
+
+    @staticmethod
+    def assert_matches_reference(trace, args):
+        assert all(s["converged"] for s in trace.segments)
+        ref = fp_advance_reference(*args)
+        assert len(ref) == len(trace.beliefs)
+        for b, r in zip(trace.beliefs, ref):
+            assert b.values.shape == r.shape
+            assert np.max(np.abs(b.values - r)) <= 1e-12
+
+    def test_short_race(self, short_race):
+        self.assert_matches_reference(short_race, short_race_args())
+
+    def test_diffusive_race(self):
+        sc = small_scenario()
+        args = (sc.belief, 0, sc.cost, sc.hamiltonian, 0.02, sc.time_grid,
+                sc.filter_config, SolverConfig(relaxation=0.5, tol=1e-8, max_iter=200))
+        trace = simulate_observed(*args)
+        assert len(trace.events) == 1
+        self.assert_matches_reference(trace, args)
 
 
 class TestIllustrativeScenario:
