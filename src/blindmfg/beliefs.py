@@ -198,12 +198,13 @@ def _sum_in_order(total: float, terms) -> float:
     return total
 
 
-def _weighted_sum(weights: np.ndarray, fields) -> np.ndarray:
-    """sum_i w_i * fields[i], accumulated atom by atom in order."""
-    vals = np.zeros(fields[0].shape)
-    for w, f in zip(weights, fields):
-        vals += w * f
-    return vals
+def _weighted_sum(weights: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """sum_i w_i * fields[i] over a (K, ...) stack.
+
+    One axis-0 sum adds the K products in atom order: the bits of adding
+    them to zeros one by one.
+    """
+    return (np.reshape(weights, (-1,) + (1,) * (fields.ndim - 1)) * fields).sum(axis=0)
 
 
 def aggregate_running(mu: Belief, cm: CostModel) -> ScalarField:
@@ -215,10 +216,13 @@ def running_cost_path(bp: BeliefPath, cm: CostModel) -> np.ndarray:
 
     Slice k equals aggregate_running(bp.belief_at(k), cm) bit for bit:
     every slice is clipped and renormalized as density_from_values does.
+    The products of _weighted_sum are written in place, one atom path at
+    a time, so no second (K, steps+1, *grid) stack forms.
     """
-    fields = [cm.running_values(bp.grid, normalize_stack(bp.grid, path))
-              for path in bp.values]
-    return _weighted_sum(bp.weights, fields)
+    terms = np.empty(bp.values.shape)
+    for w, path, out in zip(bp.weights, bp.values, terms):
+        np.multiply(w, cm.running_values(bp.grid, normalize_stack(bp.grid, path)), out=out)
+    return terms.sum(axis=0)
 
 
 def aggregate_terminal(mu: Belief, cm: CostModel) -> ScalarField:

@@ -39,7 +39,7 @@ from .beliefs import (
     weak_solution_residual,
 )
 from .hjb_fp import DriftField, Hamiltonian, TimeGrid, _check_cfl
-from .monotonicity import certify_blind_monotone
+from .monotonicity import _block_trials, certify_blind_monotone
 from .payments import (
     FilterConfig,
     _observation_steps,
@@ -65,6 +65,9 @@ EXIT_NONCONVERGENCE = 3
 
 # Largest estimated space-time state a run may allocate (see _state_bytes).
 MAX_STATE_BYTES = 2 ** 30
+# Python objects a certifier draw holds besides its arrays: the draw
+# tuple, a centre or an array header, and its entry in the index lists.
+_DRAW_OBJECT_BYTES = 1024
 
 
 class ConfigError(Exception):
@@ -150,15 +153,22 @@ def _state_bytes(atoms: int, steps: int, n: int, dim: int) -> int:
 
 def _certify_bytes(max_atoms: int, grid: TorusGrid) -> int:
     """Estimated peak bytes of a certify-monotone run with K = 2 max_atoms
-    atoms a trial: 6K + 8 fields of n^dim floats (a trial's raw draws,
-    atom stack, pairing copy, running costs and products; the cost's own
-    fields; the witness atoms as JSON numbers, about 5 floats' worth per
-    value), and the mollified-Dirac temporaries, 4 arrays of
-    K x dim x n x images floats at the sampler's bandwidth."""
+    atoms a trial and B trials a block, at most BK atoms built at once.
+
+    Counted in fields of n^dim floats: 4 per atom of the block (its raw
+    draw, the stacked and the normalized mixture draws, the atom stack),
+    and 2K + 8 outside it (a trial's pairing copy, running costs and
+    products; the witness copy; the cost's own fields; the witness atoms
+    as JSON numbers, about 5 floats' worth per value).  Added to that:
+    the mollified-Dirac temporaries, 3 arrays of BK x dim x n x images
+    floats at the sampler's bandwidth, and _DRAW_OBJECT_BYTES of Python
+    objects per drawn atom, which dominate on coarse grids."""
     atoms = 2 * max_atoms
+    block = _block_trials(grid, max_atoms) * atoms
     images = _images_formed(2.0 * grid.spacing)
-    return ((6 * atoms + 8) * grid.n ** grid.dim
-            + 4 * atoms * grid.dim * grid.n * images) * 8
+    return (((4 * block + 2 * atoms + 8) * grid.n ** grid.dim
+             + 3 * block * grid.dim * grid.n * images) * 8
+            + block * _DRAW_OBJECT_BYTES)
 
 
 def _check_need(need: int, what: str) -> None:
@@ -404,8 +414,10 @@ def _solve_common(cfg: dict, out: Path, blind: bool, seed: int,
 
     artifacts = ["u.csv", "m.csv", "summary.json", "history.csv"]
     _write_path_csv(out / "u.csv", tg, grid, sol.value.values, "u")
-    _write_path_csv(out / "m.csv", tg, grid,
-                    _weighted_sum(sol.belief.weights, sol.belief.values), "m")
+    # slice by slice: the weighted sum of whole paths would stack K products
+    m = np.stack([_weighted_sum(sol.belief.weights, atoms)
+                  for atoms in sol.belief.values.swapaxes(0, 1)])
+    _write_path_csv(out / "m.csv", tg, grid, m, "m")
     write_history_csv(sol, out / "history.csv")
     # wall-clock times differ between reruns, so the manifest leaves them out
     _write_json(out / "telemetry.json", {
@@ -557,6 +569,10 @@ def cmd_validate_weak(cfg: dict, out: Path, seed: int) -> int:
     sigma = _build_sigma(cfg)
     phi_spec = cfg["phi"]
     _check_keys(phi_spec, "phi", {"inner"}, {"inner"})
+    # finer levels hold the base nodes, so one check covers the ladder
+    if np.ptp(_build_field(phi_spec["inner"], base_grid, "phi.inner").values) == 0.0:
+        raise ConfigError("phi.inner", "a constant field integrates to the same value against "
+                          "every density, so the ladder would measure rounding only")
     atoms = _build_belief(cfg, base_grid).atoms
     if any(atom["kind"] == "grid" for atom in cfg["belief"]["atoms"]):
         raise ConfigError("belief.atoms",

@@ -110,8 +110,7 @@ def lifted_pairing(cm: CostModel, mu1: Belief, mu2: Belief) -> float:
 
     Reads each belief's grid, weights and stacked atom values only, so the
     certifier passes its sampled arrays directly.  One running-cost call
-    covers all atoms; f~ and the signed integrals accumulate atom by atom
-    in order.
+    covers all atoms; f~ and the signed integrals add up in atom order.
     """
     if mu1.grid != mu2.grid:
         raise ValueError("beliefs on different grids")
@@ -170,30 +169,51 @@ def random_belief(grid: TorusGrid, rng: np.random.Generator, max_atoms: int = 8)
     return _as_belief(_AtomStack(grid, weights, _atom_stack(grid, draws)))
 
 
+# Floats of atom values built at once: the trials of a block are drawn one
+# by one, their atoms built by one _atom_stack call.  At most 2 * max_atoms
+# atoms of grid.n ** grid.dim floats a trial, so 8 trials at n = 256 with
+# max_atoms = 8, and one trial a block from 4096 nodes up.
+_BLOCK_FLOATS = 2 ** 15
+
+
+def _block_trials(grid: TorusGrid, max_atoms: int) -> int:
+    """Trials a block of the certifier holds: at least one."""
+    return max(1, _BLOCK_FLOATS // (2 * max_atoms * grid.n ** grid.dim))
+
+
 def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
                            trials: int, max_atoms: int = 8) -> PairingReport:
     """Sample random belief pairs and report the minimum lifted pairing.
 
-    Each trial stacks the atoms of both beliefs in one array; Beliefs are
-    built only for the reported witness.
+    Trials are drawn in blocks, in random_belief's RNG order; the atoms of
+    a block are built as one stack, and each trial's pairing reads views of
+    it.  Beliefs are built only for the reported witness, from a copy of
+    its rows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
     rng = np.random.default_rng(sampler_seed)
+    block = _block_trials(grid, max_atoms)
     best = np.inf
     witness = None
-    for _ in range(trials):
-        w1, draws1 = _draw_belief(grid, rng, max_atoms)
-        w2, draws2 = _draw_belief(grid, rng, max_atoms)
-        atoms = _atom_stack(grid, draws1 + draws2)
-        mu1 = _AtomStack(grid, w1, atoms[:len(w1)])
-        mu2 = _AtomStack(grid, w2, atoms[len(w1):])
-        val = lifted_pairing(cm, mu1, mu2)
-        if val < best:
-            best = val
-            witness = (mu1, mu2)
+    for start in range(0, trials, block):
+        drawn = [_draw_belief(grid, rng, max_atoms)
+                 for _ in range(2 * min(block, trials - start))]
+        atoms = _atom_stack(grid, [d for _, draws in drawn for d in draws])
+        lo = 0
+        for (w1, _), (w2, _) in zip(drawn[::2], drawn[1::2]):
+            mid = lo + len(w1)
+            hi = mid + len(w2)
+            mu1 = _AtomStack(grid, w1, atoms[lo:mid])
+            mu2 = _AtomStack(grid, w2, atoms[mid:hi])
+            val = lifted_pairing(cm, mu1, mu2)
+            if val < best:
+                best = val
+                witness = (mu1._replace(values=mu1.values.copy()),
+                           mu2._replace(values=mu2.values.copy()))
+            lo = hi
     witness = (_as_belief(witness[0]), _as_belief(witness[1]))
     return PairingReport(value=float(best), witnesses=witness, trials=trials,
                          min_over_trials=float(best), seed=sampler_seed, model=cm.kind)

@@ -10,6 +10,7 @@ embodiment of the model, labeled as such in its outputs.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import asdict, dataclass
 
@@ -363,11 +364,9 @@ def trace_to_json(trace: FilterTrace) -> dict:
 
 
 def write_trace_csv(trace: FilterTrace, path) -> None:
-    import csv as _csv
-
     max_atoms = max(b.n_atoms for b in trace.beliefs)
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         header = ["t", "n_atoms"] + [f"weight_{i}" for i in range(max_atoms)]
         header.append("payment_sup_gap")
         writer.writerow(header)

@@ -35,6 +35,7 @@ from .hjb_fp import (
     solve_hjb_backward,
     zero_drift,
 )
+from .monotonicity import lifted_pairing
 from .torus import Density
 
 # Anderson depth: secant pairs kept by the damped iteration
@@ -228,8 +229,6 @@ def cross_solution_coupling(sol1: EquilibriumSolution, sol2: EquilibriumSolution
     paths plus the terminal pairing; nonpositive at equilibria of
     monotone instances (and ~0 when the solutions coincide).
     """
-    from .monotonicity import lifted_pairing
-
     total = 0.0
     for k in range(tg.steps):
         mu1 = sol1.belief.belief_at(k)

@@ -164,18 +164,23 @@ def mollified_dirac_stack(grid: TorusGrid, centers, bandwidth: float | None = No
     if not np.isfinite(c).all():
         raise ValueError("center must be finite")
     d = grid.axis_coords() - c[..., None]
-    if _images_formed(bandwidth) == 1:
+    nearest = _images_formed(bandwidth) == 1
+    if nearest:
         # images lie 1 apart and a term is nonzero only within reach < 1/2
         # of its image, so the nearest image, d + k with k = -rint(d), is
         # the one nonzero term at each node
-        d = (d - np.rint(d))[..., None]
+        d -= np.rint(d)
     else:
+        # the image axis last, summed along that contiguous axis in one fixed order
         d = d[..., None] + _IMAGES
-    # the image axis last, summed along that contiguous axis in one fixed order
-    arg = -0.5 * (d / bandwidth) ** 2
-    e = np.zeros_like(arg)
-    np.exp(arg, out=e, where=arg > -0.5 * _EXP_CUTOFF ** 2)
-    prof = e.sum(axis=-1)
+    # exp(-(d / bandwidth)^2 / 2), built in place in d
+    d /= bandwidth
+    np.square(d, out=d)
+    d *= -0.5
+    kept = d > -0.5 * _EXP_CUTOFF ** 2
+    np.exp(d, out=d, where=kept)
+    np.copyto(d, 0.0, where=~kept)
+    prof = d if nearest else d.sum(axis=-1)
     if grid.dim == 1:
         vals = prof[:, 0]
     else:

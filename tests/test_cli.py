@@ -11,6 +11,7 @@ import pytest
 from blindmfg import cli
 from blindmfg.cli import MAX_STATE_BYTES, _state_bytes, _write_path_csv, main
 from blindmfg.hjb_fp import TimeGrid
+from blindmfg.monotonicity import _block_trials
 from blindmfg.payments import illustrative_scenario
 from blindmfg.torus import build_grid
 
@@ -432,6 +433,18 @@ class TestValidateWeak:
                      "--out", str(tmp_path / "o")]) == 2
         assert "config error at belief.atoms[1].bandwidth:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inner", [{"kind": "constant", "value": 0.0},
+                                       {"kind": "constant", "value": 1.0},
+                                       {"kind": "cosine", "amplitude": 0.0}])
+    def test_constant_inner_field_exit_2(self, tmp_path, capsys, inner):
+        """A constant h gives every density the same ∫ h dm: the ladder
+        would read rounding as residuals and report orders from it."""
+        path = write_config(tmp_path, "w.json", _weak_config(phi={"inner": inner}))
+        out = tmp_path / "o"
+        assert main(["validate-weak", "--config", path, "--out", str(out)]) == 2
+        assert "config error at phi.inner:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_phi_exit_2(self, tmp_path, capsys):
         cfg = self.config()
         del cfg["phi"]
@@ -651,6 +664,19 @@ class TestSizeGuard:
                                                (2, 64, "product_form")])
     def test_certify_estimate_covers_its_peak(self, tmp_path, dim, n, cost_id):
         path = write_config(tmp_path, "c.json", self.certify_config(dim, n, cost_id))
+        code, peak = self.traced_main(["certify-monotone", "--config", path,
+                                       "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert peak <= cli._certify_bytes(8, build_grid(dim, n))
+
+    @pytest.mark.parametrize("dim,n,cost_id", [(1, 64, "product_form"), (1, 256, "moment_form"),
+                                               (2, 16, "product_form"), (2, 32, "product_form")])
+    def test_certify_estimate_covers_two_blocks(self, tmp_path, dim, n, cost_id):
+        """2B + 1 trials of B a block: two full blocks and one of a single
+        trial, so the peak holds a full block's draws and atom stack."""
+        trials = 2 * _block_trials(build_grid(dim, n), 8) + 1
+        assert trials > 3
+        path = write_config(tmp_path, "c.json", self.certify_config(dim, n, cost_id, trials))
         code, peak = self.traced_main(["certify-monotone", "--config", path,
                                        "--out", str(tmp_path / "o")])
         assert code == 0

@@ -71,6 +71,22 @@ def test_all_entries_are_defined(path):
     assert not missing, f"{path.name}: __all__ names undefined: {', '.join(missing)}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_function_level_imports_say_why(path):
+    """An import inside a function hides a dependency from the module
+    head, so it carries a comment saying why, on its line or the line
+    above (a heavy import needed by one path, say)."""
+    lines = path.read_text().splitlines()
+    bare = sorted(
+        sub.lineno for fn in ast.walk(_tree(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(fn)
+        if isinstance(sub, (ast.Import, ast.ImportFrom))
+        and "#" not in lines[sub.lineno - 1]
+        and not lines[sub.lineno - 2].lstrip().startswith("#"))
+    assert not bare, f"{path.name}: function-level imports without a reason at lines {bare}"
+
+
 _ENV_ACCESS = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
 

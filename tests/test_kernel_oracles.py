@@ -23,6 +23,7 @@ from blindmfg import hjb_fp
 from blindmfg.beliefs import (
     Belief,
     CylinderFunctional,
+    _weighted_sum,
     illustrative_cost,
     product_form_cost,
     push_forward,
@@ -477,6 +478,30 @@ def test_integrate_stack_fields_equal_whole_sums(size, lead):
     assert out.shape == lead
     for idx in np.ndindex(*lead):
         _same_bits(out[idx], np.sum(phi * values[idx]) * grid.spacing ** grid.dim)
+
+
+def ref_weighted_sum(weights, fields):
+    """The belief average as written out: w_i * f_i added to zeros atom by atom."""
+    vals = np.zeros(fields[0].shape)
+    for w, f in zip(weights, fields):
+        vals += w * f
+    return vals
+
+
+@pytest.mark.parametrize("lead", [(), (9,)], ids=["field", "path"])
+@pytest.mark.parametrize("size", BELIEF_GRIDS, ids=lambda s: f"d{s[0]}n{s[1]}")
+def test_weighted_sum_equals_atom_loop(size, lead):
+    """numpy does not document the order of an axis-0 sum: pin it to the
+    loop for every atom count up to 16, on fields and on time paths, with
+    signed weights (the lifted pairing's) and signed zeros."""
+    grid = build_grid(*size)
+    rng = np.random.default_rng(grid.n + len(lead))
+    for K in range(1, 17):
+        weights = rng.dirichlet(np.ones(K)) * rng.choice([-1.0, 1.0], K)
+        shape = (K,) + lead + grid.shape
+        scaled = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, size=(K,) + (1,) * (len(shape) - 1))
+        for fields in (_field(rng, (K,) + lead, grid), _frozen(scaled)):
+            _same_bits(_weighted_sum(weights, fields), ref_weighted_sum(weights, fields))
 
 
 @pytest.mark.parametrize("size", BELIEF_GRIDS, ids=lambda s: f"d{s[0]}n{s[1]}")

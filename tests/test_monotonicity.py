@@ -13,6 +13,7 @@ from blindmfg.beliefs import (
 from blindmfg.hjb_fp import TimeGrid, constant_drift
 from blindmfg.monotonicity import (
     SignedBeliefDiff,
+    _block_trials,
     certify_blind_monotone,
     counterexample_gap,
     duality_pairing,
@@ -259,6 +260,22 @@ class TestCertifyBlindMonotone:
         assert report.min_over_trials == best
         assert_same_belief(report.witnesses[0], mu1)
         assert_same_belief(report.witnesses[1], mu2)
+
+    @pytest.mark.parametrize("cost,dim,n,max_atoms", [("sqrt", 1, 64, 8), ("sqrt", 1, 256, 3),
+                                                      ("product", 2, 16, 8)])
+    def test_block_edges_equal_per_atom_oracle_bitwise(self, cost, dim, n, max_atoms):
+        """Trial counts around the block size B: one short block, one full
+        block, a full block plus one trial, two full blocks plus one."""
+        g = build_grid(dim, n)
+        cm = moment_form_cost(np.sqrt) if cost == "sqrt" else cos_product_cost_2d(g)
+        block = _block_trials(g, max_atoms)
+        assert block > 2
+        for trials in (1, block - 1, block, block + 1, 2 * block + 1):
+            report = certify_blind_monotone(cm, g, 9, trials, max_atoms)
+            best, (mu1, mu2) = oracle_certify(cm, g, 9, trials, max_atoms)
+            assert report.min_over_trials == best
+            assert_same_belief(report.witnesses[0], mu1)
+            assert_same_belief(report.witnesses[1], mu2)
 
     @pytest.mark.parametrize("dim,n", [(1, 256), (2, 16)])
     def test_witness_reevaluates_to_min_exactly(self, dim, n):
