@@ -6,8 +6,8 @@ the configuration as given and SHA-256 checksums of all artifacts.  Exit
 codes: 0 success (including negative certification findings), 2 config
 validation failure (including time steps too coarse for the CFL
 condition), 3 numerical non-convergence (artifacts still written).  All
-CSV floats carry 17 significant digits; identical config and seed
-reproduce every listed artifact and manifest.json byte for byte.  The
+CSV floats carry 17 significant digits; an identical config reproduces
+every listed artifact and manifest.json byte for byte.  The
 solve commands also write telemetry.json, the per-iteration wall times,
 which the manifest does not list.
 """
@@ -92,15 +92,19 @@ def _check_keys(obj: dict, path: str, allowed: set, required: set = frozenset())
             raise ConfigError(f"{path}.{key}", "required key missing")
 
 
-def _check_kind(spec: dict, path: str, kinds: dict) -> str:
-    """The kind named by `spec`; `kinds` maps each kind to the keys it reads."""
-    _check_keys(spec, path, {"kind"}.union(*kinds.values()), {"kind"})
-    kind = spec["kind"]
+def _check_kind(spec: dict, path: str, kinds: dict, select: str = "kind",
+                first_required: bool = False) -> str:
+    """The catalogue entry that `spec[select]` names; `kinds` maps each entry
+    to the keys it reads, and with `first_required` it needs the first."""
+    _check_keys(spec, path, {select}.union(*kinds.values()), {select})
+    kind = spec[select]
     if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}")
+        raise ConfigError(f"{path}.{select}", f"unknown {select} {kind!r}")
     for key in spec:
-        if key != "kind" and key not in kinds[kind]:
-            raise ConfigError(f"{path}.{key}", f"not read by kind {kind!r}")
+        if key != select and key not in kinds[kind]:
+            raise ConfigError(f"{path}.{key}", f"not read by {select} {kind!r}")
+    if first_required and kinds[kind] and kinds[kind][0] not in spec:
+        raise ConfigError(f"{path}.{kinds[kind][0]}", "required key missing")
     return kind
 
 
@@ -237,43 +241,36 @@ def _build_field(spec: dict, grid: TorusGrid, path: str) -> ScalarField:
 
 
 def _build_cost(cfg: dict, grid: TorusGrid) -> CostModel:
-    sub = cfg.get("cost")
-    if sub is None:
-        raise ConfigError("cost", "required section missing")
-    if not isinstance(sub, dict) or "id" not in sub:
-        raise ConfigError("cost.id", "required key missing")
-    cid = sub["id"]
+    sub = cfg["cost"]  # each command that reads it requires it
+    cid = _check_kind(sub, "cost", {"product_form": ("phi", "base"),
+                                    "moment_form": ("g",),
+                                    "illustrative": ("coupling",),
+                                    "constant": ("field", "terminal"),
+                                    "zero": ()}, select="id", first_required=True)
     if cid in ("moment_form", "illustrative") and grid.dim != 1:
         raise ConfigError("cost.id", f"{cid} cost requires dim = 1")
     if cid == "product_form":
-        _check_keys(sub, "cost", {"id", "phi", "base"}, {"id", "phi"})
         phi = _build_field(sub["phi"], grid, "cost.phi")
         base = (_build_field(sub["base"], grid, "cost.base")
                 if "base" in sub else None)
         return product_form_cost(phi, base)
     if cid == "moment_form":
-        _check_keys(sub, "cost", {"id", "g"}, {"id", "g"})
         catalogue = {"sqrt": np.sqrt, "identity": lambda s: s,
                      "square": lambda s: s * s}
         if not isinstance(sub["g"], str) or sub["g"] not in catalogue:
             raise ConfigError("cost.g", f"unknown moment map {sub['g']!r}")
         return moment_form_cost(catalogue[sub["g"]])
     if cid == "illustrative":
-        _check_keys(sub, "cost", {"id", "coupling"}, {"id", "coupling"})
         c = _number(sub, "cost", "coupling")
         if not 0 < c < 1:
             raise ConfigError("cost.coupling", f"must lie in (0, 1), got {c}")
         return illustrative_cost(smoothed_well_profile(grid), c)
     if cid == "constant":
-        _check_keys(sub, "cost", {"id", "field", "terminal"}, {"id", "field"})
         field = _build_field(sub["field"], grid, "cost.field")
         term = (_build_field(sub["terminal"], grid, "cost.terminal")
                 if "terminal" in sub else None)
         return constant_cost(field, term)
-    if cid == "zero":
-        _check_keys(sub, "cost", {"id"}, {"id"})
-        return constant_cost(ScalarField(grid, np.zeros(grid.shape)))
-    raise ConfigError("cost.id", f"unknown cost id {cid!r}")
+    return constant_cost(ScalarField(grid, np.zeros(grid.shape)))
 
 
 def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief") -> Belief:
@@ -285,8 +282,11 @@ def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief") -> Belief:
             and all(isinstance(atom, dict) for atom in sub["atoms"])):
         raise ConfigError(f"{key}.atoms", "expected a list of objects")
     for i, atom in enumerate(sub["atoms"]):
+        path = f"{key}.atoms[{i}]"
+        _check_kind(atom, path, {"dirac": ("center", "bandwidth"), "grid": ("values",)},
+                    first_required=True)
         if "bandwidth" in atom:  # absent means the default; null is an error
-            _number(atom, f"{key}.atoms[{i}]", "bandwidth")
+            _number(atom, path, "bandwidth")
     try:
         return belief_from_json(sub, grid)
     except (ValueError, KeyError, TypeError) as exc:
@@ -305,6 +305,22 @@ def _build_solver(cfg: dict) -> SolverConfig:
         return SolverConfig(**given)
     except ValueError as exc:
         raise ConfigError("solver", str(exc))
+
+
+def _build_game(cfg: dict, key: str) -> tuple:
+    """The grid, time grid, sigma, Hamiltonian, cost, `key` belief and solver
+    settings of a game, checked in that order, with the size cap after the
+    time grid and the CFL condition after the Hamiltonian."""
+    grid = _build_grid(cfg)
+    tg = _build_time(cfg)
+    _check_size(cfg, key, grid.n, grid.dim, tg.steps)
+    sigma = _build_sigma(cfg)
+    H = _build_hamiltonian(cfg)
+    # optimal and relaxed drifts are bounded by H.lipschitz
+    _check_time_steps(tg, grid, H.lipschitz)
+    cm = _build_cost(cfg, grid)
+    mu0 = _build_belief(cfg, grid, key)
+    return grid, tg, sigma, H, cm, mu0, _build_solver(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +370,9 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, seed: int,
-                    artifacts: list) -> None:
+def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list) -> None:
     manifest = {
         "command": command,
-        "seed": seed,
         "config": cfg,
         "artifacts": {name: _sha256(out / name) for name in sorted(artifacts)},
     }
@@ -387,26 +401,15 @@ def _write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _solve_common(cfg: dict, out: Path, blind: bool, seed: int,
-                  command: str) -> int:
-    allowed = {"grid", "time", "sigma", "hamiltonian", "cost", "solver",
-               "output", "belief" if blind else "density"}
-    _check_keys(cfg, "config", allowed,
+def _solve_common(cfg: dict, out: Path, blind: bool, command: str) -> int:
+    key = "belief" if blind else "density"
+    _check_keys(cfg, "config", {"grid", "time", "sigma", "hamiltonian", "cost",
+                                "solver", "output", key},
                 {"grid", "time", "sigma", "hamiltonian", "cost"})
-    grid = _build_grid(cfg)
-    tg = _build_time(cfg)
-    _check_size(cfg, "belief" if blind else "density", grid.n, grid.dim, tg.steps)
-    sigma = _build_sigma(cfg)
-    H = _build_hamiltonian(cfg)
-    # optimal and relaxed drifts are bounded by H.lipschitz
-    _check_time_steps(tg, grid, H.lipschitz)
-    cm = _build_cost(cfg, grid)
-    scfg = _build_solver(cfg)
+    grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg, key)
     if blind:
-        mu0 = _build_belief(cfg, grid)
         sol = solve_blind(mu0, cm, H, sigma, tg, scfg)
     else:
-        mu0 = _build_belief(cfg, grid, key="density")
         if mu0.n_atoms != 1:
             raise ConfigError("density", "complete-information solve takes a "
                               f"single density, got {mu0.n_atoms} atoms")
@@ -437,35 +440,25 @@ def _solve_common(cfg: dict, out: Path, blind: bool, seed: int,
         "hjb_residual": diag["hjb_residual"],
         "mass_error": diag["mass_error"],
     })
-    _write_manifest(out, command, cfg, seed, artifacts)
+    _write_manifest(out, command, cfg, artifacts)
     return EXIT_OK if diag["converged"] else EXIT_NONCONVERGENCE
 
 
-def cmd_solve_complete(cfg: dict, out: Path, seed: int) -> int:
-    return _solve_common(cfg, out, blind=False, seed=seed,
-                         command="solve-complete")
+def cmd_solve_complete(cfg: dict, out: Path) -> int:
+    return _solve_common(cfg, out, blind=False, command="solve-complete")
 
 
-def cmd_solve_blind(cfg: dict, out: Path, seed: int) -> int:
-    return _solve_common(cfg, out, blind=True, seed=seed,
-                         command="solve-blind")
+def cmd_solve_blind(cfg: dict, out: Path) -> int:
+    return _solve_common(cfg, out, blind=True, command="solve-blind")
 
 
-def cmd_simulate_observed(cfg: dict, out: Path, seed: int) -> int:
+def cmd_simulate_observed(cfg: dict, out: Path) -> int:
     _check_keys(cfg, "config",
                 {"grid", "time", "sigma", "hamiltonian", "cost", "belief",
                  "filter", "true_atom", "solver", "output"},
                 {"grid", "time", "sigma", "hamiltonian", "cost", "belief",
                  "filter", "true_atom", "solver"})
-    grid = _build_grid(cfg)
-    tg = _build_time(cfg)
-    _check_size(cfg, "belief", grid.n, grid.dim, tg.steps)
-    sigma = _build_sigma(cfg)
-    H = _build_hamiltonian(cfg)
-    _check_time_steps(tg, grid, H.lipschitz)
-    cm = _build_cost(cfg, grid)
-    mu0 = _build_belief(cfg, grid)
-    scfg = _build_solver(cfg)
+    grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg, "belief")
     fsub = cfg["filter"]
     _check_keys(fsub, "filter", {"tolerance", "observation_dt"}, {"tolerance"})
     try:
@@ -499,14 +492,14 @@ def cmd_simulate_observed(cfg: dict, out: Path, seed: int) -> int:
         "true_atom_survived": True,
         "segments_converged": all_converged,
     })
-    _write_manifest(out, "simulate-observed", cfg, seed,
+    _write_manifest(out, "simulate-observed", cfg,
                     ["trace.json", "trace.csv", "summary.json"])
     # a trace cut short met a non-finite solve gap or payment
     finished = len(trace.times) == 1 + -(-tg.steps // steps_per_obs)
     return EXIT_OK if all_converged and finished else EXIT_NONCONVERGENCE
 
 
-def cmd_certify_monotone(cfg: dict, out: Path, seed: int) -> int:
+def cmd_certify_monotone(cfg: dict, out: Path) -> int:
     _check_keys(cfg, "config", {"grid", "cost", "certify", "output"},
                 {"grid", "cost", "certify"})
     grid = _build_grid(cfg)
@@ -515,17 +508,16 @@ def cmd_certify_monotone(cfg: dict, out: Path, seed: int) -> int:
     trials = _number(sub, "certify", "trials", lo=1, integer=True)
     max_atoms = _number(sub, "certify", "max_atoms", lo=1, hi=MAX_ATOMS,
                         default=8, integer=True)
-    sampler_seed = _number(sub, "certify", "seed", lo=0, default=seed,
-                           integer=True)
+    seed = _number(sub, "certify", "seed", lo=0, default=0, integer=True)
     # before the cost, whose fields are grid-sized
     _check_need(_certify_bytes(max_atoms, grid),
                 f"trials of {2 * max_atoms} atoms on {grid.n}^{grid.dim} nodes")
     cm = _build_cost(cfg, grid)
-    report = certify_blind_monotone(cm, grid, sampler_seed, trials, max_atoms)
+    report = certify_blind_monotone(cm, grid, seed, trials, max_atoms)
     body = report.to_json()
     body["nonnegative"] = bool(report.min_over_trials >= -1e-10)
     _write_json(out / "report.json", body)
-    _write_manifest(out, "certify-monotone", cfg, seed, ["report.json"])
+    _write_manifest(out, "certify-monotone", cfg, ["report.json"])
     verdict = ("no violation found" if body["nonnegative"]
                else "violation found (finding, not an error)")
     print(f"min pairing over {trials} trials: {report.min_over_trials:.6e} "
@@ -551,7 +543,7 @@ def _drift_from_spec(spec: dict, grid: TorusGrid, tg: TimeGrid,
     return DriftField(grid, tg, vals)
 
 
-def cmd_validate_weak(cfg: dict, out: Path, seed: int) -> int:
+def cmd_validate_weak(cfg: dict, out: Path) -> int:
     _check_keys(cfg, "config",
                 {"grid", "time", "sigma", "drift", "belief", "phi", "ladder",
                  "perturb", "output"},
@@ -625,7 +617,7 @@ def cmd_validate_weak(cfg: dict, out: Path, seed: int) -> int:
         "order_ok": order_ok,
         "violation": violation,
     })
-    _write_manifest(out, "validate-weak", cfg, seed, ["report.json"])
+    _write_manifest(out, "validate-weak", cfg, ["report.json"])
     if violation is not None and violation["detected"]:
         print("violation detected: perturbed path is not a weak solution")
     else:
@@ -648,13 +640,13 @@ _COMMANDS = {
 
 def _output_dir(given: str | None, cfg) -> Path:
     """--out if given, else the config's output.directory, else ./out;
-    created if missing."""
-    if given is None and isinstance(cfg, dict) and "output" in cfg:
-        _check_keys(cfg["output"], "output", {"directory"})
-        given = cfg["output"].get("directory", "out")
-        if not isinstance(given, str):
-            raise ConfigError("output.directory", f"expected a string, got {given!r}")
-    out = Path("out" if given is None else given)
+    created if missing.  The output section is checked either way."""
+    sub = cfg.get("output", {}) if isinstance(cfg, dict) else {}
+    _check_keys(sub, "output", {"directory"})
+    directory = sub.get("directory", "out")
+    if not isinstance(directory, str):
+        raise ConfigError("output.directory", f"expected a string, got {directory!r}")
+    out = Path(directory if given is None else given)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission
@@ -672,7 +664,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     try:
@@ -687,7 +678,7 @@ def main(argv=None) -> int:
 
     try:
         out = _output_dir(args.out, cfg)
-        return _COMMANDS[args.command](cfg, out, args.seed)
+        return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -126,9 +126,6 @@ class ValuePath:
     time_grid: TimeGrid
     values: np.ndarray  # (steps+1,) + grid.shape
 
-    def at(self, k: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[k])
-
 
 @dataclass(frozen=True)
 class DensityPath:

@@ -71,7 +71,6 @@ class SignedBeliefDiff:
 
 @dataclass(frozen=True)
 class PairingReport:
-    value: float
     witnesses: tuple  # (mu1, mu2) achieving the minimum
     trials: int
     min_over_trials: float
@@ -215,8 +214,8 @@ def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
                            mu2._replace(values=mu2.values.copy()))
             lo = hi
     witness = (_as_belief(witness[0]), _as_belief(witness[1]))
-    return PairingReport(value=float(best), witnesses=witness, trials=trials,
-                         min_over_trials=float(best), seed=sampler_seed, model=cm.kind)
+    return PairingReport(witnesses=witness, trials=trials, min_over_trials=float(best),
+                         seed=sampler_seed, model=cm.kind)
 
 
 def duality_pairing(phi: ScalarField, diff: SignedBeliefDiff) -> float:

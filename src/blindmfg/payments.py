@@ -211,7 +211,7 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
     t_now = 0.0
     steps_left = tg.steps
 
-    sol = solve_blind(belief, cm, H, sigma, TimeGrid(tg.horizon, tg.steps), cfg)
+    sol = solve_blind(belief, cm, H, sigma, tg, cfg)
     segments = [{"t_start": 0.0, "solution": sol,
                  "converged": sol.diagnostics["converged"]}]
 

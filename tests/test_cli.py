@@ -370,24 +370,17 @@ class TestCertifyMonotone:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"certify.{key}" in capsys.readouterr().err
 
-    def test_negative_cli_seed_fallback_exit_2(self, tmp_path, capsys):
-        cfg = self.config({"id": "moment_form", "g": "sqrt"}, 10)
-        del cfg["certify"]["seed"]
-        path = write_config(tmp_path, "c.json", cfg)
-        assert main(["certify-monotone", "--config", path, "--seed", "-1",
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "certify.seed" in capsys.readouterr().err
-
     def test_manifest_has_no_threads_key(self, tmp_path):
         path = write_config(tmp_path, "c.json", self.config(
             {"id": "moment_form", "g": "sqrt"}, 10))
         out = tmp_path / "out"
         assert main(["certify-monotone", "--config", path, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest) == {"command", "seed", "config", "artifacts"}
-        with pytest.raises(SystemExit) as exc:
-            main(["certify-monotone", "--config", path, "--threads", "2"])
-        assert exc.value.code == 2
+        assert set(manifest) == {"command", "config", "artifacts"}
+        for flag, value in (("--threads", "2"), ("--seed", "1")):
+            with pytest.raises(SystemExit) as exc:
+                main(["certify-monotone", "--config", path, flag, value])
+            assert exc.value.code == 2
 
 
 class TestValidateWeak:
@@ -463,6 +456,10 @@ def _certify_config(**cost):
     return TestCertifyMonotone.config({"id": "moment_form", **cost}, 10)
 
 
+def _blind_atom(atom):
+    return dict(blind_config(), belief={"weights": [1.0], "atoms": [atom]})
+
+
 class TestMalformedConfig:
     """Malformed sections exit 2 at their field path, never with a traceback."""
 
@@ -484,8 +481,25 @@ class TestMalformedConfig:
          dict(illustrative_scenario(0.1, 0.5, 0.5, 64).to_config(),
               filter={"tolerance": 0.05, "observation_dt": 1e308}),
          "filter.observation_dt"),
+        ("solve-blind", _blind_atom({"kind": "dirac"}), "belief.atoms[0].center"),
+        ("solve-blind", _blind_atom({"kind": "delta", "center": 0.3}),
+         "belief.atoms[0].kind"),
+        ("solve-blind", _blind_atom({"kind": "dirac", "center": 0.3, "bandwith": 0.05}),
+         "belief.atoms[0].bandwith"),
+        ("solve-blind", _blind_atom({"kind": "grid"}), "belief.atoms[0].values"),
+        ("solve-blind", _blind_atom({"kind": "grid", "values": [1.0] * 64, "center": 0.3}),
+         "belief.atoms[0].center"),
+        # --out names the directory, but the output section is still checked
+        ("solve-complete", dict(base_complete_config(), output={"directory": ["o"]}),
+         "output.directory"),
+        ("solve-complete", dict(base_complete_config(), output={"unread_key": 0}),
+         "output.unread_key"),
+        ("solve-complete", dict(base_complete_config(), output="o"), "output"),
     ], ids=["belief-list", "weights-strings", "weights-negative", "g-list",
-            "atom-list", "moment-form-2d", "observation-dt-overflow"])
+            "atom-list", "moment-form-2d", "observation-dt-overflow",
+            "dirac-no-center", "atom-kind-unknown", "bandwidth-typo",
+            "grid-no-values", "grid-center", "out-directory-list",
+            "out-unread-key", "out-not-an-object"])
     def test_malformed_section_exit_2(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, "c.json", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -497,7 +511,6 @@ class TestMalformedConfig:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["solve-complete", "--config", path]) == 2
         assert "config error at output.directory:" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command,cfg,field", [
         ("solve-complete", dict(base_complete_config(),
                                 hamiltonian={"kind": "abs", "cap": 5, "delta": 3}),

@@ -154,6 +154,37 @@ def test_every_malformed_value_exits_cleanly(tmp_path, monkeypatch, command, con
     assert failures == []
 
 
+def _objects(node, path=()):
+    """Paths to `node` and to every object under it."""
+    if isinstance(node, dict):
+        yield path
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, child in items:
+        if isinstance(child, (dict, list)):
+            yield from _objects(child, path + (key,))
+
+
+def _field(site) -> str:
+    """How an exit 2 names the config path `site`: `config` for the top."""
+    name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in site)
+    return name[1:] or "config"
+
+
+@pytest.mark.parametrize("command,config", PAIRS)
+def test_every_unread_key_exits_2_at_its_path(tmp_path, command, config):
+    """A key that nothing reads, put into any object of the reduced config,
+    exits 2 at its own path, with --out given as well as output.directory."""
+    cfg = _shrink(command, json.loads((ROOT / config).read_text()))
+    path = tmp_path / "cfg.json"
+    failures = []
+    for site in _objects(cfg):
+        path.write_text(json.dumps(_replaced(cfg, site + ("unread_key",), 0)))
+        code, err = _run([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        if code != 2 or f"config error at {_field(site)}.unread_key:" not in err:
+            failures.append((_field(site), code, err))
+    assert failures == []
+
+
 # ---------------------------------------------------------------------------
 # config fuzzing
 
