@@ -19,10 +19,8 @@ from .torus import (
     Density,
     ScalarField,
     TorusGrid,
-    density_from_values,
     integrate_stack,
     laplacian_array,
-    mollified_dirac,
     normalize_stack,
     wasserstein1_circle,
 )
@@ -43,8 +41,6 @@ __all__ = [
     "moment_form_cost",
     "illustrative_cost",
     "constant_cost",
-    "belief_to_json",
-    "belief_from_json",
 ]
 
 MAX_ATOMS = 64
@@ -356,29 +352,3 @@ def weak_solution_residual(path, b: DriftField, sigma: float,
     w, s, _ = at(0)
     acc = _sum_in_order(acc, [-(wi * phi.psi(0.0, si)) for wi, si in zip(w, s)])
     return abs(acc)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def belief_to_json(mu: Belief) -> dict:
-    return {
-        "weights": [float(w) for w in mu.weights],
-        "atoms": [{"kind": "grid", "values": a.values.ravel().tolist()} for a in mu.atoms],
-    }
-
-
-def belief_from_json(obj: dict, grid: TorusGrid) -> Belief:
-    weights = np.asarray(obj["weights"], dtype=float)
-    atoms = []
-    for spec in obj["atoms"]:
-        kind = spec.get("kind")
-        if kind == "dirac":
-            bw = spec.get("bandwidth")
-            atoms.append(mollified_dirac(grid, spec["center"], bw))
-        elif kind == "grid":
-            vals = np.asarray(spec["values"], dtype=float).reshape(grid.shape)
-            atoms.append(density_from_values(grid, vals))
-        else:
-            raise ValueError(f"unknown atom kind {kind!r}")
-    return Belief(weights, tuple(atoms))

@@ -1,20 +1,29 @@
-"""JSON-config command-line front end.
+"""JSON-config command-line front end, and the package's only file I/O.
 
 Subcommands: solve-complete, solve-blind, simulate-observed,
-certify-monotone, validate-weak.  Every run writes a manifest.json with
-the configuration as given and SHA-256 checksums of all artifacts.  Exit
-codes: 0 success (including negative certification findings), 2 config
-validation failure (including time steps too coarse for the CFL
-condition), 3 numerical non-convergence (artifacts still written).  All
-CSV floats carry 17 significant digits; an identical config reproduces
-every listed artifact and manifest.json byte for byte.  The
-solve commands also write telemetry.json, the per-iteration wall times,
-which the manifest does not list.
+certify-monotone, validate-weak.  This module reads every config and
+writes every artifact; the numerics modules return data and open no
+file.  The artifacts:
+
+- solve-complete / solve-blind: u.csv, m.csv, history.csv, summary.json,
+  telemetry.json, and for solve-blind m_<i>.csv and belief_path.json;
+- simulate-observed: trace.json, trace.csv, summary.json;
+- certify-monotone and validate-weak: report.json.
+
+Every run writes a manifest.json with the configuration as given and
+SHA-256 checksums of all artifacts.  Exit codes: 0 success (including
+negative certification findings), 2 config validation failure at a field
+path (including time steps too coarse for the CFL condition, or so fine
+that the step rounds to 0), 3 numerical non-convergence (artifacts still
+written).  All CSV floats carry 17 significant digits; an identical
+config reproduces every listed artifact and manifest.json byte for byte.
+telemetry.json, the per-iteration wall times, is not listed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -29,7 +38,6 @@ from .beliefs import (
     BeliefPath,
     CostModel,
     _weighted_sum,
-    belief_from_json,
     constant_cost,
     illustrative_cost,
     moment_form_cost,
@@ -39,23 +47,24 @@ from .beliefs import (
     weak_solution_residual,
 )
 from .hjb_fp import DriftField, Hamiltonian, TimeGrid, _check_cfl
-from .monotonicity import _block_trials, certify_blind_monotone
+from .monotonicity import PairingReport, _block_trials, certify_blind_monotone
 from .payments import (
     FilterConfig,
+    FilterTrace,
     _observation_steps,
     in_consistency_set,
     simulate_observed,
     smoothed_well_profile,
-    trace_to_json,
-    write_trace_csv,
 )
-from .solver import (
-    SolverConfig,
-    solve_blind,
-    solve_complete_info,
-    write_history_csv,
+from .solver import EquilibriumSolution, SolverConfig, solve_blind, solve_complete_info
+from .torus import (
+    ScalarField,
+    TorusGrid,
+    _images_formed,
+    build_grid,
+    density_from_values,
+    mollified_dirac,
 )
-from .torus import ScalarField, TorusGrid, _images_formed, build_grid
 
 __all__ = ["main"]
 
@@ -146,7 +155,17 @@ def _build_time(cfg: dict) -> TimeGrid:
     if T <= 0:
         raise ConfigError("time.T", f"must be > 0, got {T}")
     steps = _number(sub, "time", "steps", lo=1, integer=True)
-    return TimeGrid(T, steps)
+    tg = TimeGrid(T, steps)
+    _check_dt(tg)
+    return tg
+
+
+def _check_dt(tg: TimeGrid) -> None:
+    """Reject a positive horizon whose step T / steps rounds to 0: the
+    solvers divide by it."""
+    if tg.dt == 0.0:
+        raise ConfigError("time.T", f"{tg.horizon} over {tg.steps} steps "
+                          "rounds the time step to 0")
 
 
 def _state_bytes(atoms: int, steps: int, n: int, dim: int) -> int:
@@ -273,24 +292,46 @@ def _build_cost(cfg: dict, grid: TorusGrid) -> CostModel:
     return constant_cost(ScalarField(grid, np.zeros(grid.shape)))
 
 
-def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief") -> Belief:
+_ATOM_KINDS = {"dirac": ("center", "bandwidth"), "grid": ("values",)}
+
+
+def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief",
+                  ladder: bool = False) -> Belief:
+    """The `key` section's belief, each atom built where its keys are read.
+
+    A refinement `ladder` takes dirac atoms only: they are rebuilt on
+    every level's grid, while grid values fit one grid.
+    """
     sub = cfg.get(key)
     if sub is None:
         raise ConfigError(key, "required section missing")
     _check_keys(sub, key, {"weights", "atoms"}, {"weights", "atoms"})
-    if not (isinstance(sub["atoms"], list)
-            and all(isinstance(atom, dict) for atom in sub["atoms"])):
+    specs = sub["atoms"]
+    if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
         raise ConfigError(f"{key}.atoms", "expected a list of objects")
-    for i, atom in enumerate(sub["atoms"]):
+    if not 1 <= len(specs) <= MAX_ATOMS:
+        raise ConfigError(f"{key}.atoms",
+                          f"expected 1 to {MAX_ATOMS} atoms, got {len(specs)}")
+    atoms = []
+    for i, spec in enumerate(specs):
         path = f"{key}.atoms[{i}]"
-        _check_kind(atom, path, {"dirac": ("center", "bandwidth"), "grid": ("values",)},
-                    first_required=True)
-        if "bandwidth" in atom:  # absent means the default; null is an error
-            _number(atom, path, "bandwidth")
+        kind = _check_kind(spec, path, _ATOM_KINDS, first_required=True)
+        if ladder and kind != "dirac":
+            raise ConfigError(f"{path}.kind",
+                              "refinement ladder needs analytic (dirac) atoms")
+        # absent means the default bandwidth; null is an error
+        bandwidth = (_number(spec, path, "bandwidth", lo=grid.spacing)
+                     if "bandwidth" in spec else None)
+        try:
+            atoms.append(mollified_dirac(grid, spec["center"], bandwidth) if kind == "dirac"
+                         else density_from_values(grid, np.reshape(spec["values"], grid.shape)))
+        except (ValueError, TypeError, OverflowError) as exc:
+            # the bandwidth is checked above, so the fault is the first key
+            raise ConfigError(f"{path}.{_ATOM_KINDS[kind][0]}", str(exc))
     try:
-        return belief_from_json(sub, grid)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(key, str(exc))
+        return Belief(np.asarray(sub["weights"], dtype=float), tuple(atoms))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{key}.weights", str(exc))
 
 
 def _build_solver(cfg: dict) -> SolverConfig:
@@ -347,6 +388,61 @@ def _write_path_csv(path: Path, tg: TimeGrid, grid: TorusGrid,
             args[0::2] = [_fmt(t)] * vals.size
             args[1::2] = vals.ravel().tolist()
             fh.write(template % tuple(args))
+
+
+def _write_rows(path: Path, header: list, rows) -> None:
+    """A small table through csv.writer, rows ending in CRLF."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_history(out: Path, sol: EquilibriumSolution) -> None:
+    """history.csv: the drift gap and value change of every iteration."""
+    _write_rows(out / "history.csv", ["iter", "drift_gap", "value_change"],
+                ([row["iter"], _fmt(row["drift_gap"]), _fmt(row["value_change"])]
+                 for row in sol.diagnostics["history"]))
+
+
+def _write_trace(out: Path, trace: FilterTrace) -> None:
+    """trace.json and trace.csv of a payment-filtered run."""
+    _write_json(out / "trace.json", {
+        "replanning": "blind-equilibrium receding horizon (heuristic)",
+        "true_atom": trace.true_atom,
+        "times": [float(t) for t in trace.times],
+        "n_atoms": [b.n_atoms for b in trace.beliefs],
+        "weights": [b.weights.tolist() for b in trace.beliefs],
+        "surviving_indices": [list(s) for s in trace.surviving_indices],
+        "events": [{"time": float(t), "eliminated": list(e)} for t, e in trace.events],
+        "segments_converged": [bool(s["converged"]) for s in trace.segments],
+    })
+    width = max(b.n_atoms for b in trace.beliefs)
+    _write_rows(out / "trace.csv",
+                ["t", "n_atoms"] + [f"weight_{i}" for i in range(width)] + ["payment_sup_gap"],
+                ([_fmt(t), b.n_atoms] + [_fmt(w) for w in b.weights]
+                 + [""] * (width - b.n_atoms) + [_fmt(gap)]
+                 for t, b, gap in zip(trace.times, trace.beliefs, trace.payment_gaps)))
+
+
+def _belief_json(mu: Belief) -> dict:
+    """A belief in the config's schema, every atom as its grid values."""
+    return {"weights": mu.weights.tolist(),
+            "atoms": [{"kind": "grid", "values": a.values.ravel().tolist()}
+                      for a in mu.atoms]}
+
+
+def _report_json(report: PairingReport) -> dict:
+    """report.json of certify-monotone."""
+    mu1, mu2 = report.witnesses
+    return {
+        "model": report.model,
+        "trials": report.trials,
+        "min_pairing": report.min_over_trials,
+        "nonnegative": bool(report.min_over_trials >= -1e-10),
+        "witness": {"mu1": _belief_json(mu1), "mu2": _belief_json(mu2)},
+        "seed": report.seed,
+    }
 
 
 def _belief_path_json(bp: BeliefPath, tg: TimeGrid) -> dict:
@@ -421,7 +517,7 @@ def _solve_common(cfg: dict, out: Path, blind: bool, command: str) -> int:
     m = np.stack([_weighted_sum(sol.belief.weights, atoms)
                   for atoms in sol.belief.values.swapaxes(0, 1)])
     _write_path_csv(out / "m.csv", tg, grid, m, "m")
-    write_history_csv(sol, out / "history.csv")
+    _write_history(out, sol)
     # wall-clock times differ between reruns, so the manifest leaves them out
     _write_json(out / "telemetry.json", {
         "wall_time": [row["wall_time"] for row in sol.diagnostics["history"]]})
@@ -482,8 +578,7 @@ def cmd_simulate_observed(cfg: dict, out: Path) -> int:
                           f"index {true_atom} out of range for "
                           f"{mu0.n_atoms}-atom belief")
     trace = simulate_observed(mu0, true_atom, cm, H, sigma, tg, fc, scfg)
-    _write_json(out / "trace.json", trace_to_json(trace))
-    write_trace_csv(trace, out / "trace.csv")
+    _write_trace(out, trace)
     all_converged = all(s["converged"] for s in trace.segments)
     _write_json(out / "summary.json", {
         "n_events": len(trace.events),
@@ -514,8 +609,7 @@ def cmd_certify_monotone(cfg: dict, out: Path) -> int:
                 f"trials of {2 * max_atoms} atoms on {grid.n}^{grid.dim} nodes")
     cm = _build_cost(cfg, grid)
     report = certify_blind_monotone(cm, grid, seed, trials, max_atoms)
-    body = report.to_json()
-    body["nonnegative"] = bool(report.min_over_trials >= -1e-10)
+    body = _report_json(report)
     _write_json(out / "report.json", body)
     _write_manifest(out, "certify-monotone", cfg, ["report.json"])
     verdict = ("no violation found" if body["nonnegative"]
@@ -558,6 +652,7 @@ def cmd_validate_weak(cfg: dict, out: Path) -> int:
     for lvl in range(levels):
         _check_size(cfg, "belief", base_grid.n * 2 ** lvl, base_grid.dim,
                     base_tg.steps * 4 ** lvl)
+        _check_dt(TimeGrid(base_tg.horizon, base_tg.steps * 4 ** lvl))
     sigma = _build_sigma(cfg)
     phi_spec = cfg["phi"]
     _check_keys(phi_spec, "phi", {"inner"}, {"inner"})
@@ -565,10 +660,7 @@ def cmd_validate_weak(cfg: dict, out: Path) -> int:
     if np.ptp(_build_field(phi_spec["inner"], base_grid, "phi.inner").values) == 0.0:
         raise ConfigError("phi.inner", "a constant field integrates to the same value against "
                           "every density, so the ladder would measure rounding only")
-    atoms = _build_belief(cfg, base_grid).atoms
-    if any(atom["kind"] == "grid" for atom in cfg["belief"]["atoms"]):
-        raise ConfigError("belief.atoms",
-                          "refinement ladder needs analytic (dirac) atoms")
+    atoms = _build_belief(cfg, base_grid, ladder=True).atoms
     new_w = None
     if "perturb" in cfg:
         sub = cfg["perturb"]
@@ -587,7 +679,7 @@ def cmd_validate_weak(cfg: dict, out: Path) -> int:
         tg = TimeGrid(base_tg.horizon, base_tg.steps * 4 ** lvl)
         drift = _drift_from_spec(cfg["drift"], grid, tg, "drift")
         _check_time_steps(tg, grid, drift.sup_norm())
-        mu0 = _build_belief(cfg, grid)
+        mu0 = _build_belief(cfg, grid, ladder=True)
         bp = push_forward(mu0, drift, sigma, tg)
         inner = _build_field(phi_spec["inner"], grid, "phi.inner")
         phi = ramp_cylinder(inner, tg.horizon)

@@ -21,7 +21,6 @@ from .beliefs import (
     _generator_field,
     _sum_in_order,
     _weighted_sum,
-    belief_to_json,
 )
 from .torus import (
     Density,
@@ -76,16 +75,6 @@ class PairingReport:
     min_over_trials: float
     seed: int
     model: str
-
-    def to_json(self) -> dict:
-        mu1, mu2 = self.witnesses
-        return {
-            "model": self.model,
-            "trials": self.trials,
-            "min_pairing": self.min_over_trials,
-            "witness": {"mu1": belief_to_json(mu1), "mu2": belief_to_json(mu2)},
-            "seed": self.seed,
-        }
 
 
 def l2_pairing(cm: CostModel, m1: Density, m2: Density) -> float:

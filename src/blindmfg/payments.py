@@ -10,9 +10,8 @@ embodiment of the model, labeled as such in its outputs.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +37,6 @@ __all__ = [
     "illustrative_scenario",
     "ScenarioBundle",
     "smoothed_well_profile",
-    "trace_to_json",
-    "write_trace_csv",
 ]
 
 
@@ -66,9 +63,6 @@ class FilterTrace:
     # replanning records {t_start, solution, converged}; solution is None
     # except for the opening solve and the first solve after an elimination
     segments: list
-
-    def n_atoms_series(self):
-        return [b.n_atoms for b in self.beliefs]
 
 
 def _signatures(mu: Belief, cm: CostModel) -> np.ndarray:
@@ -292,25 +286,6 @@ class ScenarioBundle:
     # point, while relaxation would keep the drift fractional forever
     solver_config: SolverConfig = SolverConfig(relaxation=1.0, tol=1e-9, max_iter=60)
 
-    def to_config(self) -> dict:
-        """CLI-compatible config for cmd_simulate_observed."""
-        return {
-            "grid": {"dim": 1, "n": self.grid.n},
-            "time": {"T": self.time_grid.horizon, "steps": self.time_grid.steps},
-            "sigma": self.sigma,
-            "hamiltonian": {"kind": "abs"},
-            "cost": {"id": "illustrative", "coupling": self.coupling},
-            "belief": {
-                "weights": [float(w) for w in self.belief.weights],
-                "atoms": [{"kind": "dirac", "center": 0.0},
-                          {"kind": "dirac", "center": self.epsilon}],
-            },
-            "filter": {"tolerance": self.filter_config.tolerance,
-                       "observation_dt": self.filter_config.observation_dt},
-            "true_atom": 0,
-            "solver": asdict(self.solver_config),
-        }
-
 
 def illustrative_scenario(epsilon: float, p1: float, c: float, n: int,
                           N_t: int | None = None,
@@ -345,32 +320,3 @@ def illustrative_scenario(epsilon: float, p1: float, c: float, n: int,
                           hamiltonian=Hamiltonian("abs"), time_grid=tg,
                           sigma=0.0, filter_config=fc, predicted_window=window,
                           epsilon=epsilon, coupling=c)
-
-
-# ---------------------------------------------------------------------------
-# trace output
-
-def trace_to_json(trace: FilterTrace) -> dict:
-    return {
-        "replanning": "blind-equilibrium receding horizon (heuristic)",
-        "true_atom": trace.true_atom,
-        "times": [float(t) for t in trace.times],
-        "n_atoms": trace.n_atoms_series(),
-        "weights": [[float(w) for w in b.weights] for b in trace.beliefs],
-        "surviving_indices": [list(s) for s in trace.surviving_indices],
-        "events": [{"time": float(t), "eliminated": list(e)} for t, e in trace.events],
-        "segments_converged": [bool(s["converged"]) for s in trace.segments],
-    }
-
-
-def write_trace_csv(trace: FilterTrace, path) -> None:
-    max_atoms = max(b.n_atoms for b in trace.beliefs)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t", "n_atoms"] + [f"weight_{i}" for i in range(max_atoms)]
-        header.append("payment_sup_gap")
-        writer.writerow(header)
-        for t, b, gap in zip(trace.times, trace.beliefs, trace.payment_gaps):
-            weights = [f"{float(w):.17g}" for w in b.weights]
-            weights += [""] * (max_atoms - b.n_atoms)
-            writer.writerow([f"{t:.17g}", b.n_atoms] + weights + [f"{gap:.17g}"])

@@ -10,7 +10,6 @@ code path exactly.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
 
@@ -20,7 +19,7 @@ from .beliefs import (
     Belief,
     BeliefPath,
     CostModel,
-    aggregate_terminal,
+    _weighted_sum,
     push_forward,
     running_cost_path,
 )
@@ -36,7 +35,7 @@ from .hjb_fp import (
     zero_drift,
 )
 from .monotonicity import lifted_pairing
-from .torus import Density
+from .torus import Density, ScalarField, normalize_stack
 
 # Anderson depth: secant pairs kept by the damped iteration
 _ANDERSON_DEPTH = 3
@@ -48,7 +47,6 @@ __all__ = [
     "solve_complete_info",
     "equilibrium_gap",
     "cross_solution_coupling",
-    "write_history_csv",
 ]
 
 
@@ -76,8 +74,12 @@ class EquilibriumSolution:
 
 
 def _cost_paths(bp: BeliefPath, cm: CostModel):
+    """Belief-averaged running cost path and terminal cost, on plain arrays:
+    the terminal has the bits of aggregate_terminal(bp.belief_at(steps), cm)."""
     running = running_cost_path(bp, cm)
-    terminal = aggregate_terminal(bp.belief_at(bp.time_grid.steps), cm)
+    atoms = normalize_stack(bp.grid, bp.values[:, -1])
+    terminal = ScalarField(bp.grid, _weighted_sum(bp.weights,
+                                                  cm.terminal_values(bp.grid, atoms)))
     return running, terminal
 
 
@@ -239,12 +241,3 @@ def cross_solution_coupling(sol1: EquilibriumSolution, sol2: EquilibriumSolution
     total += lifted_pairing(term_cm, sol1.belief.belief_at(tg.steps),
                             sol2.belief.belief_at(tg.steps))
     return total
-
-
-def write_history_csv(sol: EquilibriumSolution, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "drift_gap", "value_change"])
-        for row in sol.diagnostics["history"]:
-            writer.writerow([row["iter"], f"{row['drift_gap']:.17g}",
-                             f"{row['value_change']:.17g}"])

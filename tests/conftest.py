@@ -1,5 +1,7 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -26,6 +28,26 @@ def random_density(grid: TorusGrid, rng: np.random.Generator) -> Density:
 def one_atom_path(m0: Density, b, sigma: float, tg) -> BeliefPath:
     """The density path from m0 as the path of a one-atom belief."""
     return push_forward(Belief(np.array([1.0]), (m0,)), b, sigma, tg)
+
+
+def scenario_config(sc) -> dict:
+    """The simulate-observed config of an illustrative_scenario bundle."""
+    return {
+        "grid": {"dim": 1, "n": sc.grid.n},
+        "time": {"T": sc.time_grid.horizon, "steps": sc.time_grid.steps},
+        "sigma": sc.sigma,
+        "hamiltonian": {"kind": "abs"},
+        "cost": {"id": "illustrative", "coupling": sc.coupling},
+        "belief": {
+            "weights": [float(w) for w in sc.belief.weights],
+            "atoms": [{"kind": "dirac", "center": 0.0},
+                      {"kind": "dirac", "center": sc.epsilon}],
+        },
+        "filter": {"tolerance": sc.filter_config.tolerance,
+                   "observation_dt": sc.filter_config.observation_dt},
+        "true_atom": 0,
+        "solver": asdict(sc.solver_config),
+    }
 
 
 def circle_distance(x: float, y: float) -> float:

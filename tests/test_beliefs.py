@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blindmfg import cli
 from blindmfg.beliefs import (
     Belief,
     BeliefPath,
@@ -9,9 +10,7 @@ from blindmfg.beliefs import (
     aggregate_running,
     aggregate_terminal,
     belief_distance,
-    belief_from_json,
     belief_holder_modulus,
-    belief_to_json,
     constant_cost,
     illustrative_cost,
     moment_form_cost,
@@ -307,23 +306,25 @@ class TestWeakSolutionResidual:
 
 
 class TestSerialization:
+    """The config's belief schema, read and written by the CLI."""
+
     def test_roundtrip(self, grid64):
         mu = two_atom_belief(grid64)
-        back = belief_from_json(belief_to_json(mu), grid64)
+        back = cli._build_belief({"belief": cli._belief_json(mu)}, grid64)
         assert np.allclose(back.weights, mu.weights)
         for a, b in zip(back.atoms, mu.atoms):
             assert np.allclose(a.values, b.values, atol=1e-12)
 
     def test_dirac_atom_from_json(self, grid64):
-        mu = belief_from_json(
-            {"weights": [1.0], "atoms": [{"kind": "dirac", "center": 0.4}]},
+        mu = cli._build_belief(
+            {"belief": {"weights": [1.0], "atoms": [{"kind": "dirac", "center": 0.4}]}},
             grid64)
         assert abs(circular_mean(mu.atoms[0]) - 0.4) < grid64.spacing
 
     def test_unknown_kind_rejected(self, grid64):
-        with pytest.raises(ValueError, match="atom kind"):
-            belief_from_json(
-                {"weights": [1.0], "atoms": [{"kind": "spline"}]}, grid64)
+        with pytest.raises(cli.ConfigError, match=r"atoms\[0\]\.kind: unknown kind"):
+            cli._build_belief(
+                {"belief": {"weights": [1.0], "atoms": [{"kind": "spline"}]}}, grid64)
 
 
 def test_illustrative_cost_coupling_range(grid64):

@@ -14,6 +14,7 @@ from blindmfg.hjb_fp import TimeGrid
 from blindmfg.monotonicity import _block_trials
 from blindmfg.payments import illustrative_scenario
 from blindmfg.torus import build_grid
+from conftest import scenario_config
 
 
 def write_config(tmp_path, name, body):
@@ -192,15 +193,15 @@ class TestSolveBlind:
 
 class TestSimulateObserved:
     @staticmethod
-    def scenario_config(tmp_path, **overrides):
+    def scenario_path(tmp_path, **overrides):
         sc = illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150,
                                    observation_dt=0.04, tolerance=0.05)
-        cfg = sc.to_config()
+        cfg = scenario_config(sc)
         cfg.update(overrides)
         return write_config(tmp_path, "sim.json", cfg)
 
     def test_elimination_event_recorded(self, tmp_path):
-        path = self.scenario_config(tmp_path)
+        path = self.scenario_path(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate-observed", "--config", path,
                      "--out", str(out)]) == 0
@@ -212,7 +213,7 @@ class TestSimulateObserved:
         assert (out / "trace.csv").exists()
 
     def test_constant_cost_no_events(self, tmp_path):
-        path = self.scenario_config(
+        path = self.scenario_path(
             tmp_path, cost={"id": "constant", "field": {"kind": "well"}})
         out = tmp_path / "out"
         assert main(["simulate-observed", "--config", path,
@@ -221,21 +222,21 @@ class TestSimulateObserved:
         assert summary["n_events"] == 0
 
     def test_grouping_key_rejected(self, tmp_path, capsys):
-        path = self.scenario_config(tmp_path, filter={
+        path = self.scenario_path(tmp_path, filter={
             "tolerance": 0.05, "observation_dt": 0.04, "grouping": "union_find"})
         assert main(["simulate-observed", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "filter.grouping" in capsys.readouterr().err
 
     def test_averaging_key_rejected(self, tmp_path, capsys):
-        path = self.scenario_config(tmp_path, solver={
+        path = self.scenario_path(tmp_path, solver={
             "relaxation": 1.0, "tol": 1e-9, "max_iter": 60, "averaging": "picard"})
         assert main(["simulate-observed", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "solver.averaging" in capsys.readouterr().err
 
     def test_missing_solver_exit_2(self, tmp_path, capsys):
-        cfg = illustrative_scenario(0.1, 0.5, 0.5, 64).to_config()
+        cfg = scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64))
         del cfg["solver"]
         path = write_config(tmp_path, "sim.json", cfg)
         assert main(["simulate-observed", "--config", path,
@@ -243,20 +244,20 @@ class TestSimulateObserved:
         assert "config.solver" in capsys.readouterr().err
 
     def test_negative_observation_dt_exit_2(self, tmp_path, capsys):
-        path = self.scenario_config(tmp_path, filter={
+        path = self.scenario_path(tmp_path, filter={
             "tolerance": 0.05, "observation_dt": -1.0})
         assert main(["simulate-observed", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "filter.observation_dt" in capsys.readouterr().err
 
     def test_bad_true_atom_exit_2(self, tmp_path, capsys):
-        path = self.scenario_config(tmp_path, true_atom=5)
+        path = self.scenario_path(tmp_path, true_atom=5)
         assert main(["simulate-observed", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "true_atom" in capsys.readouterr().err
 
     def test_observation_dt_off_the_time_grid_exit_2(self, tmp_path, capsys):
-        cfg = illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150).to_config()
+        cfg = scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150))
         dt = cfg["time"]["T"] / cfg["time"]["steps"]
         cfg["filter"]["observation_dt"] = 1.5 * dt
         path = write_config(tmp_path, "sim.json", cfg)
@@ -268,8 +269,8 @@ class TestSimulateObserved:
 
     def test_payment_inconsistent_prior_exit_2(self, tmp_path, capsys):
         # an atom in the payment well pays differently from one outside it
-        cfg = illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150,
-                                    observation_dt=0.04).to_config()
+        cfg = scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150,
+                                                    observation_dt=0.04))
         cfg["belief"]["atoms"][1]["center"] = 0.33
         path = write_config(tmp_path, "sim.json", cfg)
         assert main(["simulate-observed", "--config", path,
@@ -316,7 +317,7 @@ class TestSimulateObserved:
             return sigs if np.array_equal(mu.values, m0) else sigs * np.nan
 
         monkeypatch.setattr(payments, "_signatures", nan_after_start)
-        path = self.scenario_config(tmp_path)
+        path = self.scenario_path(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate-observed", "--config", path, "--out", str(out)]) == 3
         trace = json.loads((out / "trace.json").read_text())
@@ -478,7 +479,7 @@ class TestMalformedConfig:
         ("certify-monotone",
          dict(_certify_config(g="sqrt"), grid={"dim": 2, "n": 16}), "cost.id"),
         ("simulate-observed",
-         dict(illustrative_scenario(0.1, 0.5, 0.5, 64).to_config(),
+         dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)),
               filter={"tolerance": 0.05, "observation_dt": 1e308}),
          "filter.observation_dt"),
         ("solve-blind", _blind_atom({"kind": "dirac"}), "belief.atoms[0].center"),
@@ -489,6 +490,27 @@ class TestMalformedConfig:
         ("solve-blind", _blind_atom({"kind": "grid"}), "belief.atoms[0].values"),
         ("solve-blind", _blind_atom({"kind": "grid", "values": [1.0] * 64, "center": 0.3}),
          "belief.atoms[0].center"),
+        # an atom that fails to build exits at the key that made it fail
+        ("solve-blind", _blind_atom({"kind": "dirac", "center": "x"}),
+         "belief.atoms[0].center"),
+        ("solve-blind", _blind_atom({"kind": "dirac", "center": [0.2, 0.3]}),
+         "belief.atoms[0].center"),
+        ("solve-blind", _blind_atom({"kind": "dirac", "center": 0.3, "bandwidth": 0.001}),
+         "belief.atoms[0].bandwidth"),
+        ("solve-blind", _blind_atom({"kind": "grid", "values": [1.0, 2.0]}),
+         "belief.atoms[0].values"),
+        ("solve-blind",
+         dict(blind_config(), belief={"weights": [0.5, 0.6],
+                                      "atoms": [{"kind": "dirac", "center": 0.2},
+                                                {"kind": "dirac", "center": 0.6}]}),
+         "belief.weights"),
+        ("solve-blind", dict(blind_config(), belief={"weights": [], "atoms": []}),
+         "belief.atoms"),
+        ("validate-weak",
+         _weak_config(belief={"weights": [0.3, 0.7],
+                              "atoms": [{"kind": "grid", "values": [1.0] * 64},
+                                        {"kind": "dirac", "center": 0.6}]}),
+         "belief.atoms[0].kind"),
         # --out names the directory, but the output section is still checked
         ("solve-complete", dict(base_complete_config(), output={"directory": ["o"]}),
          "output.directory"),
@@ -498,7 +520,9 @@ class TestMalformedConfig:
     ], ids=["belief-list", "weights-strings", "weights-negative", "g-list",
             "atom-list", "moment-form-2d", "observation-dt-overflow",
             "dirac-no-center", "atom-kind-unknown", "bandwidth-typo",
-            "grid-no-values", "grid-center", "out-directory-list",
+            "grid-no-values", "grid-center", "center-string", "center-2d-on-1d",
+            "bandwidth-under-resolved", "grid-values-short", "weights-sum",
+            "atoms-empty", "ladder-grid-atom", "out-directory-list",
             "out-unread-key", "out-not-an-object"])
     def test_malformed_section_exit_2(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, "c.json", cfg)
@@ -596,7 +620,7 @@ def _sized_config(command, n, steps):
     elif command == "solve-blind":
         cfg = blind_config()
     elif command == "simulate-observed":
-        cfg = illustrative_scenario(0.1, 0.5, 0.5, 64).to_config()
+        cfg = scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64))
         cfg["filter"]["observation_dt"] = 0.0
     else:
         cfg = TestValidateWeak.config(ladder={"levels": 2})
@@ -713,7 +737,7 @@ def test_cfl_violation_exit_2_at_time_steps(tmp_path, capsys, command):
     elif command == "solve-blind":
         cfg = dict(blind_config(), time=coarse)
     elif command == "simulate-observed":
-        cfg = dict(illustrative_scenario(0.1, 0.5, 0.5, 64).to_config(), time=coarse)
+        cfg = dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)), time=coarse)
     else:
         # drift speed 5 at dt/h = 2
         cfg = TestValidateWeak.config(grid={"dim": 1, "n": 32},
@@ -723,6 +747,33 @@ def test_cfl_violation_exit_2_at_time_steps(tmp_path, capsys, command):
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "time.steps" in err and "CFL" in err
+
+
+@pytest.mark.parametrize("command", SIZED)
+def test_time_step_rounding_to_zero_exit_2_at_time_T(tmp_path, capsys, command):
+    """A positive horizon over 16 steps whose step T / 16 rounds to 0."""
+    tiny = {"T": 5e-324, "steps": 16}
+    if command == "solve-complete":
+        cfg = dict(base_complete_config(), time=tiny)
+    elif command == "solve-blind":
+        cfg = dict(blind_config(), time=tiny)
+    elif command == "simulate-observed":
+        cfg = dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)), time=tiny)
+    else:
+        cfg = TestValidateWeak.config(time=tiny)
+    path = write_config(tmp_path, "tiny.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error at time.T:" in capsys.readouterr().err
+
+
+def test_ladder_level_step_rounding_to_zero_exit_2_at_time_T(tmp_path, capsys):
+    """The base step of 1e-321 over 64 steps is positive, as is level 1's
+    over 256; level 2's over 1024 rounds to 0."""
+    assert TimeGrid(1e-321, 256).dt > 0.0 == TimeGrid(1e-321, 1024).dt
+    path = write_config(tmp_path, "tiny.json",
+                        TestValidateWeak.config(time={"T": 1e-321, "steps": 64}))
+    assert main(["validate-weak", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error at time.T:" in capsys.readouterr().err
 
 
 def test_shipped_illustrative_config_is_valid():

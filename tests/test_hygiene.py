@@ -1,5 +1,5 @@
 """Static hygiene of the package sources: no dead imports, no stale
-__all__, no environment switches.
+__all__, no environment switches, no file I/O outside the CLI.
 
 Walks src/blindmfg/*.py with `ast` only, so it needs no linter.
 """
@@ -105,6 +105,34 @@ def test_no_environment_switches(path):
         or (isinstance(node, ast.ImportFrom) and node.module == "os"
             and any(alias.name in _ENV_ACCESS for alias in node.names)))
     assert not hits, f"{path.name}: process environment used at lines {hits}"
+
+
+# file formats the CLI owns, and the calls that open or read/write a file
+_FORMAT_MODULES = {"csv", "json"}
+_FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes",
+               "save", "savez", "savetxt", "load", "loadtxt", "tofile", "fromfile"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_touches_files(path):
+    """cli.py reads every config and writes every artifact; the numerics
+    modules return data, open no file and import no file format."""
+    hits = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            hits += [f"import {a.name} (line {node.lineno})" for a in node.names
+                     if a.name.split(".")[0] in _FORMAT_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] in _FORMAT_MODULES:
+            hits.append(f"from {node.module} (line {node.lineno})")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name in _FILE_CALLS:
+                hits.append(f"{name}() (line {node.lineno})")
+    assert not hits, f"{path.name}: file I/O outside cli.py: {', '.join(hits)}"
 
 
 def _private_definitions(tree: ast.Module) -> list:

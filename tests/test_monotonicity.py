@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blindmfg import cli
 from blindmfg.beliefs import (
     Belief,
     constant_cost,
@@ -283,7 +284,7 @@ class TestCertifyBlindMonotone:
         cm = moment_form_cost(np.sqrt) if dim == 1 else cos_product_cost_2d(g)
         report = certify_blind_monotone(cm, g, sampler_seed=2, trials=300)
         assert lifted_pairing(cm, *report.witnesses) == report.min_over_trials
-        assert report.to_json()["min_pairing"] == report.min_over_trials
+        assert cli._report_json(report)["min_pairing"] == report.min_over_trials
 
     def test_one_lifted_pairing_call_per_trial(self, grid64, monkeypatch):
         import blindmfg.monotonicity as mono
@@ -321,8 +322,9 @@ class TestCertifyBlindMonotone:
 
     def test_report_json(self, grid64):
         report = certify_blind_monotone(cos_product_cost(grid64), grid64, 1, 10)
-        body = report.to_json()
-        assert set(body) == {"model", "trials", "min_pairing", "witness", "seed"}
+        body = cli._report_json(report)
+        assert set(body) == {"model", "trials", "min_pairing", "nonnegative", "witness",
+                             "seed"}
         assert body["model"] == "product_form"
 
 

@@ -1,9 +1,11 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blindmfg import cli
 from blindmfg.beliefs import (
     Belief,
     constant_cost,
@@ -26,8 +28,6 @@ from blindmfg.payments import (
     simulate_observed,
     smoothed_well_profile,
     tower_check,
-    trace_to_json,
-    write_trace_csv,
 )
 from blindmfg.solver import SolverConfig, solve_blind, solve_complete_info
 from blindmfg.torus import (
@@ -38,7 +38,7 @@ from blindmfg.torus import (
     mollified_dirac,
 )
 
-from conftest import random_density
+from conftest import random_density, scenario_config
 
 
 @pytest.fixture
@@ -461,7 +461,7 @@ class TestIllustrativeScenario:
 
     def test_to_config_roundtrips_through_cli_schema(self):
         sc = illustrative_scenario(0.1, 0.5, 0.5, 64)
-        cfg = sc.to_config()
+        cfg = scenario_config(sc)
         assert cfg["grid"]["n"] == 64
         assert cfg["cost"] == {"id": "illustrative", "coupling": 0.5}
         assert cfg["belief"]["weights"] == [0.5, 0.5]
@@ -473,12 +473,12 @@ class TestTraceOutput:
         trace = simulate_observed(sc.belief, 0, sc.cost, sc.hamiltonian,
                                   sc.sigma, sc.time_grid, sc.filter_config,
                                   sc.solver_config)
-        body = trace_to_json(trace)
+        cli._write_trace(tmp_path, trace)
+        body = json.loads((tmp_path / "trace.json").read_text())
         assert body["true_atom"] == 0
         assert len(body["events"]) == 1
         assert body["n_atoms"][0] == 2 and body["n_atoms"][-1] == 1
         csv_path = tmp_path / "trace.csv"
-        write_trace_csv(trace, csv_path)
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("t,n_atoms,")
         assert "payment_sup_gap" in header
@@ -490,8 +490,8 @@ class TestTraceOutput:
         trace = simulate_observed(sc.belief, true_atom, sc.cost, sc.hamiltonian,
                                   sc.sigma, sc.time_grid, sc.filter_config,
                                   sc.solver_config)
+        cli._write_trace(tmp_path, trace)
         csv_path = tmp_path / "trace.csv"
-        write_trace_csv(trace, csv_path)
         rows = list(csv.reader(csv_path.read_text().splitlines()))
         gaps = [float(r[-1]) for r in rows[1:]]
         oracle = []

@@ -4,8 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blindmfg import cli
 from blindmfg.beliefs import (
     Belief,
+    BeliefPath,
+    aggregate_terminal,
     constant_cost,
     product_form_cost,
 )
@@ -16,7 +19,6 @@ from blindmfg.solver import (
     equilibrium_gap,
     solve_blind,
     solve_complete_info,
-    write_history_csv,
 )
 from blindmfg.torus import (
     ScalarField,
@@ -173,6 +175,26 @@ class TestSolveBlind:
         assert calls["hjb"] == iterations
         # at most one extra pushforward, under the returned drift
         assert iterations <= calls["push"] <= iterations + 1
+
+    def test_picard_loop_builds_no_belief(self, monkeypatch):
+        """The loop costs the stacked path: no belief_at, hence no validated
+        Belief, yet the terminal cost has aggregate_terminal's bits."""
+        import blindmfg.solver as solver_module
+
+        grid, tg, cm, H, sigma = small_setup()
+        # a terminal cost that reads the density, so its bits are tested
+        cm = replace(cm, terminal_values=cm.running_values)
+        mu0 = Belief(np.array([0.5, 0.5]),
+                     (mollified_dirac(grid, 0.2), mollified_dirac(grid, 0.4)))
+        calls = []
+        belief_at = BeliefPath.belief_at
+        monkeypatch.setattr(BeliefPath, "belief_at",
+                            lambda self, k: calls.append(k) or belief_at(self, k))
+        sol = solve_blind(mu0, cm, H, sigma, tg)
+        assert sol.diagnostics["iterations"] > 2 and calls == []
+        _, terminal = solver_module._cost_paths(sol.belief, cm)
+        expected = aggregate_terminal(sol.belief.belief_at(tg.steps), cm)
+        assert np.array_equal(terminal.values, expected.values)
 
     def test_nonconvergence_is_reported_not_raised(self):
         grid, tg, cm, H, sigma = small_setup()
@@ -331,8 +353,8 @@ class TestCrossSolutionCoupling:
 def test_write_history_csv(tmp_path):
     grid, tg, cm, H, sigma = small_setup()
     sol = solve_complete_info(mollified_dirac(grid, 0.3), cm, H, sigma, tg)
+    cli._write_history(tmp_path, sol)
     path = tmp_path / "history.csv"
-    write_history_csv(sol, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "drift_gap", "value_change"]
