@@ -37,6 +37,8 @@ __all__ = [
     "belief_distance",
     "belief_holder_modulus",
     "weak_solution_residual",
+    "WeakLadder",
+    "weak_ladder",
     "product_form_cost",
     "moment_form_cost",
     "illustrative_cost",
@@ -313,6 +315,41 @@ def _generator_field(grid: TorusGrid, h_vals: np.ndarray, lap_h: np.ndarray,
     return sigma * lap_h + upwind_advection(grid, h_vals, b_slice)
 
 
+def _weak_terms(path, b: DriftField, sigma: float, phi: CylinderFunctional) -> tuple:
+    """The weight series of `path` and the weight-free terms of its weak-form
+    residual, one list per step: -psi_t - psi_s ∫gen dm_i, then psi(0, ∫h dm_i)."""
+    tg, grid, h_vals = b.time_grid, b.grid, phi.inner.values
+    if isinstance(path, BeliefPath):
+        weights = [path.weights.tolist()] * (tg.steps + 1)
+        at = lambda k: normalize_stack(grid, path.values[:, k])
+    else:
+        path = list(path)
+        if len(path) != tg.steps + 1:
+            raise ValueError("belief sequence length must match the time grid")
+        weights = [mu.weights.tolist() for mu in path]
+        at = lambda k: path[k].values
+    s_at = lambda k: integrate_stack(grid, h_vals, at(k)).tolist()
+    # terminal-vanishing check on the values the path actually visits
+    if any(abs(phi.psi(tg.horizon, si)) > 1e-12 for si in s_at(tg.steps)):
+        raise ValueError("test functional must vanish at the horizon")
+    lap_h = laplacian_array(grid, h_vals)
+    terms = []
+    for k, t in enumerate(tg.times[:-1]):
+        m = at(k)
+        gen = _generator_field(grid, h_vals, lap_h, b.values[k], sigma)
+        terms.append([-phi.psi_t(t, si) - phi.psi_s(t, si) * gi for si, gi in
+                      zip(integrate_stack(grid, h_vals, m).tolist(),
+                          integrate_stack(grid, gen, m).tolist())])
+    return weights, terms + [[phi.psi(0.0, si) for si in s_at(0)]]
+
+
+def _weak_sum(weights: list, terms: list, dt: float) -> float:
+    """|the dt w_i x_i of each step k < steps, then the -w_i psi_i|, added
+    left to right; row k of the weight series weighs step k, row 0 the psi."""
+    flat = [dt * wi * xi for w, x in zip(weights, terms[:-1]) for wi, xi in zip(w, x)]
+    return abs(_sum_in_order(0.0, flat + [-(wi * xi) for wi, xi in zip(weights[0], terms[-1])]))
+
+
 def weak_solution_residual(path, b: DriftField, sigma: float,
                            phi: CylinderFunctional) -> float:
     """|discrete weak-form residual| of the lifted continuity equation.
@@ -321,34 +358,36 @@ def weak_solution_residual(path, b: DriftField, sigma: float,
     entries (the latter allows deliberately inconsistent paths for
     violation detection).  Requires phi(T, .) = 0.
     """
-    tg = b.time_grid
-    grid = b.grid
-    if not isinstance(path, BeliefPath):
-        path = list(path)
-        if len(path) != tg.steps + 1:
-            raise ValueError("belief sequence length must match the time grid")
-    h_vals = phi.inner.values
+    return _weak_sum(*_weak_terms(path, b, sigma, phi), b.time_grid.dt)
 
-    def at(k):
-        """Weights, ∫h dm_i and the (K, *grid) atom values at step k."""
-        if isinstance(path, BeliefPath):
-            w, m = path.weights, normalize_stack(grid, path.values[:, k])
-        else:
-            w, m = path[k].weights, path[k].values
-        return w.tolist(), integrate_stack(grid, h_vals, m).tolist(), m
 
-    # terminal-vanishing check on the values the path actually visits
-    _, s, _ = at(tg.steps)
-    if any(abs(phi.psi(tg.horizon, si)) > 1e-12 for si in s):
-        raise ValueError("test functional must vanish at the horizon")
-    lap_h = laplacian_array(grid, h_vals)
-    acc = 0.0
-    for k, t in enumerate(tg.times[:-1]):
-        w, s, m = at(k)
-        gen = _generator_field(grid, h_vals, lap_h, b.values[k], sigma)
-        gen_m = integrate_stack(grid, gen, m).tolist()
-        acc = _sum_in_order(acc, [tg.dt * wi * (-phi.psi_t(t, si) - phi.psi_s(t, si) * gi)
-                                  for wi, si, gi in zip(w, s, gen_m)])
-    w, s, _ = at(0)
-    acc = _sum_in_order(acc, [-(wi * phi.psi(0.0, si)) for wi, si in zip(w, s)])
-    return abs(acc)
+@dataclass(frozen=True)
+class WeakLadder:
+    """Residuals coarse to fine, their orders log2(r_l / r_l+1), whether all
+    reach 0.8, and a perturbed residual, if any, and whether it is >= 10 r_finest."""
+
+    residuals: list
+    orders: list
+    order_ok: bool
+    perturbed_residual: float | None
+    detected: bool | None
+
+
+def weak_ladder(levels, sigma: float, perturb=None) -> WeakLadder:
+    """The ramp cylinder's weak residual on `levels`, (Belief, DriftField, inner
+    ScalarField) each, swept once; `perturb` = (at_fraction, weights) weighs the
+    finest level's terms by `weights` from step int(at_fraction * steps) on."""
+    residuals = []
+    for mu0, b, inner in levels:
+        tg = b.time_grid
+        weights, terms = _weak_terms(push_forward(mu0, b, sigma, tg), b, sigma,
+                                     ramp_cylinder(inner, tg.horizon))
+        residuals.append(_weak_sum(weights, terms, tg.dt))
+    orders = [float(np.log2(r / finer)) for r, finer in zip(residuals, residuals[1:])]
+    pert = None
+    if perturb is not None:
+        series = np.array(weights)
+        series[int(perturb[0] * tg.steps):] = perturb[1]
+        pert = _weak_sum(series.tolist(), terms, tg.dt)
+    return WeakLadder(residuals, orders, all(o >= 0.8 for o in orders), pert,
+                      None if pert is None else bool(pert >= 10 * residuals[-1]))

@@ -42,9 +42,7 @@ from .beliefs import (
     illustrative_cost,
     moment_form_cost,
     product_form_cost,
-    push_forward,
-    ramp_cylinder,
-    weak_solution_residual,
+    weak_ladder,
 )
 from .hjb_fp import DriftField, Hamiltonian, TimeGrid, _check_cfl
 from .monotonicity import PairingReport, _block_trials, certify_blind_monotone
@@ -117,20 +115,28 @@ def _check_kind(spec: dict, path: str, kinds: dict, select: str = "kind",
     return kind
 
 
+def _floats(val) -> np.ndarray:
+    """A number or nested list of numbers as floats.  Each must be an int or
+    a float, not a bool, and finite: else ValueError, or OverflowError for
+    an int beyond the float range.  _number reads every number by this rule."""
+    for leaf in np.asarray(val, dtype=object).ravel():
+        if isinstance(leaf, bool) or not isinstance(leaf, (int, float)) or not math.isfinite(leaf):
+            raise ValueError(f"expected finite numbers, got {leaf!r}")
+    return np.asarray(val, dtype=float)
+
+
 def _number(obj: dict, path: str, key: str, lo=None, hi=None, default=None,
             integer: bool = False):
     path = f"{path}.{key}" if path else key
     if key not in obj and default is None:
         raise ConfigError(path, "required key missing")
     val = obj.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(path, f"expected a number, got {val!r}")
     try:
-        finite = math.isfinite(val)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
-        raise ConfigError(path, f"must be a finite number, got {val!r}")
+        number = _floats(val).ndim == 0
+    except (ValueError, OverflowError):
+        number = False
+    if not number:
+        raise ConfigError(path, f"expected a finite number, got {val!r}")
     if integer and int(val) != val:
         raise ConfigError(path, f"expected an integer, got {val!r}")
     if lo is not None and val < lo:
@@ -323,13 +329,19 @@ def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief",
         bandwidth = (_number(spec, path, "bandwidth", lo=grid.spacing)
                      if "bandwidth" in spec else None)
         try:
-            atoms.append(mollified_dirac(grid, spec["center"], bandwidth) if kind == "dirac"
-                         else density_from_values(grid, np.reshape(spec["values"], grid.shape)))
+            vals = _floats(spec[_ATOM_KINDS[kind][0]])
+            atoms.append(mollified_dirac(grid, vals, bandwidth) if kind == "dirac"
+                         else density_from_values(grid, np.reshape(vals, grid.shape)))
         except (ValueError, TypeError, OverflowError) as exc:
             # the bandwidth is checked above, so the fault is the first key
             raise ConfigError(f"{path}.{_ATOM_KINDS[kind][0]}", str(exc))
+    return _weighted(sub, key, atoms)
+
+
+def _weighted(sub: dict, key: str, atoms) -> Belief:
+    """`atoms` under the `key` section's weights, which fail at `key`.weights."""
     try:
-        return Belief(np.asarray(sub["weights"], dtype=float), tuple(atoms))
+        return Belief(_floats(sub["weights"]), tuple(atoms))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{key}.weights", str(exc))
 
@@ -661,60 +673,41 @@ def cmd_validate_weak(cfg: dict, out: Path) -> int:
         raise ConfigError("phi.inner", "a constant field integrates to the same value against "
                           "every density, so the ladder would measure rounding only")
     atoms = _build_belief(cfg, base_grid, ladder=True).atoms
-    new_w = None
+    perturb = None
     if "perturb" in cfg:
         sub = cfg["perturb"]
         _check_keys(sub, "perturb", {"at_fraction", "weights"},
                     {"at_fraction", "weights"})
-        frac = _number(sub, "perturb", "at_fraction", lo=0.0, hi=1.0)
-        try:
-            new_w = Belief(np.asarray(sub["weights"], dtype=float), atoms).weights
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("perturb.weights", str(exc))
+        perturb = (_number(sub, "perturb", "at_fraction", lo=0.0, hi=1.0),
+                   _weighted(sub, "perturb", atoms).weights)
 
-    residuals = []
-    finest = None
-    for lvl in range(levels):
-        grid = build_grid(base_grid.dim, base_grid.n * 2 ** lvl)
-        tg = TimeGrid(base_tg.horizon, base_tg.steps * 4 ** lvl)
-        drift = _drift_from_spec(cfg["drift"], grid, tg, "drift")
-        _check_time_steps(tg, grid, drift.sup_norm())
-        mu0 = _build_belief(cfg, grid, ladder=True)
-        bp = push_forward(mu0, drift, sigma, tg)
-        inner = _build_field(phi_spec["inner"], grid, "phi.inner")
-        phi = ramp_cylinder(inner, tg.horizon)
-        residuals.append(weak_solution_residual(bp, drift, sigma, phi))
-        finest = (bp, drift, phi, tg)
-    orders = [float(np.log2(residuals[i] / residuals[i + 1]))
-              for i in range(levels - 1)]
-    order_ok = all(o >= 0.8 for o in orders)
+    def level_inputs():
+        """Each level's belief, drift and inner field, built when reached."""
+        for lvl in range(levels):
+            grid = build_grid(base_grid.dim, base_grid.n * 2 ** lvl)
+            tg = TimeGrid(base_tg.horizon, base_tg.steps * 4 ** lvl)
+            drift = _drift_from_spec(cfg["drift"], grid, tg, "drift")
+            _check_time_steps(tg, grid, drift.sup_norm())
+            yield (_build_belief(cfg, grid, ladder=True), drift,
+                   _build_field(phi_spec["inner"], grid, "phi.inner"))
 
-    violation = None
-    if new_w is not None:
-        bp, drift, phi, tg = finest
-        switch = int(frac * tg.steps)
-        beliefs = [bp.belief_at(k) for k in range(tg.steps + 1)]
-        perturbed = [Belief(new_w, b.atoms) if k >= switch else b
-                     for k, b in enumerate(beliefs)]
-        pert_res = weak_solution_residual(perturbed, drift, sigma, phi)
-        violation = {
-            "perturbed_residual": pert_res,
-            "baseline_residual": residuals[-1],
-            "detected": bool(pert_res >= 10 * residuals[-1]),
-        }
-
+    found = weak_ladder(level_inputs(), sigma, perturb)
     _write_json(out / "report.json", {
-        "residuals": residuals,
-        "orders": orders,
-        "order_ok": order_ok,
-        "violation": violation,
+        "residuals": found.residuals,
+        "orders": found.orders,
+        "order_ok": found.order_ok,
+        "violation": None if perturb is None else {
+            "perturbed_residual": found.perturbed_residual,
+            "baseline_residual": found.residuals[-1],
+            "detected": found.detected,
+        },
     })
     _write_manifest(out, "validate-weak", cfg, ["report.json"])
-    if violation is not None and violation["detected"]:
+    if found.detected:
         print("violation detected: perturbed path is not a weak solution")
     else:
-        print(f"residual ladder {['%.3e' % r for r in residuals]}, "
-              f"orders {['%.2f' % o for o in orders]}")
+        print(f"residual ladder {['%.3e' % r for r in found.residuals]}, "
+              f"orders {['%.2f' % o for o in found.orders]}")
     return EXIT_OK
 
 

@@ -4,11 +4,13 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blindmfg import cli
+from blindmfg.beliefs import Belief
 from blindmfg.cli import MAX_STATE_BYTES, _state_bytes, _write_path_csv, main
 from blindmfg.hjb_fp import TimeGrid
 from blindmfg.monotonicity import _block_trials
@@ -419,6 +421,20 @@ class TestValidateWeak:
         report = json.loads((out / "report.json").read_text())
         assert report["violation"]["detected"]
 
+    def test_ladder_builds_no_belief_per_time_step(self, tmp_path, monkeypatch):
+        """configs/weak.json builds one Belief per level, the base belief
+        and the perturbed weights' check: the perturbed path is a weight
+        series, not 1025 Beliefs."""
+        built = []
+        post_init = Belief.__post_init__
+        monkeypatch.setattr(Belief, "__post_init__",
+                            lambda self: (built.append(self), post_init(self)))
+        path = Path(__file__).resolve().parents[1] / "configs" / "weak.json"
+        levels = json.loads(path.read_text())["ladder"]["levels"]
+        assert main(["validate-weak", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["violation"]["detected"]
+        assert len(built) <= levels + 2
+
     def test_null_bandwidth_exit_2(self, tmp_path, capsys):
         cfg = self.config()
         cfg["belief"]["atoms"][1]["bandwidth"] = None
@@ -506,6 +522,17 @@ class TestMalformedConfig:
          "belief.weights"),
         ("solve-blind", dict(blind_config(), belief={"weights": [], "atoms": []}),
          "belief.atoms"),
+        # a bool is no number, in a list as in a scalar field
+        ("solve-blind", _blind_atom({"kind": "dirac", "center": True}),
+         "belief.atoms[0].center"),
+        ("solve-blind", dict(blind_config(), belief={
+            "weights": [True], "atoms": [{"kind": "dirac", "center": 0.3}]}),
+         "belief.weights"),
+        ("solve-blind", _blind_atom({"kind": "grid", "values": [True, False] * 32}),
+         "belief.atoms[0].values"),
+        ("validate-weak", _weak_config(
+            belief={"weights": [1.0], "atoms": [{"kind": "dirac", "center": 0.2}]},
+            perturb={"at_fraction": 0.5, "weights": [True]}), "perturb.weights"),
         ("validate-weak",
          _weak_config(belief={"weights": [0.3, 0.7],
                               "atoms": [{"kind": "grid", "values": [1.0] * 64},
@@ -522,7 +549,8 @@ class TestMalformedConfig:
             "dirac-no-center", "atom-kind-unknown", "bandwidth-typo",
             "grid-no-values", "grid-center", "center-string", "center-2d-on-1d",
             "bandwidth-under-resolved", "grid-values-short", "weights-sum",
-            "atoms-empty", "ladder-grid-atom", "out-directory-list",
+            "atoms-empty", "center-bool", "weights-bool", "grid-values-bool",
+            "perturb-weights-bool", "ladder-grid-atom", "out-directory-list",
             "out-unread-key", "out-not-an-object"])
     def test_malformed_section_exit_2(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, "c.json", cfg)

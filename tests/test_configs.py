@@ -51,9 +51,17 @@ def _violation(out: Path) -> None:
     assert report["min_pairing"] < 0 and not report["nonnegative"]
 
 
+# the numbers README's Shipped runs quote for validate-weak: three
+# residuals, then the perturbed residual
+WEAK_QUOTED = re.findall(r"\d\.\de-\d", README[README.index("- `validate-weak` on"):]
+                         .split("\n- ")[0])
+
+
 def _weak(out: Path) -> None:
     report = json.loads((out / "report.json").read_text())
     assert report["order_ok"] and report["violation"]["detected"]
+    found = report["residuals"] + [report["violation"]["perturbed_residual"]]
+    assert [float(f"{x:.1e}") for x in found] == [float(q) for q in WEAK_QUOTED]
 
 
 def _converged(out: Path) -> None:
@@ -181,6 +189,27 @@ def test_every_unread_key_exits_2_at_its_path(tmp_path, command, config):
         path.write_text(json.dumps(_replaced(cfg, site + ("unread_key",), 0)))
         code, err = _run([command, "--config", str(path), "--out", str(tmp_path / "o")])
         if code != 2 or f"config error at {_field(site)}.unread_key:" not in err:
+            failures.append((_field(site), code, err))
+    assert failures == []
+
+
+@pytest.mark.parametrize("command,config", PAIRS)
+def test_every_number_as_a_bool_exits_2_at_its_path(tmp_path, command, config):
+    """Each number of the reduced config, replaced by `true`, exits 2 at its
+    own path or at the list that holds it: a bool is no number."""
+    cfg = _shrink(command, json.loads((ROOT / config).read_text()))
+    path = tmp_path / "cfg.json"
+    failures = []
+    for site in _sites(cfg):
+        node = cfg
+        for key in site:
+            node = node[key]
+        if isinstance(node, bool) or not isinstance(node, (int, float)):
+            continue
+        path.write_text(json.dumps(_replaced(cfg, site, True)))
+        code, err = _run([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        named = {_field(site), _field(site[:-1])} if isinstance(site[-1], int) else {_field(site)}
+        if code != 2 or not any(f"config error at {name}:" in err for name in named):
             failures.append((_field(site), code, err))
     assert failures == []
 

@@ -29,6 +29,7 @@ from blindmfg.beliefs import (
     push_forward,
     ramp_cylinder,
     static_cylinder,
+    weak_ladder,
     weak_solution_residual,
 )
 from blindmfg.hjb_fp import (
@@ -529,6 +530,17 @@ def test_weak_solution_residual_equals_per_atom_loop(size):
         pert = weak_solution_residual(perturbed, b, 0.05, phi)
         _same_float(pert, ref_weak_solution_residual(perturbed, b, 0.05, phi))
         assert pert != weak_solution_residual(bp, b, 0.05, phi)
+    ramp = ramp_cylinder(_inner(grid), tg.horizon)
+    # the sequence form still takes beliefs whose atoms change between steps
+    dropped = [mu if k < half else Belief(np.array([1.0]), mu.atoms[:1])
+               for k, mu in enumerate(beliefs)]
+    _same_float(weak_solution_residual(dropped, b, 0.05, ramp),
+                ref_weak_solution_residual(dropped, b, 0.05, ramp))
+    # the ladder weighs the path's terms by a weight series, with no Belief per step
+    ladder = weak_ladder([(mu0, b, _inner(grid))], 0.05, (0.5, np.array([0.5, 0.1, 0.4])))
+    _same_float(ladder.residuals[0], ref_weak_solution_residual(beliefs, b, 0.05, ramp))
+    _same_float(ladder.perturbed_residual,
+                ref_weak_solution_residual(perturbed, b, 0.05, ramp))
 
 
 @pytest.mark.parametrize("size", BELIEF_GRIDS, ids=lambda s: f"d{s[0]}n{s[1]}")
