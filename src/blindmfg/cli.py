@@ -10,12 +10,14 @@ file.  The artifacts:
 - simulate-observed: trace.json, trace.csv, summary.json;
 - certify-monotone and validate-weak: report.json.
 
-Every run writes a manifest.json with the configuration as given and
-SHA-256 checksums of all artifacts.  Exit codes: 0 success (including
-negative certification findings), 2 config validation failure at a field
-path (including time steps too coarse for the CFL condition, or so fine
-that the step rounds to 0), 3 numerical non-convergence (artifacts still
-written).  All CSV floats carry 17 significant digits; an identical
+`_COMMANDS` maps each subcommand to its function and to the top-level
+sections it reads; `main` checks those sections, runs the command and
+writes the run's manifest.json, with the configuration as given and
+SHA-256 checksums of the artifacts the command names.  Exit codes: 0
+success (including negative certification findings), 2 config validation
+failure at a field path (including time steps too coarse for the CFL
+condition, or so fine that the step rounds to 0), 3 numerical
+non-convergence or non-finite results (artifacts still written).  All CSV floats carry 17 significant digits; an identical
 config reproduces every listed artifact and manifest.json byte for byte.
 telemetry.json, the per-iteration wall times, is not listed.
 """
@@ -28,6 +30,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +129,7 @@ def _floats(val) -> np.ndarray:
 
 
 def _number(obj: dict, path: str, key: str, lo=None, hi=None, default=None,
-            integer: bool = False):
+            integer: bool = False, above=None):
     path = f"{path}.{key}" if path else key
     if key not in obj and default is None:
         raise ConfigError(path, "required key missing")
@@ -141,6 +144,8 @@ def _number(obj: dict, path: str, key: str, lo=None, hi=None, default=None,
         raise ConfigError(path, f"expected an integer, got {val!r}")
     if lo is not None and val < lo:
         raise ConfigError(path, f"must be >= {lo}, got {val}")
+    if above is not None and val <= above:
+        raise ConfigError(path, f"must be > {above}, got {val}")
     if hi is not None and val > hi:
         raise ConfigError(path, f"must be <= {hi}, got {val}")
     return int(val) if integer else float(val)
@@ -157,9 +162,7 @@ def _build_grid(cfg: dict) -> TorusGrid:
 def _build_time(cfg: dict) -> TimeGrid:
     sub = cfg["time"]  # each command that reads it requires it
     _check_keys(sub, "time", {"T", "steps"}, {"T", "steps"})
-    T = _number(sub, "time", "T")
-    if T <= 0:
-        raise ConfigError("time.T", f"must be > 0, got {T}")
+    T = _number(sub, "time", "T", above=0)
     steps = _number(sub, "time", "steps", lo=1, integer=True)
     tg = TimeGrid(T, steps)
     _check_dt(tg)
@@ -235,7 +238,7 @@ def _build_hamiltonian(cfg: dict) -> Hamiltonian:
     kind = _check_kind(sub, "hamiltonian", {"abs": (), "smoothed_abs": ("delta",),
                                             "capped_quadratic": ("cap",)})
     delta = _number(sub, "hamiltonian", "delta", lo=0.0, default=0.0)
-    cap = _number(sub, "hamiltonian", "cap", default=1.0)
+    cap = _number(sub, "hamiltonian", "cap", above=0, default=1.0)
     try:
         return Hamiltonian(kind, smoothing=delta, cap=cap)
     except ValueError as exc:
@@ -349,11 +352,11 @@ def _weighted(sub: dict, key: str, atoms) -> Belief:
 def _build_solver(cfg: dict) -> SolverConfig:
     """Solver settings; a key left out takes SolverConfig's own default."""
     sub = cfg.get("solver", {})
-    _check_keys(sub, "solver", {"relaxation", "tol", "max_iter"})
-    given = {key: _number(sub, "solver", key) for key in ("relaxation", "tol")
-             if key in sub}
-    if "max_iter" in sub:
-        given["max_iter"] = _number(sub, "solver", "max_iter", lo=1, integer=True)
+    bounds = {"relaxation": {"above": 0, "hi": 1}, "tol": {"above": 0},
+              "max_iter": {"lo": 1, "integer": True}}
+    _check_keys(sub, "solver", bounds)
+    given = {key: _number(sub, "solver", key, **bounds[key])
+             for key in bounds if key in sub}
     try:
         return SolverConfig(**given)
     except ValueError as exc:
@@ -478,15 +481,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list) -> None:
-    manifest = {
-        "command": command,
-        "config": cfg,
-        "artifacts": {name: _sha256(out / name) for name in sorted(artifacts)},
-    }
-    _write_json(out / "manifest.json", manifest)
-
-
 def _finite_or_null(obj):
     """`obj` with each non-finite float replaced by None: strict JSON
     has no NaN or Infinity, so a failed run's diagnostics read as null."""
@@ -509,13 +503,11 @@ def _write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _solve_common(cfg: dict, out: Path, blind: bool, command: str) -> int:
-    key = "belief" if blind else "density"
-    _check_keys(cfg, "config", {"grid", "time", "sigma", "hamiltonian", "cost",
-                                "solver", "output", key},
-                {"grid", "time", "sigma", "hamiltonian", "cost"})
+def cmd_solve(cfg: dict, out: Path, key: str) -> tuple:
+    """solve-blind from the `belief` section, or solve-complete from the
+    one-atom `density` section."""
     grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg, key)
-    if blind:
+    if key == "belief":
         sol = solve_blind(mu0, cm, H, sigma, tg, scfg)
     else:
         if mu0.n_atoms != 1:
@@ -533,7 +525,7 @@ def _solve_common(cfg: dict, out: Path, blind: bool, command: str) -> int:
     # wall-clock times differ between reruns, so the manifest leaves them out
     _write_json(out / "telemetry.json", {
         "wall_time": [row["wall_time"] for row in sol.diagnostics["history"]]})
-    if blind:
+    if key == "belief":
         for i, p in enumerate(sol.belief.atom_paths):
             name = f"m_{i}.csv"
             _write_path_csv(out / name, tg, grid, p.values, "m")
@@ -548,30 +540,16 @@ def _solve_common(cfg: dict, out: Path, blind: bool, command: str) -> int:
         "hjb_residual": diag["hjb_residual"],
         "mass_error": diag["mass_error"],
     })
-    _write_manifest(out, command, cfg, artifacts)
-    return EXIT_OK if diag["converged"] else EXIT_NONCONVERGENCE
+    return (EXIT_OK if diag["converged"] else EXIT_NONCONVERGENCE), artifacts
 
 
-def cmd_solve_complete(cfg: dict, out: Path) -> int:
-    return _solve_common(cfg, out, blind=False, command="solve-complete")
-
-
-def cmd_solve_blind(cfg: dict, out: Path) -> int:
-    return _solve_common(cfg, out, blind=True, command="solve-blind")
-
-
-def cmd_simulate_observed(cfg: dict, out: Path) -> int:
-    _check_keys(cfg, "config",
-                {"grid", "time", "sigma", "hamiltonian", "cost", "belief",
-                 "filter", "true_atom", "solver", "output"},
-                {"grid", "time", "sigma", "hamiltonian", "cost", "belief",
-                 "filter", "true_atom", "solver"})
+def cmd_simulate_observed(cfg: dict, out: Path) -> tuple:
     grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg, "belief")
     fsub = cfg["filter"]
     _check_keys(fsub, "filter", {"tolerance", "observation_dt"}, {"tolerance"})
     try:
         fc = FilterConfig(
-            tolerance=_number(fsub, "filter", "tolerance"),
+            tolerance=_number(fsub, "filter", "tolerance", above=0),
             observation_dt=_number(fsub, "filter", "observation_dt", lo=0,
                                    default=0.0),
         )
@@ -599,16 +577,13 @@ def cmd_simulate_observed(cfg: dict, out: Path) -> int:
         "true_atom_survived": True,
         "segments_converged": all_converged,
     })
-    _write_manifest(out, "simulate-observed", cfg,
-                    ["trace.json", "trace.csv", "summary.json"])
     # a trace cut short met a non-finite solve gap or payment
     finished = len(trace.times) == 1 + -(-tg.steps // steps_per_obs)
-    return EXIT_OK if all_converged and finished else EXIT_NONCONVERGENCE
+    return ((EXIT_OK if all_converged and finished else EXIT_NONCONVERGENCE),
+            ["trace.json", "trace.csv", "summary.json"])
 
 
-def cmd_certify_monotone(cfg: dict, out: Path) -> int:
-    _check_keys(cfg, "config", {"grid", "cost", "certify", "output"},
-                {"grid", "cost", "certify"})
+def cmd_certify_monotone(cfg: dict, out: Path) -> tuple:
     grid = _build_grid(cfg)
     sub = cfg["certify"]
     _check_keys(sub, "certify", {"trials", "max_atoms", "seed"}, {"trials"})
@@ -623,12 +598,11 @@ def cmd_certify_monotone(cfg: dict, out: Path) -> int:
     report = certify_blind_monotone(cm, grid, seed, trials, max_atoms)
     body = _report_json(report)
     _write_json(out / "report.json", body)
-    _write_manifest(out, "certify-monotone", cfg, ["report.json"])
     verdict = ("no violation found" if body["nonnegative"]
                else "violation found (finding, not an error)")
     print(f"min pairing over {trials} trials: {report.min_over_trials:.6e} "
           f"-- {verdict}")
-    return EXIT_OK
+    return EXIT_OK, ["report.json"]
 
 
 def _drift_from_spec(spec: dict, grid: TorusGrid, tg: TimeGrid,
@@ -649,11 +623,7 @@ def _drift_from_spec(spec: dict, grid: TorusGrid, tg: TimeGrid,
     return DriftField(grid, tg, vals)
 
 
-def cmd_validate_weak(cfg: dict, out: Path) -> int:
-    _check_keys(cfg, "config",
-                {"grid", "time", "sigma", "drift", "belief", "phi", "ladder",
-                 "perturb", "output"},
-                {"grid", "time", "sigma", "drift", "belief", "phi"})
+def cmd_validate_weak(cfg: dict, out: Path) -> tuple:
     base_grid = _build_grid(cfg)
     base_tg = _build_time(cfg)
     ladder = cfg.get("ladder", {})
@@ -672,6 +642,10 @@ def cmd_validate_weak(cfg: dict, out: Path) -> int:
     if np.ptp(_build_field(phi_spec["inner"], base_grid, "phi.inner").values) == 0.0:
         raise ConfigError("phi.inner", "a constant field integrates to the same value against "
                           "every density, so the ladder would measure rounding only")
+    if sigma == 0.0 and _drift_from_spec(cfg["drift"], base_grid, base_tg,
+                                         "drift").sup_norm() == 0.0:
+        raise ConfigError("drift", "a zero drift without diffusion leaves the path static, "
+                          "so the ladder would measure rounding only")
     atoms = _build_belief(cfg, base_grid, ladder=True).atoms
     perturb = None
     if "perturb" in cfg:
@@ -702,24 +676,34 @@ def cmd_validate_weak(cfg: dict, out: Path) -> int:
             "detected": found.detected,
         },
     })
-    _write_manifest(out, "validate-weak", cfg, ["report.json"])
     if found.detected:
         print("violation detected: perturbed path is not a weak solution")
     else:
         print(f"residual ladder {['%.3e' % r for r in found.residuals]}, "
               f"orders {['%.2f' % o for o in found.orders]}")
-    return EXIT_OK
+    # a residual that is not finite, say from a diffusion that overflows
+    checked = found.residuals + ([] if perturb is None else [found.perturbed_residual])
+    return ((EXIT_OK if all(map(math.isfinite, checked)) else EXIT_NONCONVERGENCE),
+            ["report.json"])
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
+_GAME = ("grid", "time", "sigma", "hamiltonian", "cost")
+
+# Each subcommand's function, which writes its artifacts and returns its
+# exit code and the artifacts its manifest lists; the top-level sections it
+# requires; and those it may leave out.  Every command reads `output` too.
 _COMMANDS = {
-    "solve-complete": cmd_solve_complete,
-    "solve-blind": cmd_solve_blind,
-    "simulate-observed": cmd_simulate_observed,
-    "certify-monotone": cmd_certify_monotone,
-    "validate-weak": cmd_validate_weak,
+    "solve-complete": (partial(cmd_solve, key="density"), _GAME, ("solver", "density")),
+    "solve-blind": (partial(cmd_solve, key="belief"), _GAME, ("solver", "belief")),
+    "simulate-observed": (cmd_simulate_observed,
+                          _GAME + ("belief", "filter", "true_atom", "solver"), ()),
+    "certify-monotone": (cmd_certify_monotone, ("grid", "cost", "certify"), ()),
+    "validate-weak": (cmd_validate_weak,
+                      ("grid", "time", "sigma", "drift", "belief", "phi"),
+                      ("ladder", "perturb")),
 }
 
 
@@ -761,12 +745,20 @@ def main(argv=None) -> int:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    run, required, optional = _COMMANDS[args.command]
     try:
         out = _output_dir(args.out, cfg)
-        return _COMMANDS[args.command](cfg, out)
+        _check_keys(cfg, "config", {"output", *required, *optional}, required)
+        code, artifacts = run(cfg, out)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    _write_json(out / "manifest.json", {
+        "command": args.command,
+        "config": cfg,
+        "artifacts": {name: _sha256(out / name) for name in sorted(artifacts)},
+    })
+    return code
 
 
 if __name__ == "__main__":

@@ -463,6 +463,37 @@ class TestValidateWeak:
                      "--out", str(tmp_path / "o")]) == 2
         assert "phi" in capsys.readouterr().err
 
+    def test_non_finite_residual_exit_3(self, tmp_path):
+        """A diffusion that overflows is a numerical failure: exit 3, and
+        the report is still written and listed, its residuals as null."""
+        path = write_config(tmp_path, "w.json",
+                            _weak_config(sigma=1e308, ladder={"levels": 2}))
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main(["validate-weak", "--config", path, "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["residuals"] == [None, None]
+        assert report["violation"]["perturbed_residual"] is None
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["artifacts"]) == ["report.json"]
+
+    @pytest.mark.parametrize("drift", [{"kind": "constant", "value": 0},
+                                       {"kind": "sine", "amplitude": 0}])
+    def test_static_path_exit_2(self, tmp_path, capsys, drift):
+        """No drift and no diffusion leave the path static, an exact weak
+        solution whose residuals are rounding and whose orders mean nothing."""
+        path = write_config(tmp_path, "w.json", _weak_config(sigma=0, drift=drift))
+        out = tmp_path / "o"
+        assert main(["validate-weak", "--config", path, "--out", str(out)]) == 2
+        assert "config error at drift:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_zero_drift_with_diffusion_exit_0(self, tmp_path):
+        path = write_config(tmp_path, "w.json", _weak_config(
+            drift={"kind": "constant", "value": 0}, ladder={"levels": 2}))
+        assert main(["validate-weak", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 0
+
 
 def _weak_config(**overrides):
     perturb = {"at_fraction": 0.5, "weights": [0.7, 0.3]}
@@ -544,6 +575,21 @@ class TestMalformedConfig:
         ("solve-complete", dict(base_complete_config(), output={"unread_key": 0}),
          "output.unread_key"),
         ("solve-complete", dict(base_complete_config(), output="o"), "output"),
+        # a bound the library also checks is reported at its own key
+        ("solve-complete", dict(base_complete_config(), solver={"relaxation": 0}),
+         "solver.relaxation"),
+        ("solve-complete", dict(base_complete_config(), solver={"relaxation": 1.5}),
+         "solver.relaxation"),
+        ("solve-complete", dict(base_complete_config(), solver={"tol": 0}), "solver.tol"),
+        ("solve-complete",
+         dict(base_complete_config(), hamiltonian={"kind": "capped_quadratic", "cap": 0}),
+         "hamiltonian.cap"),
+        ("simulate-observed",
+         dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)),
+              filter={"tolerance": 0}), "filter.tolerance"),
+        ("simulate-observed",
+         dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)),
+              filter={"tolerance": -1}), "filter.tolerance"),
     ], ids=["belief-list", "weights-strings", "weights-negative", "g-list",
             "atom-list", "moment-form-2d", "observation-dt-overflow",
             "dirac-no-center", "atom-kind-unknown", "bandwidth-typo",
@@ -551,7 +597,9 @@ class TestMalformedConfig:
             "bandwidth-under-resolved", "grid-values-short", "weights-sum",
             "atoms-empty", "center-bool", "weights-bool", "grid-values-bool",
             "perturb-weights-bool", "ladder-grid-atom", "out-directory-list",
-            "out-unread-key", "out-not-an-object"])
+            "out-unread-key", "out-not-an-object", "relaxation-zero",
+            "relaxation-above-one", "tol-zero", "cap-zero", "tolerance-zero",
+            "tolerance-negative"])
     def test_malformed_section_exit_2(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, "c.json", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2

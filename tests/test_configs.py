@@ -96,6 +96,8 @@ def test_shipped_config_runs(tmp_path, command, config):
         assert main([command, "--config", str(path), "--out", str(where)]) == 0
     HEADLINE[config](out)
     names = list(json.loads((out / "manifest.json").read_text())["artifacts"])
+    written = {p.name for p in out.iterdir()} - {"manifest.json", "telemetry.json"}
+    assert written == set(names)
     for name in names + ["manifest.json"]:
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
