@@ -47,7 +47,7 @@ from .beliefs import (
     product_form_cost,
     weak_ladder,
 )
-from .hjb_fp import DriftField, Hamiltonian, TimeGrid, _check_cfl
+from .hjb_fp import DriftField, Hamiltonian, TimeGrid, _check_cfl, _check_diffusion
 from .monotonicity import PairingReport, _block_trials, certify_blind_monotone
 from .payments import (
     FilterConfig,
@@ -233,6 +233,14 @@ def _build_sigma(cfg: dict) -> float:
     return _number(cfg, "", "sigma", lo=0.0)
 
 
+def _check_sigma(tg: TimeGrid, grid: TorusGrid, sigma: float) -> None:
+    """The solvers' diffusion overflow check, reported at sigma."""
+    try:
+        _check_diffusion(grid, sigma, tg.dt)
+    except ValueError as exc:
+        raise ConfigError("sigma", str(exc))
+
+
 def _build_hamiltonian(cfg: dict) -> Hamiltonian:
     sub = cfg["hamiltonian"]  # each command that reads it requires it
     kind = _check_kind(sub, "hamiltonian", {"abs": (), "smoothed_abs": ("delta",),
@@ -371,6 +379,7 @@ def _build_game(cfg: dict, key: str) -> tuple:
     tg = _build_time(cfg)
     _check_size(cfg, key, grid.n, grid.dim, tg.steps)
     sigma = _build_sigma(cfg)
+    _check_sigma(tg, grid, sigma)
     H = _build_hamiltonian(cfg)
     # optimal and relaxed drifts are bounded by H.lipschitz
     _check_time_steps(tg, grid, H.lipschitz)
@@ -448,16 +457,21 @@ def _belief_json(mu: Belief) -> dict:
 
 
 def _report_json(report: PairingReport) -> dict:
-    """report.json of certify-monotone."""
+    """report.json of certify-monotone.  A run stopped by a pairing that is
+    not finite names that trial, and its pair is the witness."""
     mu1, mu2 = report.witnesses
-    return {
+    body = {
         "model": report.model,
         "trials": report.trials,
         "min_pairing": report.min_over_trials,
-        "nonnegative": bool(report.min_over_trials >= -1e-10),
+        "nonnegative": bool(report.nonfinite_trial is None
+                            and report.min_over_trials >= -1e-10),
         "witness": {"mu1": _belief_json(mu1), "mu2": _belief_json(mu2)},
         "seed": report.seed,
     }
+    if report.nonfinite_trial is not None:
+        body["nonfinite_trial"] = report.nonfinite_trial
+    return body
 
 
 def _belief_path_json(bp: BeliefPath, tg: TimeGrid) -> dict:
@@ -598,6 +612,10 @@ def cmd_certify_monotone(cfg: dict, out: Path) -> tuple:
     report = certify_blind_monotone(cm, grid, seed, trials, max_atoms)
     body = _report_json(report)
     _write_json(out / "report.json", body)
+    if report.nonfinite_trial is not None:
+        print(f"pairing of trial {report.nonfinite_trial} is {report.min_over_trials} "
+              "-- numerical failure")
+        return EXIT_NONCONVERGENCE, ["report.json"]
     verdict = ("no violation found" if body["nonnegative"]
                else "violation found (finding, not an error)")
     print(f"min pairing over {trials} trials: {report.min_over_trials:.6e} "

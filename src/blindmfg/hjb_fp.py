@@ -185,6 +185,16 @@ def _diffusion_denominator(grid: TorusGrid, sigma: float, dt: float) -> np.ndarr
     return denom
 
 
+def _check_diffusion(grid: TorusGrid, sigma: float, dt: float) -> None:
+    """Reject a sigma whose diffusion symbol overflows: the implicit step
+    would run as infinite diffusion."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(_diffusion_denominator(grid, sigma, dt)).all()
+    if not finite:
+        raise ValueError(f"sigma = {sigma:g} overflows the diffusion symbol "
+                         f"1 - dt*sigma*eig (dt={dt:.4g}, h={grid.spacing:.4g})")
+
+
 @functools.lru_cache(maxsize=8)
 def _diffusion_matrix(grid: TorusGrid, sigma: float, dt: float) -> np.ndarray:
     """(I - dt*sigma*Lap)^-1 as a dense n x n array, for a 1-D grid.

@@ -8,6 +8,7 @@ certifies a violation; a nonnegative one is evidence, never proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,6 +76,7 @@ class PairingReport:
     min_over_trials: float
     seed: int
     model: str
+    nonfinite_trial: int | None = None  # first trial whose pairing is not finite
 
 
 def l2_pairing(cm: CostModel, m1: Density, m2: Density) -> float:
@@ -123,7 +125,11 @@ def _draw_belief(grid: TorusGrid, rng: np.random.Generator, max_atoms: int):
     Each atom draw is (True, center) or (False, raw grid values).
     """
     k = int(rng.integers(1, max_atoms + 1))
-    weights = rng.dirichlet(np.ones(k))
+    # Dirichlet(1, ..., 1) as numpy draws it: exponentials over their sum
+    # added left to right, the same bits and generator state as
+    # rng.dirichlet(np.ones(k)) without its per-call set-up
+    e = rng.standard_exponential(k)
+    weights = e * (1.0 / _sum_in_order(0.0, e.tolist()))
     draws = []
     for _ in range(k):
         if rng.random() < 0.7:
@@ -169,23 +175,11 @@ def _block_trials(grid: TorusGrid, max_atoms: int) -> int:
     return max(1, _BLOCK_FLOATS // (2 * max_atoms * grid.n ** grid.dim))
 
 
-def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
-                           trials: int, max_atoms: int = 8) -> PairingReport:
-    """Sample random belief pairs and report the minimum lifted pairing.
-
-    Trials are drawn in blocks, in random_belief's RNG order; the atoms of
-    a block are built as one stack, and each trial's pairing reads views of
-    it.  Beliefs are built only for the reported witness, from a copy of
-    its rows.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 1 <= max_atoms <= MAX_ATOMS:
-        raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
-    rng = np.random.default_rng(sampler_seed)
+def _sampled_pairs(grid: TorusGrid, rng: np.random.Generator, trials: int,
+                   max_atoms: int):
+    """Each trial's belief pair as _AtomStack views, drawn in blocks in
+    random_belief's RNG order; the atoms of a block are built as one stack."""
     block = _block_trials(grid, max_atoms)
-    best = np.inf
-    witness = None
     for start in range(0, trials, block):
         drawn = [_draw_belief(grid, rng, max_atoms)
                  for _ in range(2 * min(block, trials - start))]
@@ -194,17 +188,41 @@ def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
         for (w1, _), (w2, _) in zip(drawn[::2], drawn[1::2]):
             mid = lo + len(w1)
             hi = mid + len(w2)
-            mu1 = _AtomStack(grid, w1, atoms[lo:mid])
-            mu2 = _AtomStack(grid, w2, atoms[mid:hi])
-            val = lifted_pairing(cm, mu1, mu2)
-            if val < best:
-                best = val
-                witness = (mu1._replace(values=mu1.values.copy()),
-                           mu2._replace(values=mu2.values.copy()))
+            yield _AtomStack(grid, w1, atoms[lo:mid]), _AtomStack(grid, w2, atoms[mid:hi])
             lo = hi
+
+
+def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
+                           trials: int, max_atoms: int = 8) -> PairingReport:
+    """Sample random belief pairs and report the minimum lifted pairing.
+
+    Each trial's pairing reads views of its block's atom stack.  Beliefs
+    are built only for the reported witness, the first strict minimum,
+    from a copy of its rows.  A pairing that is not finite ends the run:
+    the report counts the trials paired up to it, names it, and its pair
+    is the witness.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 1 <= max_atoms <= MAX_ATOMS:
+        raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
+    rng = np.random.default_rng(sampler_seed)
+    best = np.inf
+    witness = nonfinite = None
+    for t, (mu1, mu2) in enumerate(_sampled_pairs(grid, rng, trials, max_atoms)):
+        val = lifted_pairing(cm, mu1, mu2)
+        finite = math.isfinite(val)
+        if val < best or not finite:
+            best = val
+            witness = (mu1._replace(values=mu1.values.copy()),
+                       mu2._replace(values=mu2.values.copy()))
+        if not finite:
+            nonfinite = t
+            break
     witness = (_as_belief(witness[0]), _as_belief(witness[1]))
-    return PairingReport(witnesses=witness, trials=trials, min_over_trials=float(best),
-                         seed=sampler_seed, model=cm.kind)
+    paired = trials if nonfinite is None else nonfinite + 1
+    return PairingReport(witnesses=witness, trials=paired, min_over_trials=float(best),
+                         seed=sampler_seed, model=cm.kind, nonfinite_trial=nonfinite)
 
 
 def duality_pairing(phi: ScalarField, diff: SignedBeliefDiff) -> float:

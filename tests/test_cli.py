@@ -356,6 +356,26 @@ class TestCertifyMonotone:
         assert not report["nonnegative"]
         assert "witness" in report
 
+    def test_non_finite_pairing_exit_3_with_report(self, tmp_path):
+        """configs/certify_product.json with an amplitude whose costs
+        overflow: every pairing is NaN, a numerical failure.  The run exits
+        3 at the first trial and still writes report.json, naming it."""
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "certify_product.json"
+        cfg = json.loads(shipped.read_text())
+        cfg["cost"]["phi"]["amplitude"] = 1e200
+        cfg["certify"]["trials"] = 20
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["certify-monotone", "--config", path, "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["min_pairing"] is None
+        assert report["nonfinite_trial"] == 0
+        assert report["trials"] == 1
+        assert not report["nonnegative"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["artifacts"]) == ["report.json"]
+
     def test_zero_trials_exit_2(self, tmp_path):
         path = write_config(tmp_path, "c.json", self.config(
             {"id": "moment_form", "g": "sqrt"}, 0))
@@ -823,6 +843,21 @@ def test_cfl_violation_exit_2_at_time_steps(tmp_path, capsys, command):
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "time.steps" in err and "CFL" in err
+
+
+@pytest.mark.parametrize("command", ["solve-complete", "solve-blind", "simulate-observed"])
+def test_overflowing_diffusion_exit_2_at_sigma(tmp_path, capsys, command):
+    """A sigma whose diffusion symbol 1 - dt*sigma*eig overflows would run
+    as infinite diffusion."""
+    if command == "simulate-observed":
+        path = TestSimulateObserved.scenario_path(tmp_path, sigma=1e308)
+    else:
+        cfg = base_complete_config() if command == "solve-complete" else blind_config()
+        path = write_config(tmp_path, "s.json", dict(cfg, sigma=1e308))
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert "config error at sigma:" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("command", SIZED)

@@ -8,6 +8,7 @@ from blindmfg.hjb_fp import (
     Hamiltonian,
     TimeGrid,
     _check_cfl,
+    _check_diffusion,
     constant_drift,
     fp_step,
     hjb_linear_step,
@@ -66,6 +67,19 @@ class TestHamiltonian:
 def test_cfl_check_rejects_nan_speed(grid64):
     with pytest.raises(ValueError, match="CFL"):
         _check_cfl(TimeGrid(1.0, 1024), grid64, np.nan, "HJB")
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_diffusion_check_rejects_overflowing_symbol_only(dim, n):
+    """sigma = 1e308 overflows 1 - dt*sigma*eig; the largest sigma that
+    leaves it finite, and sigma = 0, pass."""
+    grid = build_grid(dim, n)
+    dt = TimeGrid(1.0, 64).dt
+    with pytest.raises(ValueError, match="sigma"):
+        _check_diffusion(grid, 1e308, dt)
+    biggest = 0.99 * np.finfo(float).max * grid.spacing ** 2 / (4 * dim * dt)
+    _check_diffusion(grid, biggest, dt)
+    _check_diffusion(grid, 0.0, dt)
 
 
 def test_time_grid_rejects_nan_horizon():

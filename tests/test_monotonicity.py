@@ -85,6 +85,22 @@ def oracle_certify(cm, grid, seed, trials, max_atoms=8):
     return best, witness
 
 
+def oracle_first_nonfinite(cm, grid, seed, trials, max_atoms=8):
+    """First trial whose per-atom pairing is not finite, and its pair; the
+    oracle's ScalarField rejects a running cost that is not finite."""
+    rng = np.random.default_rng(seed)
+    for t in range(trials):
+        mu1 = oracle_random_belief(grid, rng, max_atoms)
+        mu2 = oracle_random_belief(grid, rng, max_atoms)
+        try:
+            val = oracle_lifted_pairing(cm, mu1, mu2)
+        except ValueError:
+            val = np.nan
+        if not np.isfinite(val):
+            return t, (mu1, mu2)
+    return None, None
+
+
 def assert_same_belief(mu, nu):
     assert np.array_equal(mu.weights, nu.weights)
     assert len(mu.atoms) == len(nu.atoms)
@@ -299,6 +315,22 @@ class TestCertifyBlindMonotone:
         report = certify_blind_monotone(cos_product_cost(grid64), grid64, 4, 37)
         assert len(calls) == 37
         assert report.trials == 37
+
+    def test_first_nonfinite_pairing_ends_the_run(self, grid64):
+        """A cost that is NaN past a first moment of 0.91: the report names
+        the first trial whose pairing is not finite, in the second block,
+        counts the trials paired up to it, and that trial's pair is the
+        witness."""
+        cm = moment_form_cost(lambda s: np.where(s > 0.91, np.nan, np.sqrt(s)))
+        first, (mu1, mu2) = oracle_first_nonfinite(cm, grid64, 2, 200)
+        assert first > _block_trials(grid64, 8)
+        report = certify_blind_monotone(cm, grid64, sampler_seed=2, trials=200)
+        assert report.nonfinite_trial == first
+        assert np.isnan(report.min_over_trials)
+        assert report.trials == first + 1
+        assert_same_belief(report.witnesses[0], mu1)
+        assert_same_belief(report.witnesses[1], mu2)
+        assert not cli._report_json(report)["nonnegative"]
 
     def test_max_atoms_guard(self, grid64):
         with pytest.raises(ValueError, match="max_atoms"):
