@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
@@ -488,6 +487,9 @@ def _belief_path_json(bp: BeliefPath, tg: TimeGrid) -> dict:
 
 
 def _sha256(path: Path) -> str:
+    # hashlib loads OpenSSL's libcrypto (about 3.5 MB of RSS); imported
+    # here, after a run has freed its arrays, it stays out of the peak
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -679,6 +681,7 @@ def cmd_validate_weak(cfg: dict, out: Path) -> tuple:
             grid = build_grid(base_grid.dim, base_grid.n * 2 ** lvl)
             tg = TimeGrid(base_tg.horizon, base_tg.steps * 4 ** lvl)
             drift = _drift_from_spec(cfg["drift"], grid, tg, "drift")
+            _check_sigma(tg, grid, sigma)
             _check_time_steps(tg, grid, drift.sup_norm())
             yield (_build_belief(cfg, grid, ladder=True), drift,
                    _build_field(phi_spec["inner"], grid, "phi.inner"))
@@ -699,7 +702,7 @@ def cmd_validate_weak(cfg: dict, out: Path) -> tuple:
     else:
         print(f"residual ladder {['%.3e' % r for r in found.residuals]}, "
               f"orders {['%.2f' % o for o in found.orders]}")
-    # a residual that is not finite, say from a diffusion that overflows
+    # a residual that is not finite, say from a test function that overflows
     checked = found.residuals + ([] if perturb is None else [found.perturbed_residual])
     return ((EXIT_OK if all(map(math.isfinite, checked)) else EXIT_NONCONVERGENCE),
             ["report.json"])

@@ -235,6 +235,9 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
         if steps_left > 0:
             sub_tg = TimeGrid(steps_left * dt, steps_left)
             warm = DriftField(mu0.grid, sub_tg, sol.drift.values[n_adv:].copy())
+            # one solve at a time: an uninformed segment's is freed before
+            # the next is formed, an informed one's lives on in the trace
+            del sol
             sol = solve_blind(belief, cm, H, sigma, sub_tg, cfg, initial_drift=warm)
             trace.segments.append({"t_start": t_now,
                                    "solution": sol if informed else None,

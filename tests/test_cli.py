@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -484,10 +485,11 @@ class TestValidateWeak:
         assert "phi" in capsys.readouterr().err
 
     def test_non_finite_residual_exit_3(self, tmp_path):
-        """A diffusion that overflows is a numerical failure: exit 3, and
-        the report is still written and listed, its residuals as null."""
-        path = write_config(tmp_path, "w.json",
-                            _weak_config(sigma=1e308, ladder={"levels": 2}))
+        """A test function whose values overflow is a numerical failure:
+        exit 3, and the report is still written and listed, its residuals
+        as null."""
+        path = write_config(tmp_path, "w.json", _weak_config(
+            phi={"inner": {"kind": "cosine", "amplitude": 1e308}}, ladder={"levels": 2}))
         out = tmp_path / "o"
         with np.errstate(all="ignore"):
             assert main(["validate-weak", "--config", path, "--out", str(out)]) == 3
@@ -845,19 +847,59 @@ def test_cfl_violation_exit_2_at_time_steps(tmp_path, capsys, command):
     assert "time.steps" in err and "CFL" in err
 
 
-@pytest.mark.parametrize("command", ["solve-complete", "solve-blind", "simulate-observed"])
+@pytest.mark.parametrize("command", SIZED)
 def test_overflowing_diffusion_exit_2_at_sigma(tmp_path, capsys, command):
     """A sigma whose diffusion symbol 1 - dt*sigma*eig overflows would run
     as infinite diffusion."""
+    artifact = "summary.json"
     if command == "simulate-observed":
         path = TestSimulateObserved.scenario_path(tmp_path, sigma=1e308)
+    elif command == "validate-weak":
+        artifact = "report.json"
+        path = write_config(tmp_path, "s.json", _weak_config(sigma=1e308))
     else:
         cfg = base_complete_config() if command == "solve-complete" else blind_config()
         path = write_config(tmp_path, "s.json", dict(cfg, sigma=1e308))
     out = tmp_path / "o"
     assert main([command, "--config", path, "--out", str(out)]) == 2
     assert "config error at sigma:" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert not (out / artifact).exists()
+
+
+@pytest.mark.parametrize("command,key", [("solve-complete", "density"),
+                                         ("solve-blind", "belief")])
+@pytest.mark.parametrize("n", [32, 64])
+class TestSolveNumericalBoundary:
+    """The solve commands on extreme but well-formed numbers: a config
+    whose costs overflow is a numerical failure, a centre so far out that
+    its mollified Dirac has no finite mass is a config error at its key,
+    and neither is a traceback."""
+
+    @staticmethod
+    def config(command, n):
+        cfg = base_complete_config() if command == "solve-complete" else blind_config()
+        return dict(cfg, grid={"dim": 1, "n": n}, time={"T": 0.5, "steps": 64})
+
+    def test_overflowing_cost_exit_3_with_summary(self, tmp_path, command, key, n):
+        cfg = self.config(command, n)
+        cfg["cost"] = {"id": "product_form", "phi": {"kind": "cosine", "amplitude": 1e200}}
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", path, "--out", str(out)]) == 3
+        assert not json.loads((out / "summary.json").read_text())["converged"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "summary.json" in manifest["artifacts"]
+
+    def test_far_dirac_center_exit_2_at_its_key(self, tmp_path, capsys, command, key, n):
+        cfg = dict(self.config(command, n),
+                   **{key: {"weights": [1.0], "atoms": [{"kind": "dirac", "center": 1e300}]}})
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "o"
+        with np.errstate(over="ignore"):
+            assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert f"config error at {key}.atoms[0].center:" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("command", SIZED)
@@ -898,11 +940,16 @@ def test_shipped_illustrative_config_is_valid():
     assert cfg["true_atom"] == 0
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, blindmfg.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+def test_cli_import_loads_no_heavy_module():
+    """Importing the CLI loads none of OpenSSL's hash bindings (the
+    manifest hash imports them after a run), numpy's random and FFT
+    packages, or SciPy: each is resident memory a run's peak would carry."""
+    heavy = ["_hashlib", "numpy.random", "numpy.fft", "scipy"]
+    code = f"import sys, blindmfg.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"
 
 
 def _write_path_csv_by_rows(path, tg, grid, values, column):

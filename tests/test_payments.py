@@ -1,11 +1,12 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blindmfg import cli
+from blindmfg import cli, payments
 from blindmfg.beliefs import (
     Belief,
     constant_cost,
@@ -382,6 +383,25 @@ class TestSimulateObserved:
             == 1 + len(trace.events)
         kept = [s["t_start"] for s in trace.segments if s["solution"] is not None]
         assert kept == [0.0] + [t for t, _ in trace.events]
+
+    def test_one_uninformed_solve_held_at_a_time(self, monkeypatch):
+        """When the next segment is solved, the previous solve is already
+        freed unless its segment keeps it (the opening or an informed one)."""
+        refs, alive_at_next = [], []
+
+        def spy(*args, **kwargs):
+            if refs:
+                alive_at_next.append(refs[-1]() is not None)
+            sol = solve_blind(*args, **kwargs)
+            refs.append(weakref.ref(sol))
+            return sol
+
+        monkeypatch.setattr(payments, "solve_blind", spy)
+        sc = small_scenario()
+        trace = simulate_observed(sc.belief, 0, sc.cost, sc.hamiltonian, sc.sigma,
+                                  sc.time_grid, sc.filter_config, sc.solver_config)
+        assert len(trace.events) == 1 and len(refs) == len(trace.segments) > 2
+        assert alive_at_next == [s["solution"] is not None for s in trace.segments[:-1]]
 
 
 def fp_advance_reference(mu0, true_atom, cm, H, sigma, tg, fc, cfg):
