@@ -6,7 +6,7 @@ writes every artifact; the numerics modules return data and open no
 file.  The artifacts:
 
 - solve-complete / solve-blind: u.csv, m.csv, history.csv, summary.json,
-  telemetry.json, and for solve-blind m_<i>.csv and belief_path.json;
+  telemetry.json, and for solve-blind m_atoms.npy and belief_path.json;
 - simulate-observed: trace.json, trace.csv, summary.json;
 - certify-monotone and validate-weak: report.json.
 
@@ -17,9 +17,10 @@ SHA-256 checksums of the artifacts the command names.  Exit codes: 0
 success (including negative certification findings), 2 config validation
 failure at a field path (including time steps too coarse for the CFL
 condition, or so fine that the step rounds to 0), 3 numerical
-non-convergence or non-finite results (artifacts still written).  All CSV floats carry 17 significant digits; an identical
-config reproduces every listed artifact and manifest.json byte for byte.
-telemetry.json, the per-iteration wall times, is not listed.
+non-convergence or non-finite results (artifacts still written).  CSV
+floats carry 17 significant digits, m_atoms.npy exact float64 bits; an
+identical config reproduces every listed artifact and manifest.json byte
+for byte.  telemetry.json, of iteration and write wall times, is not listed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import csv
 import json
 import math
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -474,16 +476,11 @@ def _report_json(report: PairingReport) -> dict:
 
 
 def _belief_path_json(bp: BeliefPath, tg: TimeGrid) -> dict:
-    """Weights and per-atom summary; full densities live in m_i.csv."""
-    atoms = []
-    for i, p in enumerate(bp.atom_paths):
-        atoms.append({
-            "index": i,
-            "weight": float(bp.weights[i]),
-            "mass_error": float(p.mass_error()),
-            "series_csv": f"m_{i}.csv",
-        })
-    return {"times": [float(t) for t in tg.times], "atoms": atoms}
+    """The times and each atom's weight and mass error; the atom paths are
+    the rows of `series`, m_atoms.npy, atom i at row i."""
+    return {"times": [float(t) for t in tg.times], "series": "m_atoms.npy",
+            "atoms": [{"index": i, "weight": float(w), "mass_error": float(p.mass_error())}
+                      for i, (w, p) in enumerate(zip(bp.weights, bp.atom_paths))]}
 
 
 def _sha256(path: Path) -> str:
@@ -531,6 +528,7 @@ def cmd_solve(cfg: dict, out: Path, key: str) -> tuple:
                               f"single density, got {mu0.n_atoms} atoms")
         sol = solve_complete_info(mu0.atoms[0], cm, H, sigma, tg, scfg)
 
+    start = time.perf_counter()
     artifacts = ["u.csv", "m.csv", "summary.json", "history.csv"]
     _write_path_csv(out / "u.csv", tg, grid, sol.value.values, "u")
     # slice by slice: the weighted sum of whole paths would stack K products
@@ -538,16 +536,10 @@ def cmd_solve(cfg: dict, out: Path, key: str) -> tuple:
                   for atoms in sol.belief.values.swapaxes(0, 1)])
     _write_path_csv(out / "m.csv", tg, grid, m, "m")
     _write_history(out, sol)
-    # wall-clock times differ between reruns, so the manifest leaves them out
-    _write_json(out / "telemetry.json", {
-        "wall_time": [row["wall_time"] for row in sol.diagnostics["history"]]})
     if key == "belief":
-        for i, p in enumerate(sol.belief.atom_paths):
-            name = f"m_{i}.csv"
-            _write_path_csv(out / name, tg, grid, p.values, "m")
-            artifacts.append(name)
+        np.save(out / "m_atoms.npy", sol.belief.values, allow_pickle=False)
         _write_json(out / "belief_path.json", _belief_path_json(sol.belief, tg))
-        artifacts.append("belief_path.json")
+        artifacts += ["m_atoms.npy", "belief_path.json"]
     diag = sol.diagnostics
     _write_json(out / "summary.json", {
         "gap": diag["final_gap"],
@@ -556,6 +548,10 @@ def cmd_solve(cfg: dict, out: Path, key: str) -> tuple:
         "hjb_residual": diag["hjb_residual"],
         "mass_error": diag["mass_error"],
     })
+    # wall-clock times differ between reruns, so the manifest leaves them out
+    _write_json(out / "telemetry.json", {
+        "wall_time": [row["wall_time"] for row in diag["history"]],
+        "write_s": time.perf_counter() - start})
     return (EXIT_OK if diag["converged"] else EXIT_NONCONVERGENCE), artifacts
 
 
@@ -770,7 +766,9 @@ def main(argv=None) -> int:
     try:
         out = _output_dir(args.out, cfg)
         _check_keys(cfg, "config", {"output", *required, *optional}, required)
-        code, artifacts = run(cfg, out)
+        # each command reports a non-finite result by its exit code and message
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            code, artifacts = run(cfg, out)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return EXIT_VALIDATION

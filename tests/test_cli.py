@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from blindmfg import cli
-from blindmfg.beliefs import Belief
+from blindmfg.beliefs import Belief, _weighted_sum
 from blindmfg.cli import MAX_STATE_BYTES, _state_bytes, _write_path_csv, main
 from blindmfg.hjb_fp import TimeGrid
 from blindmfg.monotonicity import _block_trials
 from blindmfg.payments import illustrative_scenario
+from blindmfg.solver import solve_blind
 from blindmfg.torus import build_grid
 from conftest import scenario_config
 
@@ -125,7 +126,7 @@ class TestSolveBlind:
         path = write_config(tmp_path, "b.json", cfg)
         out = tmp_path / "out"
         assert main(["solve-blind", "--config", path, "--out", str(out)]) == 0
-        for name in ("belief_path.json", "m_0.csv", "m_1.csv", "history.csv"):
+        for name in ("belief_path.json", "m_atoms.npy", "history.csv"):
             assert (out / name).exists()
         history = (out / "history.csv").read_text().splitlines()
         assert history[0] == "iter,drift_gap,value_change"
@@ -192,6 +193,83 @@ class TestSolveBlind:
         telemetry = json.loads((o1 / "telemetry.json").read_text())
         summary = json.loads((o1 / "summary.json").read_text())
         assert len(telemetry["wall_time"]) == summary["iterations"]
+
+    def test_telemetry_times_the_writes_and_comes_last(self, tmp_path):
+        path = write_config(tmp_path, "b.json", blind_config())
+        out = tmp_path / "out"
+        assert main(["solve-blind", "--config", path, "--out", str(out)]) == 0
+        telemetry = out / "telemetry.json"
+        assert json.loads(telemetry.read_text())["write_s"] > 0
+        assert all(p.stat().st_mtime_ns <= telemetry.stat().st_mtime_ns
+                   for p in out.iterdir() if p.name != "manifest.json")
+
+
+@pytest.mark.parametrize("grid,center", [({"dim": 1, "n": 64}, [0.2, 0.6]),
+                                         ({"dim": 2, "n": 16}, [[0.2, 0.3], [0.6, 0.7]])])
+class TestAtomPaths:
+    """m_atoms.npy is the solver's (K, steps+1, *grid) atom stack, and
+    with belief_path.json's weights it gives m.csv's column."""
+
+    @staticmethod
+    def run(tmp_path, grid, center):
+        cfg = dict(blind_config(), grid=grid, time={"T": 0.25, "steps": 32})
+        cfg["belief"] = {"weights": [0.3, 0.7],
+                         "atoms": [{"kind": "dirac", "center": c} for c in center]}
+        path = write_config(tmp_path, "b.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve-blind", "--config", path, "--out", str(out)]) == 0
+        return cfg, out, np.load(out / "m_atoms.npy", allow_pickle=False)
+
+    def test_bits_of_the_solver_stack(self, tmp_path, grid, center):
+        cfg, out, saved = self.run(tmp_path, grid, center)
+        g, tg, sigma, H, cm, mu0, scfg = cli._build_game(cfg, "belief")
+        values = solve_blind(mu0, cm, H, sigma, tg, scfg).belief.values
+        assert saved.shape == (2, 33) + g.shape
+        assert saved.dtype == values.dtype == np.float64
+        assert saved.tobytes() == values.tobytes()
+        doc = json.loads((out / "belief_path.json").read_text())
+        assert doc["series"] == "m_atoms.npy"
+        assert all("series_csv" not in atom for atom in doc["atoms"])
+
+    def test_weighted_slices_give_m_csv(self, tmp_path, grid, center):
+        _, out, saved = self.run(tmp_path, grid, center)
+        weights = np.array([a["weight"] for a in
+                            json.loads((out / "belief_path.json").read_text())["atoms"]])
+        with open(out / "m.csv", newline="") as fh:
+            column = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+        m = np.stack([_weighted_sum(weights, atoms) for atoms in saved.swapaxes(0, 1)])
+        assert m.ravel().tolist() == column
+
+
+def _far_dirac_center():
+    cfg = blind_config()
+    cfg["belief"]["atoms"][0]["center"] = 1e300
+    return cfg
+
+
+def _overflowing_test_function():
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "weak.json"
+    cfg = json.loads(shipped.read_text())
+    cfg["phi"]["inner"]["amplitude"] = 1e308
+    return cfg
+
+
+@pytest.mark.parametrize("command,make,code,err", [
+    ("solve-blind", _far_dirac_center, 2, ["config error at belief.atoms[0].center:"]),
+    ("validate-weak", _overflowing_test_function, 3, [])])
+def test_clean_exits_print_no_numpy_warning(tmp_path, command, make, code, err):
+    """A Dirac centre of 1e300 and a test function of amplitude 1e308
+    overflow inside numpy.  The exit code, and for a config error its one
+    line, say so; no RuntimeWarning reaches stderr."""
+    path = write_config(tmp_path, "c.json", make())
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-m", "blindmfg.cli", command, "--config", path,
+                          "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == code
+    assert "RuntimeWarning" not in run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == len(err) and all(map(str.startswith, lines, err))
 
 
 class TestSimulateObserved:

@@ -21,6 +21,8 @@ from blindmfg.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
+# README's row of the module table for the CLI, which names its artifacts
+CLI_ROW = re.search(r"^\| `blindmfg\.cli` \|.*$", README, flags=re.MULTILINE).group()
 PAIRS = re.findall(r"^blindmfg +([a-z-]+) +--config +(configs/\S+\.json)",
                    README, flags=re.MULTILINE)
 
@@ -86,8 +88,8 @@ def test_readme_pairs_cover_every_shipped_config():
 
 @pytest.mark.parametrize("command,config", PAIRS)
 def test_shipped_config_runs(tmp_path, command, config):
-    """The finding shows, and a rerun writes every manifest-listed artifact
-    and manifest.json byte for byte again."""
+    """The finding shows, README's CLI row names every manifest-listed
+    artifact, and a rerun writes each and manifest.json byte for byte again."""
     cfg = _shrink(command, json.loads((ROOT / config).read_text()))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -98,6 +100,7 @@ def test_shipped_config_runs(tmp_path, command, config):
     names = list(json.loads((out / "manifest.json").read_text())["artifacts"])
     written = {p.name for p in out.iterdir()} - {"manifest.json", "telemetry.json"}
     assert written == set(names)
+    assert [name for name in names if f"`{name}`" not in CLI_ROW] == []
     for name in names + ["manifest.json"]:
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
