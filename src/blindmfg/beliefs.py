@@ -107,77 +107,72 @@ class BeliefPath:
         return Belief(self.weights, tuple(Density(self.grid, a) for a in atoms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostModel:
-    """Running cost f: m -> field and terminal cost U0: m -> field.
+    """Running cost f(m) = a + b * G(∫b dm) and terminal cost U0(m) = terminal.
 
-    `running_values(grid, m)` and `terminal_values(grid, m)` map density
-    values of shape (..., *grid.shape) to cost values of the same shape,
-    one field per leading index; they are the model's only cost formulas.
+    `a`, `b` and `terminal` are fixed grid arrays or None, `G` an
+    elementwise map.  A cost with `b` needs `G` and adds `a` when it is
+    set; a cost with no `b` needs `a` and is f(m) = a.  No `terminal`
+    means U0 = 0.  `running_values(grid, m)` and `terminal_values(grid, m)`
+    map density values of shape (..., *grid.shape) to cost values of the
+    same shape, one field per leading index; they are the model's only
+    cost formulas.
     """
 
     kind: str
-    running_values: Callable[[TorusGrid, np.ndarray], np.ndarray]
-    terminal_values: Callable[[TorusGrid, np.ndarray], np.ndarray]
+    a: np.ndarray | None = None
+    b: np.ndarray | None = None
+    G: Callable | None = None
+    terminal: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.b is None and self.a is None:
+            raise ValueError(f"{self.kind} cost needs a field a when it has no b")
+        if self.b is not None and self.G is None:
+            raise ValueError(f"{self.kind} cost with a field b needs a map G")
+
+    def running_values(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
+        if self.b is None:
+            return np.broadcast_to(self.a, m.shape)
+        s = integrate_stack(grid, self.b, m)
+        vals = self.b * self.G(s.reshape(s.shape + (1,) * grid.dim))
+        return vals if self.a is None else self.a + vals
+
+    def terminal_values(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
+        if self.terminal is None:
+            return np.zeros(m.shape)
+        return np.broadcast_to(self.terminal, m.shape)
 
     def running(self, m: Density) -> ScalarField:
         return ScalarField(m.grid, self.running_values(m.grid, m.values))
 
 
-def _zero_terminal(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-    return np.zeros(m.shape)
-
-
-def _broadcast(field: ScalarField):
-    """The cost map that returns `field` whatever the density."""
-    return lambda grid, m: np.broadcast_to(field.values, m.shape)
-
-
-def _integrate_fields(grid: TorusGrid, phi: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """∫ phi dm for every field of m, kept as size-1 grid axes."""
-    vals = integrate_stack(grid, phi, m)
-    return vals.reshape(vals.shape + (1,) * grid.dim)
-
-
 def product_form_cost(phi: ScalarField, base: ScalarField | None = None) -> CostModel:
     """f(m) = base + phi * ∫phi dm; monotone in the lifted sense."""
-
-    def running_values(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-        vals = phi.values * _integrate_fields(grid, phi.values, m)
-        if base is not None:
-            vals = base.values + vals
-        return vals
-
-    return CostModel("product_form", running_values, _zero_terminal)
+    return CostModel("product_form", a=None if base is None else base.values,
+                     b=phi.values, G=lambda s: s)
 
 
-def moment_form_cost(g: Callable) -> CostModel:
+def moment_form_cost(g: Callable, grid: TorusGrid) -> CostModel:
     """f(m)(x) = x * g(first moment of m); d = 1 only, g elementwise."""
-
-    def running_values(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-        if grid.dim != 1:
-            raise ValueError("moment_form cost requires d = 1")
-        x = grid.axis_coords()
-        return x * g(_integrate_fields(grid, x, m))
-
-    return CostModel("moment_form", running_values, _zero_terminal)
+    if grid.dim != 1:
+        raise ValueError("moment_form cost requires d = 1")
+    x = grid.axis_coords()
+    return CostModel("moment_form", b=x, G=g)
 
 
 def illustrative_cost(f0: ScalarField, c: float) -> CostModel:
     """f(m) = f0 + c * f0 * ∫f0 dm; the observed-payments demo coupling."""
     if not 0 < c < 1:
         raise ValueError("coupling strength c must lie in (0,1)")
-
-    def running_values(grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-        return f0.values * (1.0 + c * _integrate_fields(grid, f0.values, m))
-
-    return CostModel("illustrative", running_values, _zero_terminal)
+    return CostModel("illustrative", b=f0.values, G=lambda s: 1.0 + c * s)
 
 
 def constant_cost(f_field: ScalarField,
                   terminal_field: ScalarField | None = None) -> CostModel:
-    terminal = _zero_terminal if terminal_field is None else _broadcast(terminal_field)
-    return CostModel("constant", _broadcast(f_field), terminal)
+    return CostModel("constant", a=f_field.values,
+                     terminal=None if terminal_field is None else terminal_field.values)
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def _build_cost(cfg: dict, grid: TorusGrid) -> CostModel:
                      "square": lambda s: s * s}
         if not isinstance(sub["g"], str) or sub["g"] not in catalogue:
             raise ConfigError("cost.g", f"unknown moment map {sub['g']!r}")
-        return moment_form_cost(catalogue[sub["g"]])
+        return moment_form_cost(catalogue[sub["g"]], grid)
     if cid == "illustrative":
         c = _number(sub, "cost", "coupling")
         if not 0 < c < 1:

@@ -11,7 +11,7 @@ code path exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .hjb_fp import (
     zero_drift,
 )
 from .monotonicity import lifted_pairing
-from .torus import Density, ScalarField, normalize_stack
+from .torus import Density, ScalarField
 
 # Anderson depth: secant pairs kept by the damped iteration
 _ANDERSON_DEPTH = 3
@@ -77,9 +77,8 @@ def _cost_paths(bp: BeliefPath, cm: CostModel):
     """Belief-averaged running cost path and terminal cost, on plain arrays:
     the terminal has the bits of aggregate_terminal(bp.belief_at(steps), cm)."""
     running = running_cost_path(bp, cm)
-    atoms = normalize_stack(bp.grid, bp.values[:, -1])
-    terminal = ScalarField(bp.grid, _weighted_sum(bp.weights,
-                                                  cm.terminal_values(bp.grid, atoms)))
+    terminal = ScalarField(bp.grid, _weighted_sum(
+        bp.weights, cm.terminal_values(bp.grid, bp.values[:, -1])))
     return running, terminal
 
 
@@ -236,8 +235,9 @@ def cross_solution_coupling(sol1: EquilibriumSolution, sol2: EquilibriumSolution
         mu1 = sol1.belief.belief_at(k)
         mu2 = sol2.belief.belief_at(k)
         total += tg.dt * lifted_pairing(cm, mu1, mu2)
-    # terminal part uses the terminal cost map in place of the running one
-    term_cm = replace(cm, running_values=cm.terminal_values)
-    total += lifted_pairing(term_cm, sol1.belief.belief_at(tg.steps),
+    # terminal part: the terminal field, paired as a constant running cost
+    field = np.zeros(sol1.belief.grid.shape) if cm.terminal is None else cm.terminal
+    total += lifted_pairing(CostModel("constant", a=field),
+                            sol1.belief.belief_at(tg.steps),
                             sol2.belief.belief_at(tg.steps))
     return total

@@ -108,7 +108,7 @@ def test_criterion_03_nonaffine_counterexample():
     val = counterexample_gap(np.sqrt, 0.0, 1.0, 0.36)
     assert val == pytest.approx(-0.014, abs=1e-12)
     grid = build_grid(1, 64)
-    report_obj = certify_blind_monotone(moment_form_cost(np.sqrt), grid,
+    report_obj = certify_blind_monotone(moment_form_cost(np.sqrt, grid), grid,
                                         sampler_seed=0, trials=10 ** 4)
     assert report_obj.min_over_trials < 0
     report("non-affine counterexample",

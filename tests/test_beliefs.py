@@ -6,6 +6,7 @@ from blindmfg import cli
 from blindmfg.beliefs import (
     Belief,
     BeliefPath,
+    CostModel,
     CylinderFunctional,
     aggregate_running,
     aggregate_terminal,
@@ -28,6 +29,7 @@ from blindmfg.torus import (
     constant_field,
     density_from_values,
     integrate,
+    integrate_stack,
     mollified_dirac,
     uniform_density,
 )
@@ -131,7 +133,7 @@ class TestAggregation:
         rng = np.random.default_rng(7)
         phi = ScalarField(g, np.cos(2 * np.pi * g.coords()[0]))
         cm = {"product_form": lambda: product_form_cost(phi, phi),
-              "moment_form": lambda: moment_form_cost(np.sqrt),
+              "moment_form": lambda: moment_form_cost(np.sqrt, g),
               "illustrative": lambda: illustrative_cost(phi, 0.5),
               "constant": lambda: constant_cost(phi)}[kind]()
         # raw solver-like slices: mass off one, a few tiny negatives
@@ -149,13 +151,16 @@ class TestAggregation:
         assert np.all(aggregate_terminal(two_atom_belief(grid64), cm).values == 0)
 
     @pytest.mark.parametrize("kind,dim", [
-        ("product_form", 1), ("moment_form", 1), ("illustrative", 1),
-        ("constant", 1), ("constant_terminal", 1), ("constant_terminal", 2)])
+        ("product_form", 1), ("product_form", 2), ("product_base", 1), ("product_base", 2),
+        ("moment_form", 1), ("illustrative", 1), ("constant", 1),
+        ("constant_terminal", 1), ("constant_terminal", 2)])
     def test_terminal_values_share_the_running_shape_contract(self, kind, dim):
         g = build_grid(dim, 32 if dim == 1 else 16)
         phi = ScalarField(g, np.cos(2 * np.pi * g.coords()[0]))
+        base = ScalarField(g, np.sin(2 * np.pi * g.coords()[-1]))
         cm = {"product_form": lambda: product_form_cost(phi),
-              "moment_form": lambda: moment_form_cost(np.sqrt),
+              "product_base": lambda: product_form_cost(phi, base),
+              "moment_form": lambda: moment_form_cost(np.sqrt, g),
               "illustrative": lambda: illustrative_cost(phi, 0.5),
               "constant": lambda: constant_cost(phi),
               "constant_terminal": lambda: constant_cost(phi, phi)}[kind]()
@@ -169,6 +174,33 @@ class TestAggregation:
         for w in mu.weights:
             oracle += w * field
         assert np.array_equal(aggregate_terminal(mu, cm).values, oracle)
+
+        def moment(h):  # ∫h dm for every field of the stack, on size-1 grid axes
+            s = integrate_stack(g, h, stack)
+            return s.reshape(s.shape + (1,) * dim)
+
+        x = g.axis_coords()
+        running = {"product_form": lambda: phi.values * moment(phi.values),
+                   "product_base": lambda: base.values + phi.values * moment(phi.values),
+                   "moment_form": lambda: x * np.sqrt(moment(x)),
+                   "illustrative": lambda: phi.values * (1.0 + 0.5 * moment(phi.values)),
+                   "constant": lambda: np.broadcast_to(phi.values, stack.shape),
+                   "constant_terminal": lambda: np.broadcast_to(phi.values, stack.shape)}
+        assert np.array_equal(cm.running_values(g, stack), running[kind]())
+
+    def test_moment_form_rejects_two_dimensions(self):
+        with pytest.raises(ValueError, match="d = 1"):
+            moment_form_cost(np.sqrt, build_grid(2, 16))
+
+    def test_cost_fields_must_make_a_formula(self, grid64):
+        x = grid64.axis_coords()
+        with pytest.raises(ValueError, match="needs a field a"):
+            CostModel("empty")
+        with pytest.raises(ValueError, match="needs a map G"):
+            CostModel("no_map", b=x)
+        cm = CostModel("same", a=x)
+        assert cm == cm and cm != CostModel("same", a=x)
+        assert hash(cm) == hash(cm)
 
     @given(alpha=st.floats(0.05, 0.95), seed=st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)

@@ -150,7 +150,7 @@ class TestSolveBlind:
 
         def nan_cost(cfg, grid):
             cm = build_cost(cfg, grid)
-            return replace(cm, running_values=lambda g, m: np.full(m.shape, np.nan))
+            return replace(cm, a=np.full(grid.shape, np.nan))
 
         monkeypatch.setattr(cli, "_build_cost", nan_cost)
         path = write_config(tmp_path, "b.json", blind_config())
@@ -165,8 +165,7 @@ class TestSolveBlind:
 
         build_cost = cli._build_cost
         monkeypatch.setattr(cli, "_build_cost", lambda cfg, grid: replace(
-            build_cost(cfg, grid),
-            running_values=lambda g, m: np.full(m.shape, np.nan)))
+            build_cost(cfg, grid), a=np.full(grid.shape, np.nan)))
         path = write_config(tmp_path, "b.json", blind_config())
         out = tmp_path / "out"
         assert main(["solve-blind", "--config", path, "--out", str(out)]) == 3
@@ -361,7 +360,6 @@ class TestSimulateObserved:
         assert "filter.tolerance" in err
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_payments_exit_3_with_trace(self, tmp_path, capsys):
         # phi * ∫phi dm overflows to ±inf: the opening solve's gap is NaN,
         # so the trace ends at t = 0 before any observation under its drift
@@ -445,8 +443,7 @@ class TestCertifyMonotone:
         cfg["certify"]["trials"] = 20
         path = write_config(tmp_path, "c.json", cfg)
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert main(["certify-monotone", "--config", path, "--out", str(out)]) == 3
+        assert main(["certify-monotone", "--config", path, "--out", str(out)]) == 3
         report = json.loads((out / "report.json").read_text())
         assert report["min_pairing"] is None
         assert report["nonfinite_trial"] == 0
@@ -569,8 +566,7 @@ class TestValidateWeak:
         path = write_config(tmp_path, "w.json", _weak_config(
             phi={"inner": {"kind": "cosine", "amplitude": 1e308}}, ladder={"levels": 2}))
         out = tmp_path / "o"
-        with np.errstate(all="ignore"):
-            assert main(["validate-weak", "--config", path, "--out", str(out)]) == 3
+        assert main(["validate-weak", "--config", path, "--out", str(out)]) == 3
         report = json.loads((out / "report.json").read_text())
         assert report["residuals"] == [None, None]
         assert report["violation"]["perturbed_residual"] is None
@@ -963,8 +959,7 @@ class TestSolveNumericalBoundary:
         cfg["cost"] = {"id": "product_form", "phi": {"kind": "cosine", "amplitude": 1e200}}
         path = write_config(tmp_path, "c.json", cfg)
         out = tmp_path / "o"
-        with np.errstate(all="ignore"):
-            assert main([command, "--config", path, "--out", str(out)]) == 3
+        assert main([command, "--config", path, "--out", str(out)]) == 3
         assert not json.loads((out / "summary.json").read_text())["converged"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert "summary.json" in manifest["artifacts"]
@@ -974,8 +969,7 @@ class TestSolveNumericalBoundary:
                    **{key: {"weights": [1.0], "atoms": [{"kind": "dirac", "center": 1e300}]}})
         path = write_config(tmp_path, "c.json", cfg)
         out = tmp_path / "o"
-        with np.errstate(over="ignore"):
-            assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert main([command, "--config", path, "--out", str(out)]) == 2
         assert f"config error at {key}.atoms[0].center:" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 

@@ -134,7 +134,7 @@ class TestL2Pairing:
     def test_moment_form_nondecreasing_g_monotone(self, seed):
         g = build_grid(1, 32)
         rng = np.random.default_rng(seed)
-        cm = moment_form_cost(lambda s: s)  # g nondecreasing
+        cm = moment_form_cost(lambda s: s, g)  # g nondecreasing
         m1, m2 = random_density(g, rng), random_density(g, rng)
         assert l2_pairing(cm, m1, m2) >= -1e-10
 
@@ -190,7 +190,7 @@ class TestLiftedPairing:
             assert val == pytest.approx(s ** 2, abs=1e-10)
 
     def test_sqrt_moment_counterexample(self, grid64):
-        cm = moment_form_cost(np.sqrt)
+        cm = moment_form_cost(np.sqrt, grid64)
         # interior witness: sqrt is strictly concave so any z slightly
         # below the midpoint with sqrt(z) above the chord works
         mu = Belief(np.array([0.5, 0.5]),
@@ -257,11 +257,11 @@ class TestCertifyBlindMonotone:
         assert report.trials == 200
 
     def test_sqrt_moment_violation_found(self, grid64):
-        report = certify_blind_monotone(moment_form_cost(np.sqrt), grid64,
+        report = certify_blind_monotone(moment_form_cost(np.sqrt, grid64), grid64,
                                         sampler_seed=0, trials=2000)
         assert report.min_over_trials < 0
         mu1, mu2 = report.witnesses
-        assert lifted_pairing(moment_form_cost(np.sqrt), mu1, mu2) == \
+        assert lifted_pairing(moment_form_cost(np.sqrt, grid64), mu1, mu2) == \
             pytest.approx(report.min_over_trials, abs=1e-14)
 
     @pytest.mark.parametrize("cost,dim,n", [("sqrt", 1, 64), ("sqrt", 1, 256),
@@ -269,7 +269,7 @@ class TestCertifyBlindMonotone:
     def test_equals_per_atom_oracle_bitwise(self, cost, dim, n):
         g = build_grid(dim, n)
         if cost == "sqrt":
-            cm = moment_form_cost(np.sqrt)
+            cm = moment_form_cost(np.sqrt, g)
         else:
             cm = cos_product_cost(g) if dim == 1 else cos_product_cost_2d(g)
         report = certify_blind_monotone(cm, g, sampler_seed=5, trials=150)
@@ -284,7 +284,7 @@ class TestCertifyBlindMonotone:
         """Trial counts around the block size B: one short block, one full
         block, a full block plus one trial, two full blocks plus one."""
         g = build_grid(dim, n)
-        cm = moment_form_cost(np.sqrt) if cost == "sqrt" else cos_product_cost_2d(g)
+        cm = moment_form_cost(np.sqrt, g) if cost == "sqrt" else cos_product_cost_2d(g)
         block = _block_trials(g, max_atoms)
         assert block > 2
         for trials in (1, block - 1, block, block + 1, 2 * block + 1):
@@ -297,7 +297,7 @@ class TestCertifyBlindMonotone:
     @pytest.mark.parametrize("dim,n", [(1, 256), (2, 16)])
     def test_witness_reevaluates_to_min_exactly(self, dim, n):
         g = build_grid(dim, n)
-        cm = moment_form_cost(np.sqrt) if dim == 1 else cos_product_cost_2d(g)
+        cm = moment_form_cost(np.sqrt, g) if dim == 1 else cos_product_cost_2d(g)
         report = certify_blind_monotone(cm, g, sampler_seed=2, trials=300)
         assert lifted_pairing(cm, *report.witnesses) == report.min_over_trials
         assert cli._report_json(report)["min_pairing"] == report.min_over_trials
@@ -321,7 +321,7 @@ class TestCertifyBlindMonotone:
         the first trial whose pairing is not finite, in the second block,
         counts the trials paired up to it, and that trial's pair is the
         witness."""
-        cm = moment_form_cost(lambda s: np.where(s > 0.91, np.nan, np.sqrt(s)))
+        cm = moment_form_cost(lambda s: np.where(s > 0.91, np.nan, np.sqrt(s)), grid64)
         first, (mu1, mu2) = oracle_first_nonfinite(cm, grid64, 2, 200)
         assert first > _block_trials(grid64, 8)
         report = certify_blind_monotone(cm, grid64, sampler_seed=2, trials=200)

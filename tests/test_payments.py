@@ -118,7 +118,7 @@ def catalogue_cost(kind, grid):
     if kind == "illustrative":
         return illustrative_cost(smoothed_well_profile(grid), 0.5)
     if kind == "moment_sqrt":
-        return moment_form_cost(np.sqrt)
+        return moment_form_cost(np.sqrt, grid)
     return constant_cost(smoothed_well_profile(grid))
 
 

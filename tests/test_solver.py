@@ -13,6 +13,7 @@ from blindmfg.beliefs import (
     product_form_cost,
 )
 from blindmfg.hjb_fp import DriftField, Hamiltonian, TimeGrid
+from blindmfg.monotonicity import lifted_pairing
 from blindmfg.solver import (
     SolverConfig,
     cross_solution_coupling,
@@ -182,8 +183,8 @@ class TestSolveBlind:
         import blindmfg.solver as solver_module
 
         grid, tg, cm, H, sigma = small_setup()
-        # a terminal cost that reads the density, so its bits are tested
-        cm = replace(cm, terminal_values=cm.running_values)
+        # a nonzero terminal field, so its bits are tested
+        cm = replace(cm, terminal=np.sin(2 * np.pi * grid.axis_coords()))
         mu0 = Belief(np.array([0.5, 0.5]),
                      (mollified_dirac(grid, 0.2), mollified_dirac(grid, 0.4)))
         calls = []
@@ -206,7 +207,7 @@ class TestSolveBlind:
 
     def test_non_finite_gap_stops_at_once(self):
         grid, tg, cm, H, sigma = small_setup()
-        nan_cost = replace(cm, running_values=lambda g, m: np.full(m.shape, np.nan))
+        nan_cost = replace(cm, a=np.full(grid.shape, np.nan))
         mu0 = Belief(np.array([1.0]), (mollified_dirac(grid, 0.3),))
         sol = solve_blind(mu0, nan_cost, H, sigma, tg, SolverConfig(max_iter=50))
         diag = sol.diagnostics
@@ -348,6 +349,32 @@ class TestCrossSolutionCoupling:
                            np.full((tg.steps + 1, 1) + grid.shape, -0.3))
         s2 = solve_blind(mu0, cm, H, sigma, tg, initial_drift=other)
         assert cross_solution_coupling(s1, s2, cm, tg) <= 1e-6
+
+    @pytest.mark.parametrize("running", ["product", "zero"])
+    def test_terminal_field_pairs_as_a_constant_cost(self, running):
+        """The coupling is the running part's sum plus the terminal field's
+        pairing at the last step as a constant cost, bit for bit.  That
+        pairing is rounding alone (the signed weights sum to 0); with a
+        zero running cost it is the whole coupling."""
+        grid, tg, cm, H, sigma = small_setup()
+        field = ScalarField(grid, np.sin(2 * np.pi * grid.axis_coords()))
+        cm = (replace(cm, terminal=field.values) if running == "product"
+              else constant_cost(constant_field(grid, 0.0), field))
+        s1 = solve_blind(Belief(np.array([0.1, 0.9]), (mollified_dirac(grid, 0.2),
+                                                       mollified_dirac(grid, 0.7))),
+                         cm, H, sigma, tg)
+        s2 = solve_blind(Belief(np.array([0.7, 0.3]), (mollified_dirac(grid, 0.25),
+                                                       mollified_dirac(grid, 0.6))),
+                         cm, H, sigma, tg)
+        total = 0.0
+        for k in range(tg.steps):
+            total += tg.dt * lifted_pairing(cm, s1.belief.belief_at(k),
+                                            s2.belief.belief_at(k))
+        terminal = lifted_pairing(constant_cost(field), s1.belief.belief_at(tg.steps),
+                                  s2.belief.belief_at(tg.steps))
+        assert terminal != 0.0
+        assert (total == 0.0) == (running == "zero")
+        assert cross_solution_coupling(s1, s2, cm, tg) == total + terminal
 
 
 def test_write_history_csv(tmp_path):
