@@ -9,7 +9,6 @@ from .torus import (  # noqa: F401
     build_grid,
     mollified_dirac,
     integrate,
-    laplacian,
     wasserstein1_circle,
 )
 from .hjb_fp import (  # noqa: F401
@@ -39,24 +38,19 @@ from .solver import (  # noqa: F401
     EquilibriumSolution,
     solve_blind,
     solve_complete_info,
-    equilibrium_gap,
 )
 from .monotonicity import (  # noqa: F401
-    SignedBeliefDiff,
     PairingReport,
     l2_pairing,
     lifted_pairing,
     counterexample_gap,
     certify_blind_monotone,
-    duality_pairing,
-    operator_A_cylinder,
 )
 from .payments import (  # noqa: F401
     FilterConfig,
     FilterTrace,
     in_consistency_set,
     partition_by_payment,
-    filter_step,
     tower_check,
     simulate_observed,
     illustrative_scenario,

@@ -288,10 +288,6 @@ class CylinderFunctional:
     psi_s: Callable[[float, float], float]
     psi_t: Callable[[float, float], float]
 
-    def value_belief(self, t: float, mu: Belief) -> float:
-        s = integrate_stack(mu.grid, self.inner.values, mu.values).tolist()
-        return float(_sum_in_order(0.0, [w * self.psi(t, si) for w, si in zip(mu.weights, s)]))
-
 
 def static_cylinder(inner: ScalarField) -> CylinderFunctional:
     """∫inner dm, time-independent."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import Density, ScalarField, TorusGrid, _periodic_pairs, density_from_values
+from .torus import Density, ScalarField, TorusGrid, _periodic_pairs
 
 __all__ = [
     "Hamiltonian",
@@ -132,9 +132,6 @@ class DensityPath:
     grid: TorusGrid
     time_grid: TimeGrid
     values: np.ndarray  # (steps+1,) + grid.shape
-
-    def at(self, k: int) -> Density:
-        return density_from_values(self.grid, self.values[k])
 
     def mass_error(self) -> float:
         masses = self.values.reshape(self.values.shape[0], -1).sum(axis=1)

@@ -18,55 +18,25 @@ from .beliefs import (
     MAX_ATOMS,
     Belief,
     CostModel,
-    CylinderFunctional,
-    _generator_field,
     _sum_in_order,
     _weighted_sum,
 )
 from .torus import (
     Density,
-    ScalarField,
     TorusGrid,
     integrate_stack,
-    laplacian_array,
     mollified_dirac_stack,
     normalize_stack,
 )
 
 __all__ = [
-    "SignedBeliefDiff",
     "PairingReport",
     "l2_pairing",
     "lifted_pairing",
     "counterexample_gap",
     "certify_blind_monotone",
-    "duality_pairing",
-    "operator_A_cylinder",
     "random_belief",
 ]
-
-
-@dataclass(frozen=True)
-class SignedBeliefDiff:
-    """Signed atomic measure mu1 - mu2 on the space of densities."""
-
-    signed_weights: np.ndarray
-    atoms: tuple
-
-    def __post_init__(self):
-        w = np.asarray(self.signed_weights, dtype=float)
-        atoms = tuple(self.atoms)
-        if w.shape != (len(atoms),):
-            raise ValueError("one signed weight per atom required")
-        if abs(w.sum()) > 1e-12:
-            raise ValueError(f"signed weights sum to {w.sum()}, expected 0")
-        object.__setattr__(self, "signed_weights", w)
-        object.__setattr__(self, "atoms", atoms)
-
-    @classmethod
-    def from_beliefs(cls, mu1: Belief, mu2: Belief) -> "SignedBeliefDiff":
-        w = np.concatenate([mu1.weights, -mu2.weights])
-        return cls(w, mu1.atoms + mu2.atoms)
 
 
 @dataclass(frozen=True)
@@ -224,26 +194,3 @@ def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
     return PairingReport(witnesses=witness, trials=paired, min_over_trials=float(best),
                          seed=sampler_seed, model=cm.kind, nonfinite_trial=nonfinite)
 
-
-def duality_pairing(phi: ScalarField, diff: SignedBeliefDiff) -> float:
-    """<phi, mu> = sum_i s_i ∫ phi dm_i."""
-    if any(a.grid != phi.grid for a in diff.atoms):
-        raise ValueError("grid mismatch in duality pairing")
-    atoms = np.reshape([a.values for a in diff.atoms], (-1,) + phi.grid.shape)
-    return _sum_in_order(0.0, (diff.signed_weights
-                               * integrate_stack(phi.grid, phi.values, atoms)).tolist())
-
-
-def operator_A_cylinder(mu: Belief, b_components: np.ndarray, sigma: float,
-                        phi: CylinderFunctional) -> float:
-    """Generator of the pushforward flow on a cylinder functional at t = 0.
-
-    Equals d/dt of phi along the belief pushforward to scheme order;
-    `b_components` is a frozen-drift array of shape (dim,) + grid.shape.
-    """
-    grid = mu.grid
-    h_vals = phi.inner.values
-    gen = _generator_field(grid, h_vals, laplacian_array(grid, h_vals), b_components, sigma)
-    s, gen_m = integrate_stack(grid, np.stack([h_vals, gen])[:, None], mu.values).tolist()
-    return _sum_in_order(0.0, [w * phi.psi_s(0.0, si) * gi
-                               for w, si, gi in zip(mu.weights.tolist(), s, gen_m)])

@@ -31,7 +31,6 @@ __all__ = [
     "FilterTrace",
     "in_consistency_set",
     "partition_by_payment",
-    "filter_step",
     "tower_check",
     "simulate_observed",
     "illustrative_scenario",
@@ -125,17 +124,6 @@ def partition_by_payment(mu: Belief, cm: CostModel, tau: float):
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
     return [tuple(groups[r]) for r in sorted(groups)]
-
-
-def filter_step(mu: Belief, observed: ScalarField, cm: CostModel,
-                fc: FilterConfig) -> Belief:
-    """Hard conditioning on an observed payment field; weights renormalized."""
-    if observed.grid != mu.grid:
-        raise ValueError("observed payment and belief on different grids")
-    kept, _ = _matching(_signatures(mu, cm), observed.values, fc.tolerance)
-    if not kept:
-        raise ValueError("inconsistent observation: no atom matches the payment")
-    return _condition(mu, kept)
 
 
 def tower_check(mu: Belief, b: DriftField, sigma: float, tg: TimeGrid,

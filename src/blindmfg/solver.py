@@ -34,7 +34,6 @@ from .hjb_fp import (
     solve_hjb_backward,
     zero_drift,
 )
-from .monotonicity import lifted_pairing
 from .torus import Density, ScalarField
 
 # Anderson depth: secant pairs kept by the damped iteration
@@ -45,8 +44,6 @@ __all__ = [
     "EquilibriumSolution",
     "solve_blind",
     "solve_complete_info",
-    "equilibrium_gap",
-    "cross_solution_coupling",
 ]
 
 
@@ -212,32 +209,3 @@ def _hjb_residual(u: ValuePath, running: np.ndarray, H: Hamiltonian,
                               sigma, tg.dt)
     return float(np.max(np.abs(u.values[:-1] - pred))) / tg.dt
 
-
-def equilibrium_gap(sol: EquilibriumSolution, cm: CostModel, H: Hamiltonian,
-                    sigma: float, tg: TimeGrid) -> float:
-    """Sup-norm distance between sol.drift and one fixed-point map application."""
-    running, terminal = _cost_paths(sol.belief, cm)
-    u = solve_hjb_backward(running, terminal, H, sigma, tg)
-    b_new = optimal_drift(u, H)
-    return float(np.max(np.abs(b_new.values - sol.drift.values)))
-
-
-def cross_solution_coupling(sol1: EquilibriumSolution, sol2: EquilibriumSolution,
-                            cm: CostModel, tg: TimeGrid) -> float:
-    """Discrete aggregate coupling term of the uniqueness computation.
-
-    Time integral of the lifted pairing between the two solutions' belief
-    paths plus the terminal pairing; nonpositive at equilibria of
-    monotone instances (and ~0 when the solutions coincide).
-    """
-    total = 0.0
-    for k in range(tg.steps):
-        mu1 = sol1.belief.belief_at(k)
-        mu2 = sol2.belief.belief_at(k)
-        total += tg.dt * lifted_pairing(cm, mu1, mu2)
-    # terminal part: the terminal field, paired as a constant running cost
-    field = np.zeros(sol1.belief.grid.shape) if cm.terminal is None else cm.terminal
-    total += lifted_pairing(CostModel("constant", a=field),
-                            sol1.belief.belief_at(tg.steps),
-                            sol2.belief.belief_at(tg.steps))
-    return total

@@ -22,9 +22,7 @@ __all__ = [
     "mollified_dirac_stack",
     "integrate",
     "integrate_stack",
-    "laplacian",
     "wasserstein1_circle",
-    "circular_mean",
 ]
 
 MASS_TOL = 1e-12
@@ -103,14 +101,6 @@ class Density:
         if not abs(mass - 1.0) <= MASS_TOL:
             raise ValueError(f"density mass {mass} deviates from 1 by more than {MASS_TOL}")
         object.__setattr__(self, "values", v)
-
-
-def constant_field(grid: TorusGrid, value: float) -> ScalarField:
-    return ScalarField(grid, np.full(grid.shape, float(value)))
-
-
-def uniform_density(grid: TorusGrid) -> Density:
-    return Density(grid, np.full(grid.shape, 1.0))
 
 
 def normalize_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -214,11 +204,6 @@ def integrate(phi: ScalarField, m: Density) -> float:
     return float(integrate_stack(m.grid, phi.values, m.values))
 
 
-def laplacian(phi: ScalarField) -> ScalarField:
-    vals = laplacian_array(phi.grid, phi.values)
-    return ScalarField(phi.grid, vals)
-
-
 def laplacian_array(grid: TorusGrid, v: np.ndarray) -> np.ndarray:
     """Second-order centered periodic Laplacian on raw values.
 
@@ -255,16 +240,6 @@ def _periodic_pairs(axis: int, step: int) -> tuple:
     pairs = ((head, tail), (last, first)) if step == 1 else ((tail, head), (first, last))
     rest = (slice(None),) * (-1 - axis)
     return tuple(((Ellipsis, own) + rest, (Ellipsis, nb) + rest) for own, nb in pairs)
-
-
-def circular_mean(m: Density) -> float:
-    """Circular mean position of a 1-D density, in [0,1)."""
-    if m.grid.dim != 1:
-        raise ValueError("circular_mean requires d = 1")
-    theta = 2.0 * np.pi * m.grid.axis_coords()
-    w = m.values * m.grid.cell_volume
-    z = np.sum(w * np.exp(1j * theta))
-    return float(np.angle(z) / (2.0 * np.pi) % 1.0)
 
 
 def wasserstein1_circle(m1: Density, m2: Density) -> float:

@@ -25,16 +25,19 @@ from blindmfg.hjb_fp import DriftField, TimeGrid, constant_drift, solve_fp_forwa
 from blindmfg.torus import (
     ScalarField,
     build_grid,
-    circular_mean,
-    constant_field,
     density_from_values,
     integrate,
     integrate_stack,
     mollified_dirac,
-    uniform_density,
 )
 
-from conftest import one_atom_path, random_density
+from conftest import (
+    circular_mean,
+    constant_field,
+    one_atom_path,
+    random_density,
+    uniform_density,
+)
 
 
 def two_atom_belief(grid, w1=0.3, c1=0.2, c2=0.6):

@@ -1,10 +1,15 @@
 """Static hygiene of the package sources: no dead imports, no stale
-__all__, no environment switches, no file I/O outside the CLI.
+__all__, no environment switches, no file I/O outside the CLI, no export
+that no workload reaches, and every name the benchmark's tracer wraps
+still defined.
 
-Walks src/blindmfg/*.py with `ast` only, so it needs no linter.
+Walks src/blindmfg/*.py with `ast` only, so it needs no linter; the
+tracer's targets are read from perfbench/tracer.py the same way and only
+resolved against the imported package.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -242,3 +247,75 @@ def test_every_default_parameter_is_passed():
                 if not any(_passes(c, positional, param) for c in calls.get(name, [])):
                     never.append(f"{path.name}:{line} {name}({param}=)")
     assert not never, "defaulted parameters no call passes: " + ", ".join(never)
+
+
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _traced_targets() -> list:
+    """perfbench/tracer.py's TRACED, read from its source, not imported."""
+    for node in _tree(TRACER).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    raise AssertionError("perfbench/tracer.py defines no TRACED tuple")
+
+
+def _top_level_definitions() -> dict:
+    """Name -> the package's module-level statements that define it."""
+    defs = {}
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name) and t.id != "__all__":
+                        defs.setdefault(t.id, []).append(node)
+    return defs
+
+
+def _reached_names() -> set:
+    """Package names reached from the workloads: cli.main and _COMMANDS,
+    every name tests/test_acceptance.py refers to, and the tracer's
+    targets, closed over the module-level definitions they refer to."""
+    todo = ["main", "_COMMANDS"]
+    todo += _referenced_names(_tree(ROOT / "tests" / "test_acceptance.py"))
+    todo += [part for target in _traced_targets() for part in target.split(".")[1:]]
+    defs = _top_level_definitions()
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in defs.get(name, []):
+            todo.extend(_referenced_names(node))
+    return reached
+
+
+def test_every_export_is_reached_from_a_workload():
+    """A public name that only its own unit tests call is code the package
+    carries for nothing: the CLI, the acceptance criteria or the benchmark's
+    tracer must reach every __all__ entry and every package-level import."""
+    reached = _reached_names()
+    exported = [(path.stem, name) for path in MODULES for name in _all_entries(_tree(path))]
+    exported += [("blindmfg", name)
+                 for name in _imported_names(_tree(SRC / "__init__.py"))]
+    unreached = sorted({f"{module}.{name}" for module, name in exported
+                        if name not in reached})
+    assert not unreached, "exported, reached by no workload: " + ", ".join(unreached)
+
+
+@pytest.mark.parametrize("target", _traced_targets())
+def test_traced_target_resolves(target):
+    """The tracer looks each target up by attribute when it installs; a
+    renamed or deleted one would break every `--trace 1` run."""
+    module, *path = target.split(".")
+    owner = importlib.import_module(f"blindmfg.{module}")
+    if len(path) == 2:  # a method, patched in its class's own namespace
+        owner = getattr(owner, path[0])
+        assert path[1] in vars(owner), f"{target}: not defined on its class"
+    else:
+        assert callable(getattr(owner, path[0], None)), f"{target}: no such function"

@@ -28,7 +28,6 @@ from blindmfg.beliefs import (
     product_form_cost,
     push_forward,
     ramp_cylinder,
-    static_cylinder,
     weak_ladder,
     weak_solution_residual,
 )
@@ -49,7 +48,6 @@ from blindmfg.hjb_fp import (
     solve_hjb_backward,
     upwind_advection,
 )
-from blindmfg.monotonicity import SignedBeliefDiff, duality_pairing, operator_A_cylinder
 from blindmfg.payments import partition_by_payment, tower_check
 from blindmfg.torus import (
     ScalarField,
@@ -59,6 +57,8 @@ from blindmfg.torus import (
     laplacian_array,
     mollified_dirac_stack,
 )
+
+from conftest import ref_integral
 
 SIZES = [(1, 8), (1, 128), (1, 256), (2, 32), (2, 50), (2, 64)]
 KINDS = [Hamiltonian("abs"), Hamiltonian("smoothed_abs", smoothing=0.3),
@@ -380,13 +380,12 @@ def test_sweep_memory_is_per_step(size, sigma):
 
 # ---------------------------------------------------------------------------
 # belief-level integrals: every ∫ field dm goes through integrate_stack, and
-# each caller below is held bit for bit to a written-out per-atom loop
+# each caller below is held bit for bit to a written-out per-atom loop.  The
+# per-atom references of the duality pairing and of the cylinder generator A
+# have no package counterpart; they live in conftest.py, and
+# test_monotonicity.py's TestDualityPairing and TestOperatorACylinder run them.
 
 BELIEF_GRIDS = [(1, 64), (2, 16)]
-
-
-def ref_integral(grid, phi, a):
-    return float(np.sum(phi * a) * grid.cell_volume)
 
 
 def ref_belief_at(bp, k):
@@ -412,24 +411,6 @@ def ref_weak_solution_residual(beliefs, b, sigma, phi):
     for w, a in zip(beliefs[0].weights, beliefs[0].atoms):
         acc -= w * phi.psi(0.0, ref_integral(grid, h, a.values))
     return abs(acc)
-
-
-def ref_operator_A_cylinder(mu, b_components, sigma, phi):
-    grid = mu.grid
-    h = phi.inner.values
-    gen = sigma * laplacian_array(grid, h) + upwind_advection(grid, h, b_components)
-    total = 0.0
-    for w, a in zip(mu.weights, mu.atoms):
-        s = ref_integral(grid, h, a.values)
-        total += w * phi.psi_s(0.0, s) * ref_integral(grid, gen, a.values)
-    return total
-
-
-def ref_duality_pairing(phi, diff):
-    total = 0.0
-    for s, a in zip(diff.signed_weights, diff.atoms):
-        total += s * ref_integral(phi.grid, phi.values, a.values)
-    return total
 
 
 def ref_tower_check(mu, b, sigma, tg, t, phi, cm, tau):
@@ -541,21 +522,6 @@ def test_weak_solution_residual_equals_per_atom_loop(size):
     _same_float(ladder.residuals[0], ref_weak_solution_residual(beliefs, b, 0.05, ramp))
     _same_float(ladder.perturbed_residual,
                 ref_weak_solution_residual(perturbed, b, 0.05, ramp))
-
-
-@pytest.mark.parametrize("size", BELIEF_GRIDS, ids=lambda s: f"d{s[0]}n{s[1]}")
-def test_operator_A_and_duality_pairing_equal_per_atom_loops(size):
-    grid = build_grid(*size)
-    rng = np.random.default_rng(grid.n + 13)
-    mu = _belief(grid, rng.dirichlet(np.ones(8)), rng.random((8, grid.dim)))
-    nu = _belief(grid, rng.dirichlet(np.ones(5)), rng.random((5, grid.dim)))
-    drift = _drift(rng, grid)
-    for phi in (static_cylinder(_inner(grid)), _sine_cylinder(grid, 1.0)):
-        _same_float(operator_A_cylinder(mu, drift, 0.05, phi),
-                    ref_operator_A_cylinder(mu, drift, 0.05, phi))
-    diff = SignedBeliefDiff.from_beliefs(mu, nu)
-    field = ScalarField(grid, _field(rng, (), grid))
-    _same_float(duality_pairing(field, diff), ref_duality_pairing(field, diff))
 
 
 @pytest.mark.parametrize("tau", [1e-6, 10.0], ids=["two-classes", "one-class"])

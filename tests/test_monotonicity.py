@@ -13,26 +13,27 @@ from blindmfg.beliefs import (
 )
 from blindmfg.hjb_fp import TimeGrid, constant_drift
 from blindmfg.monotonicity import (
-    SignedBeliefDiff,
     _block_trials,
     certify_blind_monotone,
     counterexample_gap,
-    duality_pairing,
     l2_pairing,
     lifted_pairing,
-    operator_A_cylinder,
     random_belief,
 )
 from blindmfg.torus import (
     ScalarField,
     build_grid,
-    constant_field,
     density_from_values,
     integrate,
     mollified_dirac,
 )
 
-from conftest import random_density
+from conftest import (
+    constant_field,
+    random_density,
+    ref_duality_pairing,
+    ref_operator_A_cylinder,
+)
 
 
 def cos_product_cost(grid):
@@ -62,13 +63,14 @@ def oracle_random_belief(grid, rng, max_atoms=8):
 
 
 def oracle_lifted_pairing(cm, mu1, mu2):
-    diff = SignedBeliefDiff.from_beliefs(mu1, mu2)
-    grid = diff.atoms[0].grid
+    signed_weights = np.concatenate([mu1.weights, -mu2.weights])
+    atoms = mu1.atoms + mu2.atoms
+    grid = mu1.grid
     ftilde = np.zeros(grid.shape)
-    for s, a in zip(diff.signed_weights, diff.atoms):
+    for s, a in zip(signed_weights, atoms):
         ftilde += s * cm.running(a).values
     total = 0.0
-    for s, a in zip(diff.signed_weights, diff.atoms):
+    for s, a in zip(signed_weights, atoms):
         total += s * float(np.sum(ftilde * a.values) * grid.cell_volume)
     return total
 
@@ -106,22 +108,6 @@ def assert_same_belief(mu, nu):
     assert len(mu.atoms) == len(nu.atoms)
     for a, b in zip(mu.atoms, nu.atoms):
         assert np.array_equal(a.values, b.values)
-
-
-class TestSignedBeliefDiff:
-    def test_weights_must_cancel(self, grid64):
-        with pytest.raises(ValueError, match="sum"):
-            SignedBeliefDiff(np.array([0.6, -0.5]),
-                             (mollified_dirac(grid64, 0.1),
-                              mollified_dirac(grid64, 0.2)))
-
-    def test_from_beliefs(self, grid64):
-        mu = Belief(np.array([0.3, 0.7]),
-                    (mollified_dirac(grid64, 0.1), mollified_dirac(grid64, 0.4)))
-        nu = Belief(np.array([1.0]), (mollified_dirac(grid64, 0.8),))
-        diff = SignedBeliefDiff.from_beliefs(mu, nu)
-        assert np.allclose(diff.signed_weights, [0.3, 0.7, -1.0])
-        assert abs(diff.signed_weights.sum()) < 1e-12
 
 
 class TestL2Pairing:
@@ -361,45 +347,50 @@ class TestCertifyBlindMonotone:
 
 
 class TestDualityPairing:
+    """The paper's pairing <phi, mu1 - mu2> as the per-atom reference of
+    conftest.py computes it."""
+
     def test_constants_annihilated(self, grid64):
-        diff = SignedBeliefDiff(np.array([1.0, -1.0]),
-                                (mollified_dirac(grid64, 0.7),
-                                 mollified_dirac(grid64, 0.2)))
-        assert duality_pairing(constant_field(grid64, 3.0), diff) == \
+        atoms = (mollified_dirac(grid64, 0.7), mollified_dirac(grid64, 0.2))
+        assert ref_duality_pairing(constant_field(grid64, 3.0), [1.0, -1.0], atoms) == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_mean_difference(self, grid64):
         x = grid64.axis_coords()
         phi = ScalarField(grid64, x.copy())
-        diff = SignedBeliefDiff(np.array([1.0, -1.0]),
-                                (mollified_dirac(grid64, 0.7),
-                                 mollified_dirac(grid64, 0.2)))
-        assert abs(duality_pairing(phi, diff) - 0.5) < 2 * grid64.spacing
+        atoms = (mollified_dirac(grid64, 0.7), mollified_dirac(grid64, 0.2))
+        assert abs(ref_duality_pairing(phi, [1.0, -1.0], atoms) - 0.5) < 2 * grid64.spacing
 
     def test_bilinearity_against_double_sum(self, grid64):
         rng = np.random.default_rng(5)
         phi = ScalarField(grid64, rng.standard_normal(grid64.shape))
+        psi = ScalarField(grid64, rng.standard_normal(grid64.shape))
         atoms = tuple(random_density(grid64, rng) for _ in range(4))
         s = np.array([0.4, 0.6, -0.3, -0.7])
-        diff = SignedBeliefDiff(s, atoms)
         oracle = sum(si * float(np.sum(phi.values * a.values))
                      * grid64.cell_volume for si, a in zip(s, atoms))
-        assert duality_pairing(phi, diff) == pytest.approx(oracle, abs=1e-13)
+        assert ref_duality_pairing(phi, s, atoms) == pytest.approx(oracle, abs=1e-13)
+        mixed = ScalarField(grid64, 2.0 * phi.values - psi.values)
+        assert ref_duality_pairing(mixed, s, atoms) == pytest.approx(
+            2.0 * oracle - ref_duality_pairing(psi, s, atoms), abs=1e-13)
 
 
 class TestOperatorACylinder:
+    """The generator A of the belief pushforward on cylinder functionals,
+    as the per-atom reference of conftest.py computes it."""
+
     def test_constant_inner_zero(self, grid64):
         mu = Belief(np.array([1.0]), (mollified_dirac(grid64, 0.3),))
         phi = static_cylinder(constant_field(grid64, 2.0))
         b = np.full((1,) + grid64.shape, 0.8)
-        assert operator_A_cylinder(mu, b, 0.1, phi) == 0.0
+        assert ref_operator_A_cylinder(mu, b, 0.1, phi) == 0.0
 
     def test_frozen_dynamics_zero(self, grid64):
         x = grid64.axis_coords()
         mu = Belief(np.array([1.0]), (mollified_dirac(grid64, 0.3),))
         phi = static_cylinder(ScalarField(grid64, np.cos(2 * np.pi * x)))
         b = np.zeros((1,) + grid64.shape)
-        assert operator_A_cylinder(mu, b, 0.0, phi) == 0.0
+        assert ref_operator_A_cylinder(mu, b, 0.0, phi) == 0.0
 
     def test_generator_matches_flow_derivative(self):
         g = build_grid(1, 128)
@@ -409,10 +400,12 @@ class TestOperatorACylinder:
         phi = static_cylinder(ScalarField(g, np.cos(2 * np.pi * x)))
         sigma, speed = 0.05, 0.7
         b = constant_drift(g, tg, speed)
-        gen = operator_A_cylinder(mu, b.values[0], sigma, phi)
+        gen = ref_operator_A_cylinder(mu, b.values[0], sigma, phi)
         bp = push_forward(mu, b, sigma, tg)
-        vals = [phi.value_belief(t, bp.belief_at(k))
-                for k, t in enumerate(tg.times)]
+        # phi(t, mu) = sum_i w_i psi(t, ∫h dm_i) at the first two time nodes
+        vals = [sum(w * phi.psi(t, integrate(phi.inner, a))
+                    for w, a in zip(bp.weights, bp.belief_at(k).atoms))
+                for k, t in enumerate(tg.times[:2])]
         fd = (vals[1] - vals[0]) / tg.dt
         # generator equals d/dt of the cylinder value to scheme order
         assert gen == pytest.approx(fd, abs=5 * (tg.dt + g.spacing ** 2) * 10)
@@ -422,8 +415,8 @@ class TestOperatorACylinder:
         phi = static_cylinder(ScalarField(grid64, np.sin(2 * np.pi * x)))
         a1, a2 = mollified_dirac(grid64, 0.2), mollified_dirac(grid64, 0.7)
         b = np.full((1,) + grid64.shape, 0.5)
-        mixed = operator_A_cylinder(Belief(np.array([0.4, 0.6]), (a1, a2)),
-                                    b, 0.1, phi)
-        parts = (0.4 * operator_A_cylinder(Belief(np.array([1.0]), (a1,)), b, 0.1, phi)
-                 + 0.6 * operator_A_cylinder(Belief(np.array([1.0]), (a2,)), b, 0.1, phi))
+        mixed = ref_operator_A_cylinder(Belief(np.array([0.4, 0.6]), (a1, a2)),
+                                        b, 0.1, phi)
+        parts = (0.4 * ref_operator_A_cylinder(Belief(np.array([1.0]), (a1,)), b, 0.1, phi)
+                 + 0.6 * ref_operator_A_cylinder(Belief(np.array([1.0]), (a2,)), b, 0.1, phi))
         assert mixed == pytest.approx(parts, abs=1e-14)

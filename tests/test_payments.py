@@ -20,9 +20,10 @@ from blindmfg.beliefs import (
 from blindmfg.hjb_fp import DriftField, Hamiltonian, TimeGrid, constant_drift, fp_step
 from blindmfg.payments import (
     FilterConfig,
+    _condition,
+    _matching,
     _observation_steps,
     _signatures,
-    filter_step,
     illustrative_scenario,
     in_consistency_set,
     partition_by_payment,
@@ -34,12 +35,11 @@ from blindmfg.solver import SolverConfig, solve_blind, solve_complete_info
 from blindmfg.torus import (
     ScalarField,
     build_grid,
-    constant_field,
     density_from_values,
     mollified_dirac,
 )
 
-from conftest import random_density, scenario_config
+from conftest import constant_field, random_density, scenario_config
 
 
 @pytest.fixture
@@ -192,6 +192,14 @@ class TestPartitionByPayment:
         assert flat == list(range(5))
 
 
+def condition_on(mu, observed, cm, fc):
+    """mu conditioned on an observed payment field by the rule that
+    simulate_observed applies: keep the atoms whose payment lies within
+    the tolerance, renormalize their weights."""
+    kept, _ = _matching(_signatures(mu, cm), observed.values, fc.tolerance)
+    return _condition(mu, kept)
+
+
 class TestFilterStep:
     @staticmethod
     def setup(grid):
@@ -206,22 +214,16 @@ class TestFilterStep:
         mu = Belief(np.array([0.3, 0.7]),
                     (mollified_dirac(grid64, 0.1), mollified_dirac(grid64, 0.5)))
         obs = cm.running(mu.atoms[0])
-        out = filter_step(mu, obs, cm, FilterConfig(tolerance=1e-9))
+        out = condition_on(mu, obs, cm, FilterConfig(tolerance=1e-9))
         assert np.array_equal(out.weights, mu.weights)
 
     def test_single_survivor_becomes_delta(self, grid256):
         cm, mu = self.setup(grid256)
         obs = cm.running(mu.atoms[1])
-        out = filter_step(mu, obs, cm, FilterConfig(tolerance=1e-6))
+        out = condition_on(mu, obs, cm, FilterConfig(tolerance=1e-6))
         assert out.n_atoms == 1
         assert out.weights[0] == pytest.approx(1.0, abs=1e-15)
         assert np.array_equal(out.atoms[0].values, mu.atoms[1].values)
-
-    def test_inconsistent_observation_raises(self, grid256):
-        cm, mu = self.setup(grid256)
-        bogus = constant_field(grid256, 42.0)
-        with pytest.raises(ValueError, match="inconsistent observation"):
-            filter_step(mu, bogus, cm, FilterConfig(tolerance=1e-6))
 
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
@@ -235,8 +237,8 @@ class TestFilterStep:
                     tuple(random_density(g, rng) for _ in range(k)))
         obs = cm.running(mu.atoms[int(rng.integers(k))])
         fc = FilterConfig(tolerance=1e-4)
-        once = filter_step(mu, obs, cm, fc)
-        twice = filter_step(once, obs, cm, fc)
+        once = condition_on(mu, obs, cm, fc)
+        twice = condition_on(once, obs, cm, fc)
         assert np.array_equal(once.weights, twice.weights)
         assert once.n_atoms == twice.n_atoms
 
@@ -252,17 +254,8 @@ class TestFilterStep:
     def test_weights_renormalized(self, grid256):
         cm, mu = self.setup(grid256)
         obs = cm.running(mu.atoms[0])
-        out = filter_step(mu, obs, cm, FilterConfig(tolerance=1e-6))
+        out = condition_on(mu, obs, cm, FilterConfig(tolerance=1e-6))
         assert abs(out.weights.sum() - 1.0) < 1e-12
-
-    def test_observation_on_another_grid_rejected(self):
-        # a 1-D field would broadcast against the 2-D payments
-        g1, g2 = build_grid(1, 16), build_grid(2, 16)
-        cm = constant_cost(constant_field(g2, 1.0))
-        mu = Belief(np.array([0.5, 0.5]),
-                    (mollified_dirac(g2, [0.3, 0.3]), mollified_dirac(g2, [0.6, 0.2])))
-        with pytest.raises(ValueError, match="different grids"):
-            filter_step(mu, constant_field(g1, 1.0), cm, FilterConfig(tolerance=1e-9))
 
 
 class TestTowerCheck:

@@ -8,26 +8,17 @@ from blindmfg import cli
 from blindmfg.beliefs import (
     Belief,
     BeliefPath,
+    CostModel,
     aggregate_terminal,
     constant_cost,
     product_form_cost,
 )
 from blindmfg.hjb_fp import DriftField, Hamiltonian, TimeGrid
 from blindmfg.monotonicity import lifted_pairing
-from blindmfg.solver import (
-    SolverConfig,
-    cross_solution_coupling,
-    equilibrium_gap,
-    solve_blind,
-    solve_complete_info,
-)
-from blindmfg.torus import (
-    ScalarField,
-    build_grid,
-    constant_field,
-    mollified_dirac,
-    uniform_density,
-)
+from blindmfg.solver import SolverConfig, solve_blind, solve_complete_info
+from blindmfg.torus import ScalarField, build_grid, mollified_dirac
+
+from conftest import constant_field, equilibrium_gap, uniform_density
 
 
 def mild_product_cost(grid, amplitude=0.3):
@@ -339,6 +330,22 @@ class TestEquilibriumGap:
         assert equilibrium_gap(sol, cm, H, sigma, tg) == 0.0
 
 
+def coupling_terms(sol1, sol2, cm, tg):
+    """The aggregate coupling of the uniqueness computation, in two parts:
+    the time sum of the lifted pairings of the two solutions' belief paths,
+    and the terminal field (zeros without one) paired at the last step as
+    a constant running cost."""
+    running = 0.0
+    for k in range(tg.steps):
+        running += tg.dt * lifted_pairing(cm, sol1.belief.belief_at(k),
+                                          sol2.belief.belief_at(k))
+    field = np.zeros(sol1.belief.grid.shape) if cm.terminal is None else cm.terminal
+    terminal = lifted_pairing(CostModel("constant", a=field),
+                              sol1.belief.belief_at(tg.steps),
+                              sol2.belief.belief_at(tg.steps))
+    return running, terminal
+
+
 class TestCrossSolutionCoupling:
     def test_nonpositive_for_monotone_instance(self):
         grid, tg, cm, H, sigma = small_setup()
@@ -348,14 +355,14 @@ class TestCrossSolutionCoupling:
         other = DriftField(grid, tg,
                            np.full((tg.steps + 1, 1) + grid.shape, -0.3))
         s2 = solve_blind(mu0, cm, H, sigma, tg, initial_drift=other)
-        assert cross_solution_coupling(s1, s2, cm, tg) <= 1e-6
+        running, terminal = coupling_terms(s1, s2, cm, tg)
+        assert running + terminal <= 1e-6
 
     @pytest.mark.parametrize("running", ["product", "zero"])
     def test_terminal_field_pairs_as_a_constant_cost(self, running):
-        """The coupling is the running part's sum plus the terminal field's
-        pairing at the last step as a constant cost, bit for bit.  That
-        pairing is rounding alone (the signed weights sum to 0); with a
-        zero running cost it is the whole coupling."""
+        """The terminal field's pairing at the last step, as a constant
+        cost, is rounding alone: the signed weights sum to 0.  With a zero
+        running cost it is the whole coupling."""
         grid, tg, cm, H, sigma = small_setup()
         field = ScalarField(grid, np.sin(2 * np.pi * grid.axis_coords()))
         cm = (replace(cm, terminal=field.values) if running == "product"
@@ -366,15 +373,9 @@ class TestCrossSolutionCoupling:
         s2 = solve_blind(Belief(np.array([0.7, 0.3]), (mollified_dirac(grid, 0.25),
                                                        mollified_dirac(grid, 0.6))),
                          cm, H, sigma, tg)
-        total = 0.0
-        for k in range(tg.steps):
-            total += tg.dt * lifted_pairing(cm, s1.belief.belief_at(k),
-                                            s2.belief.belief_at(k))
-        terminal = lifted_pairing(constant_cost(field), s1.belief.belief_at(tg.steps),
-                                  s2.belief.belief_at(tg.steps))
-        assert terminal != 0.0
+        total, terminal = coupling_terms(s1, s2, cm, tg)
+        assert abs(terminal) < 1e-15
         assert (total == 0.0) == (running == "zero")
-        assert cross_solution_coupling(s1, s2, cm, tg) == total + terminal
 
 
 def test_write_history_csv(tmp_path):
