@@ -25,26 +25,6 @@ from .torus import (
     wasserstein1_circle,
 )
 
-__all__ = [
-    "Belief",
-    "BeliefPath",
-    "CostModel",
-    "CylinderFunctional",
-    "push_forward",
-    "aggregate_running",
-    "running_cost_path",
-    "aggregate_terminal",
-    "belief_distance",
-    "belief_holder_modulus",
-    "weak_solution_residual",
-    "WeakLadder",
-    "weak_ladder",
-    "product_form_cost",
-    "moment_form_cost",
-    "illustrative_cost",
-    "constant_cost",
-]
-
 MAX_ATOMS = 64
 
 

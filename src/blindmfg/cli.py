@@ -68,8 +68,6 @@ from .torus import (
     mollified_dirac,
 )
 
-__all__ = ["main"]
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
@@ -248,10 +246,7 @@ def _build_hamiltonian(cfg: dict) -> Hamiltonian:
                                             "capped_quadratic": ("cap",)})
     delta = _number(sub, "hamiltonian", "delta", lo=0.0, default=0.0)
     cap = _number(sub, "hamiltonian", "cap", above=0, default=1.0)
-    try:
-        return Hamiltonian(kind, smoothing=delta, cap=cap)
-    except ValueError as exc:
-        raise ConfigError("hamiltonian", str(exc))
+    return Hamiltonian(kind, smoothing=delta, cap=cap)
 
 
 def _build_field(spec: dict, grid: TorusGrid, path: str) -> ScalarField:
@@ -366,10 +361,7 @@ def _build_solver(cfg: dict) -> SolverConfig:
     _check_keys(sub, "solver", bounds)
     given = {key: _number(sub, "solver", key, **bounds[key])
              for key in bounds if key in sub}
-    try:
-        return SolverConfig(**given)
-    except ValueError as exc:
-        raise ConfigError("solver", str(exc))
+    return SolverConfig(**given)
 
 
 def _build_game(cfg: dict, key: str) -> tuple:
@@ -559,14 +551,10 @@ def cmd_simulate_observed(cfg: dict, out: Path) -> tuple:
     grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg, "belief")
     fsub = cfg["filter"]
     _check_keys(fsub, "filter", {"tolerance", "observation_dt"}, {"tolerance"})
-    try:
-        fc = FilterConfig(
-            tolerance=_number(fsub, "filter", "tolerance", above=0),
-            observation_dt=_number(fsub, "filter", "observation_dt", lo=0,
-                                   default=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError("filter", str(exc))
+    fc = FilterConfig(
+        tolerance=_number(fsub, "filter", "tolerance", above=0),
+        observation_dt=_number(fsub, "filter", "observation_dt", lo=0, default=0.0),
+    )
     try:
         steps_per_obs = _observation_steps(tg, fc)
     except ValueError as exc:

@@ -18,22 +18,6 @@ import numpy as np
 
 from .torus import Density, ScalarField, TorusGrid, _periodic_pairs
 
-__all__ = [
-    "Hamiltonian",
-    "TimeGrid",
-    "DriftField",
-    "ValuePath",
-    "DensityPath",
-    "solve_hjb_backward",
-    "optimal_drift",
-    "solve_fp_forward",
-    "solve_fp_stack",
-    "hjb_linear_step",
-    "fp_step",
-    "implicit_diffusion",
-    "upwind_advection",
-]
-
 _CFL_SLACK = 1.0 + 1e-12
 
 # Largest 1-D grid whose implicit diffusion is a dense matmul: up to here

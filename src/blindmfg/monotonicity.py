@@ -29,15 +29,6 @@ from .torus import (
     normalize_stack,
 )
 
-__all__ = [
-    "PairingReport",
-    "l2_pairing",
-    "lifted_pairing",
-    "counterexample_gap",
-    "certify_blind_monotone",
-    "random_belief",
-]
-
 
 @dataclass(frozen=True)
 class PairingReport:

@@ -26,18 +26,6 @@ from .hjb_fp import DriftField, Hamiltonian, TimeGrid
 from .solver import SolverConfig, solve_blind
 from .torus import ScalarField, TorusGrid, build_grid, integrate_stack, mollified_dirac
 
-__all__ = [
-    "FilterConfig",
-    "FilterTrace",
-    "in_consistency_set",
-    "partition_by_payment",
-    "tower_check",
-    "simulate_observed",
-    "illustrative_scenario",
-    "ScenarioBundle",
-    "smoothed_well_profile",
-]
-
 
 @dataclass(frozen=True)
 class FilterConfig:

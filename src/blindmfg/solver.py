@@ -39,13 +39,6 @@ from .torus import Density, ScalarField
 # Anderson depth: secant pairs kept by the damped iteration
 _ANDERSON_DEPTH = 3
 
-__all__ = [
-    "SolverConfig",
-    "EquilibriumSolution",
-    "solve_blind",
-    "solve_complete_info",
-]
-
 
 @dataclass(frozen=True)
 class SolverConfig:

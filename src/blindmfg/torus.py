@@ -12,19 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "TorusGrid",
-    "ScalarField",
-    "Density",
-    "build_grid",
-    "normalize_stack",
-    "mollified_dirac",
-    "mollified_dirac_stack",
-    "integrate",
-    "integrate_stack",
-    "wasserstein1_circle",
-]
-
 MASS_TOL = 1e-12
 
 

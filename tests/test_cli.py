@@ -686,6 +686,26 @@ class TestMalformedConfig:
         ("simulate-observed",
          dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)),
               filter={"tolerance": -1}), "filter.tolerance"),
+        ("solve-complete", dict(base_complete_config(), grid={"dim": 1, "n": 64.5}),
+         "grid.n"),
+        ("solve-complete",
+         dict(base_complete_config(),
+              cost={"id": "product_form", "phi": {"kind": "constant"}}),
+         "cost.phi.value"),
+        ("solve-complete",
+         {k: v for k, v in base_complete_config().items() if k != "density"}, "density"),
+        ("solve-complete",
+         dict(base_complete_config(),
+              density={"weights": [0.2, 0.3, 0.5],
+                       "atoms": [{"kind": "dirac", "center": c} for c in (0.2, 0.5, 0.8)]}),
+         "density"),
+        ("solve-complete",
+         dict(base_complete_config(), cost={"id": "illustrative", "coupling": 1.5}),
+         "cost.coupling"),
+        ("solve-complete",
+         dict(base_complete_config(), grid={"dim": 2, "n": 16},
+              cost={"id": "product_form", "phi": {"kind": "well"}}),
+         "cost.phi"),
     ], ids=["belief-list", "weights-strings", "weights-negative", "g-list",
             "atom-list", "moment-form-2d", "observation-dt-overflow",
             "dirac-no-center", "atom-kind-unknown", "bandwidth-typo",
@@ -695,7 +715,9 @@ class TestMalformedConfig:
             "perturb-weights-bool", "ladder-grid-atom", "out-directory-list",
             "out-unread-key", "out-not-an-object", "relaxation-zero",
             "relaxation-above-one", "tol-zero", "cap-zero", "tolerance-zero",
-            "tolerance-negative"])
+            "tolerance-negative", "n-not-integer", "constant-field-no-value",
+            "density-missing", "density-three-atoms", "coupling-above-one",
+            "well-2d"])
     def test_malformed_section_exit_2(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, "c.json", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2

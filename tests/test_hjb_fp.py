@@ -36,13 +36,18 @@ from conftest import (
 )
 
 ALL_KINDS = [Hamiltonian("abs"), Hamiltonian("smoothed_abs", smoothing=0.3),
-             Hamiltonian("capped_quadratic", cap=2.0)]
+             Hamiltonian("capped_quadratic", cap=2.0),
+             Hamiltonian("smoothed_abs", smoothing=0.0)]
 
 
 class TestHamiltonian:
     @pytest.mark.parametrize("H", ALL_KINDS)
     def test_vanishes_at_zero(self, H):
         assert H.profile(0.0) == 0.0
+
+    @pytest.mark.parametrize("H", ALL_KINDS)
+    def test_derivative_vanishes_at_zero(self, H):
+        assert H.dprofile(0.0) == 0.0
 
     @pytest.mark.parametrize("H", ALL_KINDS)
     def test_lipschitz_bound(self, H):

@@ -1,7 +1,7 @@
-"""Static hygiene of the package sources: no dead imports, no stale
-__all__, no environment switches, no file I/O outside the CLI, no export
-that no workload reaches, and every name the benchmark's tracer wraps
-still defined.
+"""Static hygiene of the package sources: no dead imports, no environment
+switches, no file I/O outside the CLI, no public name that no workload
+reaches, no re-export from the package, and every name the benchmark's
+tracer wraps still defined.
 
 Walks src/blindmfg/*.py with `ast` only, so it needs no linter; the
 tracer's targets are read from perfbench/tracer.py the same way and only
@@ -40,40 +40,26 @@ def _loaded_names(tree: ast.Module) -> set:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
-def _defined_names(tree: ast.Module) -> set:
-    names = set(_imported_names(tree))
+def _definitions(tree: ast.Module) -> list:
+    """(name, statement) of every module-level function, class and
+    assignment; imports are not definitions."""
+    defs = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
+            defs.append((node.name, node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return names
+            defs += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return defs
 
 
-def _all_entries(tree: ast.Module) -> list:
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            return [elt.value for elt in node.value.elts]
-    return []
-
-
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     tree = _tree(path)
     loaded = _loaded_names(tree)
     unused = sorted(f"{name} (line {line})"
                     for name, line in _imported_names(tree).items() if name not in loaded)
     assert not unused, f"{path.name}: imported and never read: {', '.join(unused)}"
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_all_entries_are_defined(path):
-    tree = _tree(path)
-    missing = sorted(set(_all_entries(tree)) - _defined_names(tree))
-    assert not missing, f"{path.name}: __all__ names undefined: {', '.join(missing)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -140,12 +126,6 @@ def test_only_the_cli_touches_files(path):
     assert not hits, f"{path.name}: file I/O outside cli.py: {', '.join(hits)}"
 
 
-def _private_definitions(tree: ast.Module) -> list:
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")]
-
-
 def _referenced_names(node: ast.AST) -> set:
     """Names that `node` reads, looks up as an attribute or imports."""
     names = set()
@@ -161,14 +141,13 @@ def _referenced_names(node: ast.AST) -> set:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_helper_is_used(path):
-    """A module-level `_` function or class that nothing in the package
-    refers to outside its own definition is dead code."""
+    """A module-level `_` function, class or constant that nothing in the
+    package refers to outside its own definition is dead code."""
     nodes = [(p, node) for p in MODULES for node in _tree(p).body]
-    dead = []
-    for d in _private_definitions(_tree(path)):
-        if not any(d.name in _referenced_names(node) for p, node in nodes
-                   if (p, node.lineno) != (path, d.lineno)):
-            dead.append(f"{d.name} (line {d.lineno})")
+    dead = [f"{name} (line {d.lineno})" for name, d in _definitions(_tree(path))
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in _referenced_names(node) for p, node in nodes
+                        if (p, node.lineno) != (path, d.lineno))]
     assert not dead, f"{path.name}: private and never used: {', '.join(dead)}"
 
 
@@ -265,14 +244,8 @@ def _top_level_definitions() -> dict:
     """Name -> the package's module-level statements that define it."""
     defs = {}
     for path in MODULES:
-        for node in _tree(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(node)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for t in targets:
-                    if isinstance(t, ast.Name) and t.id != "__all__":
-                        defs.setdefault(t.id, []).append(node)
+        for name, node in _definitions(_tree(path)):
+            defs.setdefault(name, []).append(node)
     return defs
 
 
@@ -295,17 +268,24 @@ def _reached_names() -> set:
     return reached
 
 
-def test_every_export_is_reached_from_a_workload():
-    """A public name that only its own unit tests call is code the package
-    carries for nothing: the CLI, the acceptance criteria or the benchmark's
-    tracer must reach every __all__ entry and every package-level import."""
+def test_every_public_name_is_reached_from_a_workload():
+    """A name without a leading underscore is public, and the package keeps
+    no public name for nothing: the CLI, the acceptance criteria or the
+    benchmark's tracer must reach every module-level function, class and
+    constant that is not private."""
     reached = _reached_names()
-    exported = [(path.stem, name) for path in MODULES for name in _all_entries(_tree(path))]
-    exported += [("blindmfg", name)
-                 for name in _imported_names(_tree(SRC / "__init__.py"))]
-    unreached = sorted({f"{module}.{name}" for module, name in exported
-                        if name not in reached})
-    assert not unreached, "exported, reached by no workload: " + ", ".join(unreached)
+    unreached = sorted(f"{path.stem}.{name}" for path in MODULES
+                       for name, _ in _definitions(_tree(path))
+                       if not name.startswith("_") and name not in reached)
+    assert not unreached, "public, reached by no workload: " + ", ".join(unreached)
+
+
+def test_package_re_exports_nothing():
+    """Each name has one import path, its module's: blindmfg/__init__.py
+    holds its docstring and no import."""
+    imports = [node.lineno for node in ast.walk(_tree(SRC / "__init__.py"))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"__init__.py: imports at lines {imports}"
 
 
 @pytest.mark.parametrize("target", _traced_targets())
