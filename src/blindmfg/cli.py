@@ -188,9 +188,12 @@ def _certify_bytes(max_atoms: int, grid: TorusGrid) -> int:
 
     Counted in fields of n^dim floats: 4 per atom of the block (its raw
     draw, the stacked and the normalized mixture draws, the atom stack),
-    and 2K + 8 outside it (a trial's pairing copy, running costs and
-    products; the witness copy; the cost's own fields; the witness atoms
-    as JSON numbers, about 5 floats' worth per value).  Added to that:
+    and 2K + 8 outside it (the witness copy and the cost's own fields, and
+    K more for the report).  A trial's pairing copies its K atoms and forms
+    one b·m product, within the 2 fields per atom that the block frees
+    once built.  The report, after the block is freed, holds the witness
+    and its atoms as JSON numbers, about 5 floats' worth per value: 6K,
+    within 4BK + 2K for B >= 1.  Added to that:
     the mollified-Dirac temporaries, 3 arrays of BK x dim x n x images
     floats at the sampler's bandwidth, and _DRAW_OBJECT_BYTES of Python
     objects per drawn atom, which dominate on coarse grids."""

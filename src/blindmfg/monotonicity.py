@@ -19,7 +19,6 @@ from .beliefs import (
     Belief,
     CostModel,
     _sum_in_order,
-    _weighted_sum,
 )
 from .torus import (
     Density,
@@ -57,19 +56,17 @@ class _AtomStack(NamedTuple):
 
 
 def lifted_pairing(cm: CostModel, mu1: Belief, mu2: Belief) -> float:
-    """Belief-level pairing: sum_i s_i ∫ f~(mu1-mu2) dm_i with f~ linear.
-
-    Reads each belief's grid, weights and stacked atom values only, so the
-    certifier passes its sampled arrays directly.  One running-cost call
-    covers all atoms; f~ and the signed integrals add up in atom order.
-    """
+    """Belief-level pairing sum_ij s_i s_j ∫f(m_j) dm_i, s = (w1, -w2), of
+    f(m) = a + b G(∫b dm): (s·S)(s·G(S)) with S_i = ∫b dm_i, both sums in
+    atom order, as `a` cancels (sum s = 0); a cost without `b` pairs to 0.
+    Reads each belief's grid, weights and stacked atom values only."""
     if mu1.grid != mu2.grid:
         raise ValueError("beliefs on different grids")
-    grid = mu1.grid
-    signed_weights = np.concatenate([mu1.weights, -mu2.weights])
-    atoms = np.concatenate([mu1.values, mu2.values])
-    ftilde = _weighted_sum(signed_weights, cm.running_values(grid, atoms))
-    return _sum_in_order(0.0, (signed_weights * integrate_stack(grid, ftilde, atoms)).tolist())
+    if cm.b is None:
+        return 0.0
+    s = np.concatenate([mu1.weights, -mu2.weights])
+    S = integrate_stack(mu1.grid, cm.b, np.concatenate([mu1.values, mu2.values]))
+    return _sum_in_order(0.0, (s * S).tolist()) * _sum_in_order(0.0, (s * cm.G(S)).tolist())
 
 
 def counterexample_gap(g, x: float, y: float, z: float) -> float:

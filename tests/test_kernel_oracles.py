@@ -475,7 +475,7 @@ def ref_weighted_sum(weights, fields):
 def test_weighted_sum_equals_atom_loop(size, lead):
     """numpy does not document the order of an axis-0 sum: pin it to the
     loop for every atom count up to 16, on fields and on time paths, with
-    signed weights (the lifted pairing's) and signed zeros."""
+    signed weights and signed zeros."""
     grid = build_grid(*size)
     rng = np.random.default_rng(grid.n + len(lead))
     for K in range(1, 17):

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from blindmfg import cli
 from blindmfg.beliefs import (
     Belief,
+    CostModel,
     constant_cost,
+    illustrative_cost,
     moment_form_cost,
     product_form_cost,
     push_forward,
@@ -46,8 +48,10 @@ def cos_product_cost_2d(grid):
     return product_form_cost(ScalarField(grid, np.cos(2 * np.pi * xx) * np.sin(2 * np.pi * yy)))
 
 
-# Per-atom oracles: one Density per atom and one running-cost field per
-# atom, as the certifier computed them before it worked on stacked arrays.
+# Per-atom oracles: one Density per atom, as the certifier computed them
+# before it worked on stacked arrays.  oracle_atom_sums_pairing has the
+# bits of lifted_pairing; oracle_lifted_pairing is the pairing's definition,
+# one running-cost field per atom, and agrees with it to rounding.
 
 def oracle_random_belief(grid, rng, max_atoms=8):
     k = int(rng.integers(1, max_atoms + 1))
@@ -75,13 +79,27 @@ def oracle_lifted_pairing(cm, mu1, mu2):
     return total
 
 
-def oracle_certify(cm, grid, seed, trials, max_atoms=8):
+def oracle_atom_sums_pairing(cm, mu1, mu2):
+    """(s·S)(s·G(S)) with S_i = ∫b dm_i, one atom at a time, both sums
+    added left to right."""
+    if cm.b is None:
+        return 0.0
+    phi = ScalarField(mu1.grid, cm.b)
+    s_dot_S = s_dot_GS = 0.0
+    for s, a in zip(np.concatenate([mu1.weights, -mu2.weights]), mu1.atoms + mu2.atoms):
+        S = integrate(phi, a)
+        s_dot_S += s * S
+        s_dot_GS += s * cm.G(S)
+    return s_dot_S * s_dot_GS
+
+
+def oracle_certify(cm, grid, seed, trials, max_atoms=8, pairing=oracle_atom_sums_pairing):
     rng = np.random.default_rng(seed)
     best, witness = np.inf, None
     for _ in range(trials):
         mu1 = oracle_random_belief(grid, rng, max_atoms)
         mu2 = oracle_random_belief(grid, rng, max_atoms)
-        val = oracle_lifted_pairing(cm, mu1, mu2)
+        val = pairing(cm, mu1, mu2)
         if val < best:
             best, witness = val, (mu1, mu2)
     return best, witness
@@ -108,6 +126,16 @@ def assert_same_belief(mu, nu):
     assert len(mu.atoms) == len(nu.atoms)
     for a, b in zip(mu.atoms, nu.atoms):
         assert np.array_equal(a.values, b.values)
+
+
+def assert_same_report(report, exact, defined):
+    """The report has the bits of `exact` and agrees with `defined` to
+    rounding; all three name the same witness."""
+    assert report.min_over_trials == exact[0]
+    assert report.min_over_trials == pytest.approx(defined[0], rel=1e-12, abs=1e-15)
+    for _, (mu1, mu2) in (exact, defined):
+        assert_same_belief(report.witnesses[0], mu1)
+        assert_same_belief(report.witnesses[1], mu2)
 
 
 class TestL2Pairing:
@@ -204,7 +232,46 @@ class TestLiftedPairing:
         rng = np.random.default_rng(6)
         for _ in range(10):
             mu, nu = random_belief(g, rng), random_belief(g, rng)
-            assert lifted_pairing(cm, mu, nu) == oracle_lifted_pairing(cm, mu, nu)
+            val = lifted_pairing(cm, mu, nu)
+            assert val == oracle_atom_sums_pairing(cm, mu, nu)
+            assert val == pytest.approx(oracle_lifted_pairing(cm, mu, nu), rel=1e-12, abs=1e-15)
+
+    def test_constant_cost_pairs_to_exact_zero(self, grid64):
+        rng = np.random.default_rng(7)
+        cm = constant_cost(ScalarField(grid64, rng.standard_normal(grid64.shape)))
+        for _ in range(10):
+            assert lifted_pairing(cm, random_belief(grid64, rng), random_belief(grid64, rng)) == 0.0
+
+    def test_product_form_base_cancels(self, grid64):
+        rng = np.random.default_rng(8)
+        phi = ScalarField(grid64, np.cos(2 * np.pi * grid64.axis_coords()))
+        with_base = product_form_cost(phi, ScalarField(grid64, rng.standard_normal(grid64.shape)))
+        for _ in range(10):
+            mu, nu = random_belief(grid64, rng), random_belief(grid64, rng)
+            assert lifted_pairing(with_base, mu, nu) == lifted_pairing(product_form_cost(phi), mu, nu)
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    def test_product_form_is_a_square(self, dim, n):
+        """G = id makes both sums the same sum, so the pairing is its square."""
+        g = build_grid(dim, n)
+        cm = cos_product_cost(g) if dim == 1 else cos_product_cost_2d(g)
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            mu, nu = random_belief(g, rng), random_belief(g, rng)
+            val = lifted_pairing(cm, mu, nu)
+            assert val >= 0.0
+            assert val == oracle_atom_sums_pairing(cm, mu, nu)
+
+    def test_illustrative_is_c_times_a_square(self, grid64):
+        c = 0.4
+        f0 = ScalarField(grid64, 1.0 + 0.5 * np.cos(2 * np.pi * grid64.axis_coords()))
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            mu, nu = random_belief(grid64, rng), random_belief(grid64, rng)
+            s_dot_S = (sum(w * integrate(f0, a) for w, a in zip(mu.weights, mu.atoms))
+                       - sum(w * integrate(f0, a) for w, a in zip(nu.weights, nu.atoms)))
+            assert lifted_pairing(illustrative_cost(f0, c), mu, nu) == pytest.approx(
+                c * s_dot_S ** 2, rel=1e-14)
 
 
 class TestRandomBelief:
@@ -259,10 +326,8 @@ class TestCertifyBlindMonotone:
         else:
             cm = cos_product_cost(g) if dim == 1 else cos_product_cost_2d(g)
         report = certify_blind_monotone(cm, g, sampler_seed=5, trials=150)
-        best, (mu1, mu2) = oracle_certify(cm, g, 5, 150)
-        assert report.min_over_trials == best
-        assert_same_belief(report.witnesses[0], mu1)
-        assert_same_belief(report.witnesses[1], mu2)
+        assert_same_report(report, oracle_certify(cm, g, 5, 150),
+                           oracle_certify(cm, g, 5, 150, pairing=oracle_lifted_pairing))
 
     @pytest.mark.parametrize("cost,dim,n,max_atoms", [("sqrt", 1, 64, 8), ("sqrt", 1, 256, 3),
                                                       ("product", 2, 16, 8)])
@@ -275,10 +340,9 @@ class TestCertifyBlindMonotone:
         assert block > 2
         for trials in (1, block - 1, block, block + 1, 2 * block + 1):
             report = certify_blind_monotone(cm, g, 9, trials, max_atoms)
-            best, (mu1, mu2) = oracle_certify(cm, g, 9, trials, max_atoms)
-            assert report.min_over_trials == best
-            assert_same_belief(report.witnesses[0], mu1)
-            assert_same_belief(report.witnesses[1], mu2)
+            assert_same_report(report, oracle_certify(cm, g, 9, trials, max_atoms),
+                               oracle_certify(cm, g, 9, trials, max_atoms,
+                                              pairing=oracle_lifted_pairing))
 
     @pytest.mark.parametrize("dim,n", [(1, 256), (2, 16)])
     def test_witness_reevaluates_to_min_exactly(self, dim, n):
@@ -301,6 +365,22 @@ class TestCertifyBlindMonotone:
         report = certify_blind_monotone(cos_product_cost(grid64), grid64, 4, 37)
         assert len(calls) == 37
         assert report.trials == 37
+
+    def test_pairs_without_running_costs(self, grid64, monkeypatch):
+        """The pairing reads S_i = ∫b dm_i, never a cost field."""
+        calls = []
+
+        def spy(self, grid, m):
+            calls.append(None)
+            return running_values(self, grid, m)
+
+        running_values = CostModel.running_values
+        monkeypatch.setattr(CostModel, "running_values", spy)
+        for cm in (cos_product_cost(grid64), moment_form_cost(np.sqrt, grid64)):
+            certify_blind_monotone(cm, grid64, sampler_seed=4, trials=20)
+        assert calls == []
+        cos_product_cost(grid64).running(mollified_dirac(grid64, 0.3))
+        assert len(calls) == 1
 
     def test_first_nonfinite_pairing_ends_the_run(self, grid64):
         """A cost that is NaN past a first moment of 0.91: the report names
