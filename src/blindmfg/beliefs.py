@@ -14,11 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .hjb_fp import DensityPath, DriftField, TimeGrid, solve_fp_stack, upwind_advection
+from .hjb_fp import DriftField, TimeGrid, solve_fp_stack, upwind_advection
 from .torus import (
     Density,
     ScalarField,
     TorusGrid,
+    _checked_densities,
+    _frozen,
     integrate_stack,
     laplacian_array,
     normalize_stack,
@@ -28,41 +30,50 @@ from .torus import (
 MAX_ATOMS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Belief:
-    weights: np.ndarray
-    atoms: tuple
+    """Weights over K atom densities, stacked (K, *grid.shape) in read-only `values`."""
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        w.flags.writeable = False
-        atoms = tuple(self.atoms)
-        if not 1 <= len(atoms) <= MAX_ATOMS:
+    grid: TorusGrid
+    weights: np.ndarray
+    values: np.ndarray
+
+    def __init__(self, weights, atoms):
+        grid = atoms[0].grid if atoms else None
+        if any(a.grid != grid for a in atoms):
+            raise ValueError("all atoms must share one grid")
+        vars(self).update(vars(Belief.from_stack(grid, weights, [a.values for a in atoms])))
+
+    @classmethod
+    def from_stack(cls, grid: TorusGrid, weights, values) -> Belief:
+        """The belief of the atoms stacked in `values`, checked as one stack."""
+        if not 1 <= len(values) <= MAX_ATOMS:
             raise ValueError(f"belief must have between 1 and {MAX_ATOMS} atoms")
-        if w.shape != (len(atoms),):
+        v = _checked_densities(grid, values, (len(values),))
+        w = _frozen(weights)
+        if w.shape != (len(v),):
             raise ValueError("one weight per atom required")
         if not np.all(w > 0):
             raise ValueError("atom weights must be positive")
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum()}, expected 1")
-        grid = atoms[0].grid
-        if any(a.grid != grid for a in atoms):
-            raise ValueError("all atoms must share one grid")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "atoms", atoms)
+        return cls._unchecked(grid, w, v)
 
-    @property
-    def grid(self) -> TorusGrid:
-        return self.atoms[0].grid
+    @classmethod
+    def _unchecked(cls, grid: TorusGrid, weights: np.ndarray, values: np.ndarray) -> Belief:
+        """A belief on rows as they are, for rows built as densities."""
+        mu = object.__new__(cls)
+        vars(mu).update(grid=grid, weights=weights, values=values)
+        return mu
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.values)
 
     @property
-    def values(self) -> np.ndarray:
-        """Atom values stacked (K, *grid.shape), in atom order."""
-        return np.stack([a.values for a in self.atoms])
+    def atoms(self) -> tuple:
+        """Density views of the rows of `values`, built on each read."""
+        return tuple(Density(self.grid, v) for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -78,13 +89,14 @@ class BeliefPath:
     weights: np.ndarray
     values: np.ndarray
 
-    @property
-    def atom_paths(self) -> tuple:
-        return tuple(DensityPath(self.grid, self.time_grid, v) for v in self.values)
+    def mass_errors(self) -> np.ndarray:
+        """Each atom's largest |mass - 1| over the path, (K,)."""
+        masses = self.values.reshape(self.values.shape[:2] + (-1,)).sum(axis=-1)
+        return np.max(np.abs(masses * self.grid.cell_volume - 1.0), axis=1)
 
     def belief_at(self, k: int) -> Belief:
-        atoms = normalize_stack(self.grid, self.values[:, k])
-        return Belief(self.weights, tuple(Density(self.grid, a) for a in atoms))
+        return Belief.from_stack(self.grid, self.weights,
+                                 normalize_stack(self.grid, self.values[:, k]))
 
 
 @dataclass(frozen=True, eq=False)

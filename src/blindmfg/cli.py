@@ -448,8 +448,7 @@ def _write_trace(out: Path, trace: FilterTrace) -> None:
 def _belief_json(mu: Belief) -> dict:
     """A belief in the config's schema, every atom as its grid values."""
     return {"weights": mu.weights.tolist(),
-            "atoms": [{"kind": "grid", "values": a.values.ravel().tolist()}
-                      for a in mu.atoms]}
+            "atoms": [{"kind": "grid", "values": a.ravel().tolist()} for a in mu.values]}
 
 
 def _report_json(report: PairingReport) -> dict:
@@ -474,8 +473,8 @@ def _belief_path_json(bp: BeliefPath, tg: TimeGrid) -> dict:
     """The times and each atom's weight and mass error; the atom paths are
     the rows of `series`, m_atoms.npy, atom i at row i."""
     return {"times": [float(t) for t in tg.times], "series": "m_atoms.npy",
-            "atoms": [{"index": i, "weight": float(w), "mass_error": float(p.mass_error())}
-                      for i, (w, p) in enumerate(zip(bp.weights, bp.atom_paths))]}
+            "atoms": [{"index": i, "weight": float(w), "mass_error": float(e)}
+                      for i, (w, e) in enumerate(zip(bp.weights, bp.mass_errors()))]}
 
 
 def _sha256(path: Path) -> str:

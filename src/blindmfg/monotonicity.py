@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,14 +44,6 @@ def l2_pairing(cm: CostModel, m1: Density, m2: Density) -> float:
         raise ValueError("densities on different grids")
     df = cm.running(m1).values - cm.running(m2).values
     return float(np.sum(df * (m1.values - m2.values)) * m1.grid.cell_volume)
-
-
-class _AtomStack(NamedTuple):
-    """A sampled belief as plain arrays: the part of a Belief lifted_pairing reads."""
-
-    grid: TorusGrid
-    weights: np.ndarray
-    values: np.ndarray  # atoms stacked (K, *grid.shape)
 
 
 def lifted_pairing(cm: CostModel, mu1: Belief, mu2: Belief) -> float:
@@ -98,9 +89,8 @@ def _draw_belief(grid: TorusGrid, rng: np.random.Generator, max_atoms: int):
     return weights, draws
 
 
-def _atom_stack(grid: TorusGrid, draws: list) -> np.ndarray:
-    """Atom densities of the draws, stacked (K, *grid.shape) in draw order."""
-    atoms = np.empty((len(draws),) + grid.shape)
+def _atom_stack(grid: TorusGrid, draws: list, atoms: np.ndarray) -> np.ndarray:
+    """`atoms`, (K, *grid.shape), filled with the draws' atom densities in draw order."""
     dirac = [i for i, (is_dirac, _) in enumerate(draws) if is_dirac]
     mixed = [i for i, (is_dirac, _) in enumerate(draws) if not is_dirac]
     if dirac:
@@ -111,14 +101,11 @@ def _atom_stack(grid: TorusGrid, draws: list) -> np.ndarray:
     return atoms
 
 
-def _as_belief(stack: _AtomStack) -> Belief:
-    return Belief(stack.weights, tuple(Density(stack.grid, a) for a in stack.values))
-
-
 def random_belief(grid: TorusGrid, rng: np.random.Generator, max_atoms: int = 8) -> Belief:
     """Dirichlet weights over mollified-dirac or random-mixture atoms."""
     weights, draws = _draw_belief(grid, rng, max_atoms)
-    return _as_belief(_AtomStack(grid, weights, _atom_stack(grid, draws)))
+    return Belief.from_stack(grid, weights, _atom_stack(
+        grid, draws, np.empty((len(draws),) + grid.shape)))
 
 
 # Floats of atom values built at once: the trials of a block are drawn one
@@ -135,28 +122,27 @@ def _block_trials(grid: TorusGrid, max_atoms: int) -> int:
 
 def _sampled_pairs(grid: TorusGrid, rng: np.random.Generator, trials: int,
                    max_atoms: int):
-    """Each trial's belief pair as _AtomStack views, drawn in blocks in
-    random_belief's RNG order; the atoms of a block are built as one stack."""
+    """Each trial's belief pair as unchecked views of one buffer, drawn in blocks in
+    random_belief's RNG order; each block's atoms are built as one stack in it."""
     block = _block_trials(grid, max_atoms)
+    buffer = np.empty((2 * max_atoms * block,) + grid.shape)
     for start in range(0, trials, block):
         drawn = [_draw_belief(grid, rng, max_atoms)
                  for _ in range(2 * min(block, trials - start))]
-        atoms = _atom_stack(grid, [d for _, draws in drawn for d in draws])
-        lo = 0
-        for (w1, _), (w2, _) in zip(drawn[::2], drawn[1::2]):
-            mid = lo + len(w1)
-            hi = mid + len(w2)
-            yield _AtomStack(grid, w1, atoms[lo:mid]), _AtomStack(grid, w2, atoms[mid:hi])
-            lo = hi
+        ends = np.cumsum([len(w) for w, _ in drawn]).tolist()
+        atoms = _atom_stack(grid, [d for _, draws in drawn for d in draws], buffer[:ends[-1]])
+        mus = [Belief._unchecked(grid, w, atoms[end - len(w):end])
+               for (w, _), end in zip(drawn, ends)]
+        yield from zip(mus[::2], mus[1::2])
 
 
 def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
                            trials: int, max_atoms: int = 8) -> PairingReport:
     """Sample random belief pairs and report the minimum lifted pairing.
 
-    Each trial's pairing reads views of its block's atom stack.  Beliefs
-    are built only for the reported witness, the first strict minimum,
-    from a copy of its rows.  A pairing that is not finite ends the run:
+    Each trial's pairing reads unchecked views of its block's atom stack.
+    Only the reported witness, the first strict minimum, is checked, from a
+    copy of its rows.  A pairing that is not finite ends the run:
     the report counts the trials paired up to it, names it, and its pair
     is the witness.
     """
@@ -172,12 +158,11 @@ def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
         finite = math.isfinite(val)
         if val < best or not finite:
             best = val
-            witness = (mu1._replace(values=mu1.values.copy()),
-                       mu2._replace(values=mu2.values.copy()))
+            witness = [(mu.weights, mu.values.copy()) for mu in (mu1, mu2)]
         if not finite:
             nonfinite = t
             break
-    witness = (_as_belief(witness[0]), _as_belief(witness[1]))
+    witness = tuple(Belief.from_stack(grid, w, v) for w, v in witness)
     paired = trials if nonfinite is None else nonfinite + 1
     return PairingReport(witnesses=witness, trials=paired, min_over_trials=float(best),
                          seed=sampler_seed, model=cm.kind, nonfinite_trial=nonfinite)

@@ -78,7 +78,7 @@ def _condition(mu: Belief, kept: list) -> Belief:
     if len(kept) == mu.n_atoms:
         return mu
     w = mu.weights[kept]
-    return Belief(w / w.sum(), tuple(mu.atoms[i] for i in kept))
+    return Belief.from_stack(mu.grid, w / w.sum(), mu.values[kept])
 
 
 def in_consistency_set(mu: Belief, cm: CostModel, tau: float) -> bool:

@@ -127,7 +127,7 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
         "final_gap": gap,
         "converged": converged,
         "hjb_residual": _hjb_residual(u, running, H, sigma),
-        "mass_error": max(p.mass_error() for p in bp.atom_paths),
+        "mass_error": float(bp.mass_errors().max()),
         "history": history,
     }
     return EquilibriumSolution(value=u, belief=bp, drift=b_raw,

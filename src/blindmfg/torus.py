@@ -79,15 +79,20 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(self.values)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(v >= 0):
-            raise ValueError("density has negative or NaN values")
-        mass = v.sum() * self.grid.cell_volume
+        object.__setattr__(self, "values", _checked_densities(self.grid, self.values, ()))
+
+
+def _checked_densities(grid: TorusGrid, values, lead: tuple) -> np.ndarray:
+    """`values` frozen, checked as densities of shape lead + grid.shape, each of mass 1."""
+    v = _frozen(values)
+    if v.shape != lead + grid.shape:
+        raise ValueError(f"values shape {v.shape} != grid shape {lead + grid.shape}")
+    if not np.all(v >= 0):
+        raise ValueError("density has negative or NaN values")
+    for mass in v.reshape(lead + (-1,)).sum(axis=-1).ravel() * grid.cell_volume:
         if not abs(mass - 1.0) <= MASS_TOL:
             raise ValueError(f"density mass {mass} deviates from 1 by more than {MASS_TOL}")
-        object.__setattr__(self, "values", v)
+    return v
 
 
 def normalize_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -172,8 +177,6 @@ def mollified_dirac(grid: TorusGrid, center, bandwidth: float | None = None) -> 
     the transport solvers resolve comfortably.
     """
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    if c.shape != (grid.dim,):
-        raise ValueError(f"center must have {grid.dim} coordinate(s)")
     return Density(grid, mollified_dirac_stack(grid, c[None], bandwidth)[0])
 
 

@@ -21,7 +21,15 @@ from blindmfg.beliefs import (
     running_cost_path,
     weak_solution_residual,
 )
-from blindmfg.hjb_fp import DriftField, TimeGrid, constant_drift, solve_fp_forward, zero_drift
+from blindmfg.hjb_fp import (
+    DensityPath,
+    DriftField,
+    TimeGrid,
+    constant_drift,
+    solve_fp_forward,
+    zero_drift,
+)
+from blindmfg.payments import _condition
 from blindmfg.torus import (
     ScalarField,
     build_grid,
@@ -29,6 +37,7 @@ from blindmfg.torus import (
     integrate,
     integrate_stack,
     mollified_dirac,
+    normalize_stack,
 )
 
 from conftest import (
@@ -73,6 +82,90 @@ class TestBeliefInvariants:
                    tuple(mollified_dirac(grid64, i / k) for i in range(k)))
 
 
+class TestStackedBelief:
+    """Belief.from_stack checks the whole (K, *grid) stack at once, with the
+    messages of the per-Density and per-weight checks."""
+
+    @staticmethod
+    def stack(grid, k=3):
+        return np.stack([mollified_dirac(grid, 0.1 + 0.25 * i).values for i in range(k)])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equals_density_constructor(self, dim):
+        g = build_grid(dim, 64 if dim == 1 else 16)
+        atoms = tuple(mollified_dirac(g, [0.1 + 0.25 * i] * dim) for i in range(3))
+        w = np.array([0.2, 0.3, 0.5])
+        mu, nu = Belief(w, atoms), Belief.from_stack(g, w, np.stack([a.values for a in atoms]))
+        assert mu.grid == nu.grid == g
+        assert np.array_equal(mu.values, nu.values)
+        assert np.array_equal(mu.weights, nu.weights)
+        for a, b in zip(mu.atoms, atoms):
+            assert a.grid == g and np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda v: v.__setitem__((1, 5), -1e-300), "negative or NaN"),
+        (lambda v: v.__setitem__((0, 7), np.nan), "negative or NaN"),
+        (lambda v: v.__setitem__(2, v[2] * (1 + 1e-11)), "deviates from 1 by more than 1e-12"),
+    ], ids=["negative", "nan", "mass"])
+    def test_rejects_bad_row(self, grid64, edit, message):
+        v = self.stack(grid64)
+        edit(v)
+        with pytest.raises(ValueError, match=message):
+            Belief.from_stack(grid64, np.full(3, 1 / 3), v)
+
+    def test_rejects_wrong_shape(self, grid64):
+        with pytest.raises(ValueError, match="values shape"):
+            Belief.from_stack(grid64, np.full(3, 1 / 3), self.stack(build_grid(1, 32)))
+
+    @pytest.mark.parametrize("k", [0, 65])
+    def test_rejects_atom_count(self, grid64, k):
+        v = np.full((k,) + grid64.shape, 1.0)
+        with pytest.raises(ValueError, match="between 1 and 64 atoms"):
+            Belief.from_stack(grid64, np.full(k, 1 / max(k, 1)), v)
+
+    @pytest.mark.parametrize("weights,message", [
+        ([0.5, 0.5], "one weight per atom"),
+        ([1.5, -0.25, -0.25], "must be positive"),
+        ([0.5, 0.25, 0.2], "weights sum to"),
+        ([np.nan, 0.5, 0.5], "must be positive"),
+    ])
+    def test_rejects_bad_weights(self, grid64, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Belief.from_stack(grid64, np.array(weights), self.stack(grid64))
+
+    def test_values_read_only(self, grid64):
+        mu = two_atom_belief(grid64)
+        with pytest.raises(ValueError, match="read-only"):
+            mu.values[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            mu.weights[0] = 0.5
+
+    def test_belief_at_is_normalized_slice(self):
+        g = build_grid(1, 128)
+        tg = TimeGrid(0.25, 32)
+        bp = push_forward(two_atom_belief(g), constant_drift(g, tg, 0.7), 0.05, tg)
+        for k in (0, 1, 17, tg.steps):
+            assert np.array_equal(bp.belief_at(k).values, normalize_stack(g, bp.values[:, k]))
+
+    def test_condition_keeps_rows_by_index(self, grid64):
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        mu = Belief.from_stack(grid64, w, self.stack(grid64, 4))
+        out = _condition(mu, [1, 3])
+        assert np.array_equal(out.values, mu.values[[1, 3]])
+        assert np.array_equal(out.weights, w[[1, 3]] / w[[1, 3]].sum())
+        assert _condition(mu, [0, 1, 2, 3]) is mu
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (1, 256), (2, 32)])
+    def test_mass_errors_equal_per_atom_paths(self, dim, n):
+        g = build_grid(dim, n)
+        tg = TimeGrid(0.125, 16)
+        mu = Belief(np.array([0.5, 0.5]), (mollified_dirac(g, [0.2] * dim),
+                                           mollified_dirac(g, [0.6] * dim)))
+        bp = push_forward(mu, constant_drift(g, tg, [0.5] * dim), 0.1, tg)
+        per_atom = [DensityPath(g, tg, v).mass_error() for v in bp.values]
+        assert bp.mass_errors().tolist() == per_atom
+
+
 class TestPushForward:
     def test_single_atom_matches_fp(self, grid64):
         tg = TimeGrid(0.25, 64)
@@ -80,7 +173,7 @@ class TestPushForward:
         m0 = mollified_dirac(grid64, 0.3)
         bp = push_forward(Belief(np.array([1.0]), (m0,)), b, 0.05, tg)
         direct = solve_fp_forward(m0, b, 0.05, tg)
-        assert np.array_equal(bp.atom_paths[0].values, direct.values)
+        assert np.array_equal(bp.values[0], direct.values)
 
     def test_two_dirac_transport(self):
         g = build_grid(1, 128)

@@ -518,13 +518,13 @@ class TestValidateWeak:
         assert report["violation"]["detected"]
 
     def test_ladder_builds_no_belief_per_time_step(self, tmp_path, monkeypatch):
-        """configs/weak.json builds one Belief per level, the base belief
-        and the perturbed weights' check: the perturbed path is a weight
+        """configs/weak.json checks one belief stack per level, the base
+        belief and the perturbed weights: the perturbed path is a weight
         series, not 1025 Beliefs."""
         built = []
-        post_init = Belief.__post_init__
-        monkeypatch.setattr(Belief, "__post_init__",
-                            lambda self: (built.append(self), post_init(self)))
+        from_stack = Belief.from_stack
+        monkeypatch.setattr(Belief, "from_stack", staticmethod(
+            lambda *args: (built.append(args), from_stack(*args))[1]))
         path = Path(__file__).resolve().parents[1] / "configs" / "weak.json"
         levels = json.loads(path.read_text())["ladder"]["levels"]
         assert main(["validate-weak", "--config", str(path), "--out", str(tmp_path)]) == 0

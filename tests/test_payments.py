@@ -322,7 +322,7 @@ class TestSimulateObserved:
         assert trace.events == []
         complete = solve_complete_info(m0, cm, H, 0.1, tg)
         final = trace.beliefs[-1].atoms[0]
-        assert np.allclose(final.values, complete.belief.atom_paths[0].values[-1],
+        assert np.allclose(final.values, complete.belief.values[0][-1],
                            atol=1e-9)
 
     def test_invalid_true_atom(self, grid64):

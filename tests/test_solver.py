@@ -80,8 +80,7 @@ class TestSolveCompleteInfo:
         for k in (0, tg.steps // 2, tg.steps):
             assert np.allclose(sol.value.values[k], reflect(sol.value.values[k]),
                                atol=1e-9)
-            mean = sum(w * p.values[k] for w, p in
-                       zip(sol.belief.weights, sol.belief.atom_paths))
+            mean = sum(w * p[k] for w, p in zip(sol.belief.weights, sol.belief.values))
             assert np.allclose(mean, reflect(mean), atol=1e-9)
 
 
