@@ -479,7 +479,7 @@ def _belief_path_json(bp: BeliefPath, tg: TimeGrid) -> dict:
 
 def _sha256(path: Path) -> str:
     # hashlib loads OpenSSL's libcrypto (about 3.5 MB of RSS); imported
-    # here, after a run has freed its arrays, it stays out of the peak
+    # here, it keeps `import blindmfg.cli` light
     import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -660,6 +660,12 @@ def cmd_validate_weak(cfg: dict, out: Path) -> tuple:
                     {"at_fraction", "weights"})
         perturb = (_number(sub, "perturb", "at_fraction", lo=0.0, hi=1.0),
                    _weighted(sub, "perturb", atoms).weights)
+        # the finest level is re-weighted from this step on, and its last
+        # summed step is steps - 1
+        finest = base_tg.steps * 4 ** (levels - 1)
+        if int(perturb[0] * finest) >= finest:
+            raise ConfigError("perturb.at_fraction", f"re-weights none of the finest level's "
+                              f"{finest} steps, so it would read the baseline residual")
 
     def level_inputs():
         """Each level's belief, drift and inner field, built when reached."""

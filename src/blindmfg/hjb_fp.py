@@ -112,17 +112,6 @@ class ValuePath:
 
 
 @dataclass(frozen=True)
-class DensityPath:
-    grid: TorusGrid
-    time_grid: TimeGrid
-    values: np.ndarray  # (steps+1,) + grid.shape
-
-    def mass_error(self) -> float:
-        masses = self.values.reshape(self.values.shape[0], -1).sum(axis=1)
-        return float(np.max(np.abs(masses * self.grid.cell_volume - 1.0)))
-
-
-@dataclass(frozen=True)
 class DriftField:
     grid: TorusGrid
     time_grid: TimeGrid
@@ -453,7 +442,6 @@ def solve_fp_stack(grid: TorusGrid, m0: np.ndarray, b: DriftField, sigma: float,
     return m
 
 
-def solve_fp_forward(m0: Density, b: DriftField, sigma: float, tg: TimeGrid) -> DensityPath:
-    """Conservative donor-cell + implicit diffusion forward solve."""
-    m = solve_fp_stack(m0.grid, m0.values[None], b, sigma, tg)
-    return DensityPath(m0.grid, tg, m[0])
+def solve_fp_forward(m0: Density, b: DriftField, sigma: float, tg: TimeGrid) -> np.ndarray:
+    """The path of one density, (steps+1,) + grid.shape: row 0 of solve_fp_stack."""
+    return solve_fp_stack(m0.grid, m0.values[None], b, sigma, tg)[0]

@@ -62,9 +62,17 @@ def _sup_gaps(sigs: np.ndarray, field: np.ndarray) -> np.ndarray:
     return np.max(np.abs(sigs - field), axis=tuple(range(1, sigs.ndim)))
 
 
+def _within(sigs: np.ndarray, tau: float) -> np.ndarray:
+    """(K, K) table of the relation "payments within tau in sup norm"."""
+    return np.array([_sup_gaps(sigs, s) <= tau for s in sigs])
+
+
 def _consistent(sigs: np.ndarray, tau: float) -> bool:
-    """True iff all stacked payment fields lie within tau of one another."""
-    return all(np.all(_sup_gaps(sigs[i + 1:], s) <= tau) for i, s in enumerate(sigs))
+    """True iff all stacked payment fields lie within tau of one another.
+
+    The diagonal is not read: one atom is consistent even when its
+    payment is not finite."""
+    return bool(np.all(_within(sigs, tau) | np.eye(len(sigs), dtype=bool)))
 
 
 def _matching(sigs: np.ndarray, field: np.ndarray, tau: float):
@@ -90,28 +98,14 @@ def partition_by_payment(mu: Belief, cm: CostModel, tau: float):
     """Partition atom indices into payment-equivalence groups.
 
     Groups are the connected components of the relation "payments within
-    tau in sup norm", so they always partition the atoms.
+    tau in sup norm", so they always partition the atoms; they are listed
+    by their smallest index.
     """
-    sigs = _signatures(mu, cm)
-    k = len(sigs)
-    parent = list(range(k))
+    # imported here: SciPy is resident memory that the CLI's runs never need
+    from scipy.sparse.csgraph import connected_components
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        near = np.flatnonzero(_sup_gaps(sigs[i + 1:], sigs[i]) <= tau) + i + 1
-        for j in near.tolist():
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(groups[r]) for r in sorted(groups)]
+    n, labels = connected_components(_within(_signatures(mu, cm), tau), directed=False)
+    return [tuple(np.flatnonzero(labels == c).tolist()) for c in range(n)]
 
 
 def tower_check(mu: Belief, b: DriftField, sigma: float, tg: TimeGrid,
@@ -130,10 +124,7 @@ def tower_check(mu: Belief, b: DriftField, sigma: float, tg: TimeGrid,
     bp = push_forward(mu, b, sigma, tg)
     mu_t = bp.belief_at(k)
     groups = partition_by_payment(mu_t, cm, tau)
-    class_of = {}
-    for g in groups:
-        for i in g:
-            class_of[i] = g
+    class_of = {i: g for g in groups for i in g}
     phi_vals = [phi.psi(t, s) for s in
                 integrate_stack(mu_t.grid, phi.inner.values, mu_t.values).tolist()]
     w = mu_t.weights

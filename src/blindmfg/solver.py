@@ -19,7 +19,7 @@ from .beliefs import (
     Belief,
     BeliefPath,
     CostModel,
-    _weighted_sum,
+    aggregate_terminal,
     push_forward,
     running_cost_path,
 )
@@ -34,7 +34,7 @@ from .hjb_fp import (
     solve_hjb_backward,
     zero_drift,
 )
-from .torus import Density, ScalarField
+from .torus import Density
 
 # Anderson depth: secant pairs kept by the damped iteration
 _ANDERSON_DEPTH = 3
@@ -64,11 +64,10 @@ class EquilibriumSolution:
 
 
 def _cost_paths(bp: BeliefPath, cm: CostModel):
-    """Belief-averaged running cost path and terminal cost, on plain arrays:
-    the terminal has the bits of aggregate_terminal(bp.belief_at(steps), cm)."""
+    """Belief-averaged running cost path and terminal cost; the terminal
+    belief is the path's last rows as they are, unchecked."""
     running = running_cost_path(bp, cm)
-    terminal = ScalarField(bp.grid, _weighted_sum(
-        bp.weights, cm.terminal_values(bp.grid, bp.values[:, -1])))
+    terminal = aggregate_terminal(Belief._unchecked(bp.grid, bp.weights, bp.values[:, -1]), cm)
     return running, terminal
 
 

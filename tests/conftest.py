@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles used across the test suite.
 
 The oracles are the checks the package itself does not run: the
-equilibrium gap of a solve, the circular mean of a density, and the
-paper's duality pairing and cylinder generator A written out as per-atom
-loops.  The bitwise kernel references stay in test_kernel_oracles.py.
+equilibrium gap of a solve, the circular mean of a density, the mass
+error of one density path, and the paper's duality pairing and cylinder
+generator A written out as per-atom loops.  The bitwise kernel
+references stay in test_kernel_oracles.py.
 """
 
 from dataclasses import asdict
@@ -130,6 +131,12 @@ def circular_mean(m: Density) -> float:
     w = m.values * m.grid.cell_volume
     z = np.sum(w * np.exp(1j * theta))
     return float(np.angle(z) / (2.0 * np.pi) % 1.0)
+
+
+def path_mass_error(grid: TorusGrid, path: np.ndarray) -> float:
+    """Largest |mass - 1| over one density path, (steps+1,) + grid.shape."""
+    masses = path.reshape(len(path), -1).sum(axis=1)
+    return float(np.max(np.abs(masses * grid.cell_volume - 1.0)))
 
 
 def equilibrium_gap(sol, cm, H, sigma: float, tg) -> float:

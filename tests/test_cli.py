@@ -517,6 +517,17 @@ class TestValidateWeak:
         report = json.loads((out / "report.json").read_text())
         assert report["violation"]["detected"]
 
+    def test_perturbation_at_the_horizon_exit_2(self, tmp_path, capsys):
+        """at_fraction 1 re-weights no step the residual sums (steps 0 to
+        steps - 1 of the finest level), so the perturbed residual would be
+        the baseline's and the check could never detect."""
+        path = write_config(tmp_path, "w.json", self.config(
+            perturb={"at_fraction": 1.0, "weights": [0.5, 0.5]}, ladder={"levels": 2}))
+        out = tmp_path / "out"
+        assert main(["validate-weak", "--config", path, "--out", str(out)]) == 2
+        assert "config error at perturb.at_fraction:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_ladder_builds_no_belief_per_time_step(self, tmp_path, monkeypatch):
         """configs/weak.json checks one belief stack per level, the base
         belief and the perturbed weights: the perturbed path is a weight
@@ -1044,6 +1055,25 @@ def test_cli_import_loads_no_heavy_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command,make", [
+    ("simulate-observed", lambda: _sized_config("simulate-observed", 64, 128)),
+    ("solve-blind", lambda: _sized_config("solve-blind", 64, 128)),
+    ("certify-monotone", lambda: _certify_config(g="sqrt")),
+], ids=["race", "blind3", "certify"])
+def test_workload_runs_load_no_scipy(tmp_path, command, make):
+    """The benchmark's three commands run without SciPy: only the belief
+    W1 metric and the payment partition import it, and none of them
+    reaches either."""
+    path = write_config(tmp_path, "c.json", make())
+    args = [command, "--config", path, "--out", str(tmp_path / "out")]
+    code = ("import sys\nfrom blindmfg.cli import main\nrc = main(%r)\n"
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])" % args)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def _write_path_csv_by_rows(path, tg, grid, values, column):

@@ -191,6 +191,36 @@ class TestPartitionByPayment:
         flat = sorted(i for grp in groups for i in grp)
         assert flat == list(range(5))
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_groups_are_the_components_of_the_relation(self, grid64, seed):
+        """By definition: a partition listed by smallest index, every pair
+        within tau in one group, and every group connected by such pairs."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 9))
+        x = grid64.axis_coords()
+        cm = product_form_cost(ScalarField(grid64, np.cos(2 * np.pi * x)))
+        mu = Belief(rng.dirichlet(np.ones(k)),
+                    tuple(random_density(grid64, rng) for _ in range(k)))
+        sigs = cm.running_values(grid64, mu.values)
+        gaps = np.array([[np.max(np.abs(a - b)) for b in sigs] for a in sigs])
+        # tau equal to one of the gaps: that pair sits on the boundary
+        tau = float(rng.choice(gaps[np.triu_indices(k, 1)])) if k > 1 else 1e-9
+        near = gaps <= tau
+        groups = partition_by_payment(mu, cm, tau)
+        assert sorted(i for g in groups for i in g) == list(range(k))
+        assert [min(g) for g in groups] == sorted(min(g) for g in groups)
+        group_of = {i: n for n, g in enumerate(groups) for i in g}
+        for i, j in zip(*np.nonzero(near)):
+            assert group_of[i] == group_of[j]
+        for g in groups:
+            reached, todo = {g[0]}, [g[0]]
+            while todo:
+                i = todo.pop()
+                new = {j for j in g if near[i, j]} - reached
+                reached |= new
+                todo.extend(new)
+            assert reached == set(g)
+
 
 def condition_on(mu, observed, cm, fc):
     """mu conditioned on an observed payment field by the rule that

@@ -301,6 +301,46 @@ class TestDampedIteration:
         assert damped.diagnostics["iterations"] < 13
 
 
+def damped_game():
+    grid = build_grid(1, 64)
+    mu0 = Belief(np.array([0.3, 0.3, 0.4]),
+                 tuple(mollified_dirac(grid, c) for c in (0.15, 0.45, 0.75)))
+    return (mu0, mild_product_cost(grid), SMOOTH_H, 0.05, TimeGrid(0.5, 128),
+            SolverConfig(relaxation=0.5, tol=1e-10))
+
+
+def bang_bang_game():
+    from blindmfg.payments import illustrative_scenario
+
+    sc = illustrative_scenario(0.1, 0.5, 0.5, 64)  # abs, sigma 0, undamped
+    return sc.belief, sc.cost, sc.hamiltonian, sc.sigma, sc.time_grid, sc.solver_config
+
+
+class TestTimeConsistency:
+    """The equilibrium restricted to [t_k, T] solves the game started at
+    t_k from belief_at(k), to the solver's tolerance: the discrete HJB
+    and FP are step-by-step recursions.  A replanning step that reuses a
+    converged solve when no atom was eliminated rests on this."""
+
+    @pytest.mark.parametrize("game", [damped_game, bang_bang_game],
+                             ids=["damped", "bang_bang"])
+    def test_restriction_solves_the_remaining_game(self, game):
+        mu0, cm, H, sigma, tg, cfg = game()
+        sol = solve_blind(mu0, cm, H, sigma, tg, cfg)
+        assert sol.diagnostics["converged"]
+        steps = tg.steps
+        for k in (1, steps // 4, steps // 2, steps - 1):
+            sub_tg = TimeGrid((steps - k) * tg.dt, steps - k)
+            assert sub_tg.dt == tg.dt
+            warm = DriftField(mu0.grid, sub_tg, sol.drift.values[k:])
+            rest = solve_blind(sol.belief.belief_at(k), cm, H, sigma, sub_tg, cfg,
+                               initial_drift=warm)
+            assert rest.diagnostics["iterations"] == 1
+            assert rest.diagnostics["converged"]
+            assert np.max(np.abs(rest.value.values - sol.value.values[k:])) <= 1e-10
+            assert np.max(np.abs(rest.belief.values - sol.belief.values[:, k:])) <= 1e-10
+
+
 class TestEquilibriumGap:
     def test_converged_below_tol(self):
         grid, tg, cm, H, sigma = small_setup()
