@@ -8,7 +8,8 @@ file.  The artifacts:
 - solve-complete / solve-blind: u.csv, m.csv, history.csv, summary.json,
   telemetry.json, and for solve-blind m_atoms.npy and belief_path.json;
 - simulate-observed: trace.json, trace.csv, summary.json;
-- certify-monotone and validate-weak: report.json.
+- certify-monotone: report.json and telemetry.json;
+- validate-weak: report.json.
 
 `_COMMANDS` maps each subcommand to its function and to the top-level
 sections it reads; `main` checks those sections, runs the command and
@@ -20,7 +21,7 @@ condition, or so fine that the step rounds to 0), 3 numerical
 non-convergence or non-finite results (artifacts still written).  CSV
 floats carry 17 significant digits, m_atoms.npy exact float64 bits; an
 identical config reproduces every listed artifact and manifest.json byte
-for byte.  telemetry.json, of iteration and write wall times, is not listed.
+for byte.  telemetry.json, of phase and write wall times, is not listed.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ EXIT_NONCONVERGENCE = 3
 
 # Largest estimated space-time state a run may allocate (see _state_bytes).
 MAX_STATE_BYTES = 2 ** 30
-# Python objects a certifier draw holds besides its arrays: the draw
-# tuple, a centre or an array header, and its entry in the index lists.
+# Python objects a drawn atom holds besides the block buffer: its centre
+# and its entries in the Dirac row and centre lists, or its share of its
+# belief's weights, (weights, rows) tuple, view and Belief.
 _DRAW_OBJECT_BYTES = 1024
 
 
@@ -186,22 +188,21 @@ def _certify_bytes(max_atoms: int, grid: TorusGrid) -> int:
     """Estimated peak bytes of a certify-monotone run with K = 2 max_atoms
     atoms a trial and B trials a block, at most BK atoms built at once.
 
-    Counted in fields of n^dim floats: 4 per atom of the block (its raw
-    draw, the stacked and the normalized mixture draws, the atom stack),
-    and 2K + 8 outside it (the witness copy and the cost's own fields, and
-    K more for the report).  A trial's pairing copies its K atoms and forms
-    one b·m product, within the 2 fields per atom that the block frees
-    once built.  The report, after the block is freed, holds the witness
-    and its atoms as JSON numbers, about 5 floats' worth per value: 6K,
-    within 4BK + 2K for B >= 1.  Added to that:
-    the mollified-Dirac temporaries, 3 arrays of BK x dim x n x images
-    floats at the sampler's bandwidth, and _DRAW_OBJECT_BYTES of Python
-    objects per drawn atom, which dominate on coarse grids."""
+    Counted in fields of n^dim floats, the larger of two phases, plus 8 for
+    the cost's own fields.  A block: the buffer of BK atoms, the Dirac
+    profiles built beside it (at most BK) or a trial's pairing (its K atoms
+    copied and one b·m product), and the witness copy with the one that
+    replaces it (2K).  The report, after the buffer is freed: the witness
+    and its atoms as JSON numbers, about 5 floats' worth per value, 6K.
+    Added to that: the mollified-Dirac temporaries, 3 arrays of
+    BK x dim x n x images floats at the sampler's bandwidth, and
+    _DRAW_OBJECT_BYTES of Python objects per drawn atom, which dominate on
+    coarse grids."""
     atoms = 2 * max_atoms
     block = _block_trials(grid, max_atoms) * atoms
+    fields = max(block + max(block, 2 * atoms) + 2 * atoms, 6 * atoms) + 8
     images = _images_formed(2.0 * grid.spacing)
-    return (((4 * block + 2 * atoms + 8) * grid.n ** grid.dim
-             + 3 * block * grid.dim * grid.n * images) * 8
+    return ((fields * grid.n ** grid.dim + 3 * block * grid.dim * grid.n * images) * 8
             + block * _DRAW_OBJECT_BYTES)
 
 
@@ -598,8 +599,12 @@ def cmd_certify_monotone(cfg: dict, out: Path) -> tuple:
                 f"trials of {2 * max_atoms} atoms on {grid.n}^{grid.dim} nodes")
     cm = _build_cost(cfg, grid)
     report = certify_blind_monotone(cm, grid, seed, trials, max_atoms)
+    start = time.perf_counter()
     body = _report_json(report)
     _write_json(out / "report.json", body)
+    # wall-clock times differ between reruns, so the manifest leaves them out
+    _write_json(out / "telemetry.json", dict(report.timings,
+                                             write_s=time.perf_counter() - start))
     if report.nonfinite_trial is not None:
         print(f"pairing of trial {report.nonfinite_trial} is {report.min_over_trials} "
               "-- numerical failure")

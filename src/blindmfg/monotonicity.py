@@ -9,7 +9,8 @@ certifies a violation; a nonnegative one is evidence, never proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .beliefs import (
 from .torus import (
     Density,
     TorusGrid,
+    _dirac_profiles,
     integrate_stack,
-    mollified_dirac_stack,
     normalize_stack,
 )
 
@@ -36,6 +37,8 @@ class PairingReport:
     seed: int
     model: str
     nonfinite_trial: int | None = None  # first trial whose pairing is not finite
+    # wall seconds of the draw, build and pair phases; they differ between reruns
+    timings: dict = field(default_factory=dict, compare=False)
 
 
 def l2_pairing(cm: CostModel, m1: Density, m2: Density) -> float:
@@ -68,50 +71,56 @@ def counterexample_gap(g, x: float, y: float, z: float) -> float:
     return (0.5 * (g(x) + g(y)) - g(z)) * (0.5 * (x + y) - z)
 
 
-def _draw_belief(grid: TorusGrid, rng: np.random.Generator, max_atoms: int):
-    """Weights and atom draws of one random belief, in random_belief's RNG order.
+def _draw_beliefs(grid: TorusGrid, rng: np.random.Generator, count: int, max_atoms: int,
+                  atoms: np.ndarray) -> tuple:
+    """Draw `count` beliefs into consecutive rows of `atoms`, in the sampler's
+    RNG order: each belief's atom count, Dirichlet(1, ..., 1) weights and, per
+    atom, a Dirac centre or a raw mixture written straight into its row.
 
-    Each atom draw is (True, center) or (False, raw grid values).
+    Returns each belief's (weights, first row, end row), and the Dirac rows
+    with their centres, which _build_atoms turns into atoms.
     """
-    k = int(rng.integers(1, max_atoms + 1))
-    # Dirichlet(1, ..., 1) as numpy draws it: exponentials over their sum
-    # added left to right, the same bits and generator state as
-    # rng.dirichlet(np.ones(k)) without its per-call set-up
-    e = rng.standard_exponential(k)
-    weights = e * (1.0 / _sum_in_order(0.0, e.tolist()))
-    draws = []
-    for _ in range(k):
-        if rng.random() < 0.7:
-            center = rng.random(grid.dim) if grid.dim > 1 else float(rng.random())
-            draws.append((True, center))
-        else:
-            draws.append((False, rng.random(grid.shape) + 1e-3))
-    return weights, draws
+    drawn, dirac_rows, centers = [], [], []
+    end = 0
+    for _ in range(count):
+        k = int(rng.integers(1, max_atoms + 1))
+        # Dirichlet(1, ..., 1) as numpy draws it: exponentials over their sum
+        # added left to right, the same bits and generator state as
+        # rng.dirichlet(np.ones(k)) without its per-call set-up
+        e = rng.standard_exponential(k)
+        drawn.append((e * (1.0 / _sum_in_order(0.0, e.tolist())), end, end + k))
+        for row in range(end, end + k):
+            if rng.random() < 0.7:
+                dirac_rows.append(row)
+                centers.append(rng.random(grid.dim) if grid.dim > 1 else rng.random())
+            else:
+                # the doubles of rng.random(grid.shape) + 1e-3
+                rng.random(out=atoms[row])
+                atoms[row] += 1e-3
+        end += k
+    return drawn, dirac_rows, centers
 
 
-def _atom_stack(grid: TorusGrid, draws: list, atoms: np.ndarray) -> np.ndarray:
-    """`atoms`, (K, *grid.shape), filled with the draws' atom densities in draw order."""
-    dirac = [i for i, (is_dirac, _) in enumerate(draws) if is_dirac]
-    mixed = [i for i, (is_dirac, _) in enumerate(draws) if not is_dirac]
-    if dirac:
-        centers = np.reshape([draws[i][1] for i in dirac], (-1, grid.dim))
-        atoms[dirac] = mollified_dirac_stack(grid, centers)
-    if mixed:
-        atoms[mixed] = normalize_stack(grid, np.stack([draws[i][1] for i in mixed]))
-    return atoms
+def _build_atoms(grid: TorusGrid, atoms: np.ndarray, dirac_rows: list, centers: list) -> None:
+    """Turn drawn rows into atoms in place: one _dirac_profiles call fills
+    the Dirac rows, then one normalize_stack call normalizes every row."""
+    if dirac_rows:
+        atoms[dirac_rows] = _dirac_profiles(grid, np.reshape(centers, (-1, grid.dim)))
+    normalize_stack(grid, atoms, out=atoms)
 
 
 def random_belief(grid: TorusGrid, rng: np.random.Generator, max_atoms: int = 8) -> Belief:
     """Dirichlet weights over mollified-dirac or random-mixture atoms."""
-    weights, draws = _draw_belief(grid, rng, max_atoms)
-    return Belief.from_stack(grid, weights, _atom_stack(
-        grid, draws, np.empty((len(draws),) + grid.shape)))
+    atoms = np.empty((max_atoms,) + grid.shape)
+    [(weights, _, k)], dirac_rows, centers = _draw_beliefs(grid, rng, 1, max_atoms, atoms)
+    _build_atoms(grid, atoms[:k], dirac_rows, centers)
+    return Belief.from_stack(grid, weights, atoms[:k])
 
 
-# Floats of atom values built at once: the trials of a block are drawn one
-# by one, their atoms built by one _atom_stack call.  At most 2 * max_atoms
-# atoms of grid.n ** grid.dim floats a trial, so 8 trials at n = 256 with
-# max_atoms = 8, and one trial a block from 4096 nodes up.
+# Floats of atom values built at once: the trials of a block are drawn by
+# one _draw_beliefs call and built by one _build_atoms call.  At most
+# 2 * max_atoms atoms of grid.n ** grid.dim floats a trial, so 8 trials at
+# n = 256 with max_atoms = 8, and one trial a block from 4096 nodes up.
 _BLOCK_FLOATS = 2 ** 15
 
 
@@ -120,20 +129,23 @@ def _block_trials(grid: TorusGrid, max_atoms: int) -> int:
     return max(1, _BLOCK_FLOATS // (2 * max_atoms * grid.n ** grid.dim))
 
 
-def _sampled_pairs(grid: TorusGrid, rng: np.random.Generator, trials: int,
-                   max_atoms: int):
-    """Each trial's belief pair as unchecked views of one buffer, drawn in blocks in
-    random_belief's RNG order; each block's atoms are built as one stack in it."""
+def _sampled_blocks(grid: TorusGrid, rng: np.random.Generator, trials: int,
+                    max_atoms: int, timings: dict):
+    """Each block's trial pairs, as unchecked views of one buffer, drawn in
+    random_belief's RNG order; adds the block's draw and build seconds to
+    `timings`."""
     block = _block_trials(grid, max_atoms)
     buffer = np.empty((2 * max_atoms * block,) + grid.shape)
     for start in range(0, trials, block):
-        drawn = [_draw_belief(grid, rng, max_atoms)
-                 for _ in range(2 * min(block, trials - start))]
-        ends = np.cumsum([len(w) for w, _ in drawn]).tolist()
-        atoms = _atom_stack(grid, [d for _, draws in drawn for d in draws], buffer[:ends[-1]])
-        mus = [Belief._unchecked(grid, w, atoms[end - len(w):end])
-               for (w, _), end in zip(drawn, ends)]
-        yield from zip(mus[::2], mus[1::2])
+        clock = time.perf_counter()
+        drawn, dirac_rows, centers = _draw_beliefs(
+            grid, rng, 2 * min(block, trials - start), max_atoms, buffer)
+        built = time.perf_counter()
+        _build_atoms(grid, buffer[:drawn[-1][2]], dirac_rows, centers)
+        timings["draw_s"] += built - clock
+        timings["build_s"] += time.perf_counter() - built
+        mus = [Belief._unchecked(grid, w, buffer[lo:end]) for w, lo, end in drawn]
+        yield list(zip(mus[::2], mus[1::2]))
 
 
 def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
@@ -144,26 +156,34 @@ def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
     Only the reported witness, the first strict minimum, is checked, from a
     copy of its rows.  A pairing that is not finite ends the run:
     the report counts the trials paired up to it, names it, and its pair
-    is the witness.
+    is the witness.  The draw, build and pair phases are timed per block.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must lie in [1, {MAX_ATOMS}]")
     rng = np.random.default_rng(sampler_seed)
+    timings = {"draw_s": 0.0, "build_s": 0.0, "pair_s": 0.0}
     best = np.inf
     witness = nonfinite = None
-    for t, (mu1, mu2) in enumerate(_sampled_pairs(grid, rng, trials, max_atoms)):
-        val = lifted_pairing(cm, mu1, mu2)
-        finite = math.isfinite(val)
-        if val < best or not finite:
-            best = val
-            witness = [(mu.weights, mu.values.copy()) for mu in (mu1, mu2)]
-        if not finite:
-            nonfinite = t
+    first = 0
+    for pairs in _sampled_blocks(grid, rng, trials, max_atoms, timings):
+        clock = time.perf_counter()
+        for t, (mu1, mu2) in enumerate(pairs, first):
+            val = lifted_pairing(cm, mu1, mu2)
+            finite = math.isfinite(val)
+            if val < best or not finite:
+                best = val
+                witness = [(mu.weights, mu.values.copy()) for mu in (mu1, mu2)]
+            if not finite:
+                nonfinite = t
+                break
+        timings["pair_s"] += time.perf_counter() - clock
+        if nonfinite is not None:
             break
+        first += len(pairs)
     witness = tuple(Belief.from_stack(grid, w, v) for w, v in witness)
     paired = trials if nonfinite is None else nonfinite + 1
     return PairingReport(witnesses=witness, trials=paired, min_over_trials=float(best),
-                         seed=sampler_seed, model=cm.kind, nonfinite_trial=nonfinite)
-
+                         seed=sampler_seed, model=cm.kind, nonfinite_trial=nonfinite,
+                         timings=timings)

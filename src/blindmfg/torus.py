@@ -95,13 +95,15 @@ def _checked_densities(grid: TorusGrid, values, lead: tuple) -> np.ndarray:
     return v
 
 
-def normalize_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Clip tiny negatives and renormalize every field of a (..., *grid.shape) stack.
+def normalize_stack(grid: TorusGrid, values: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Clip tiny negatives and renormalize every field of a (..., *grid.shape) stack,
+    into `out` if given (which may be `values` itself).
 
     Each field is summed over its flattened grid axes, so a field of a
     stack gets the same bits as the field normalized on its own.
     """
-    v = np.maximum(np.asarray(values, dtype=float), 0.0)
+    v = np.maximum(np.asarray(values, dtype=float), 0.0, out=out)
     lead = v.shape[:v.ndim - grid.dim]
     total = v.reshape(lead + (-1,)).sum(axis=-1) * grid.cell_volume
     if not (total > 0).all():
@@ -135,6 +137,12 @@ def mollified_dirac_stack(grid: TorusGrid, centers, bandwidth: float | None = No
 
     Row j equals mollified_dirac(grid, centers[j], bandwidth).values.
     """
+    return normalize_stack(grid, _dirac_profiles(grid, centers, bandwidth))
+
+
+def _dirac_profiles(grid: TorusGrid, centers, bandwidth: float | None = None) -> np.ndarray:
+    """mollified_dirac_stack's rows before normalization: each the
+    wrapped-Gaussian profile of its center, of mass near but not at 1."""
     h = grid.spacing
     if bandwidth is None:
         bandwidth = 2.0 * h
@@ -164,10 +172,8 @@ def mollified_dirac_stack(grid: TorusGrid, centers, bandwidth: float | None = No
     np.copyto(d, 0.0, where=~kept)
     prof = d if nearest else d.sum(axis=-1)
     if grid.dim == 1:
-        vals = prof[:, 0]
-    else:
-        vals = prof[:, 0, :, None] * prof[:, 1, None, :]
-    return normalize_stack(grid, vals)
+        return prof[:, 0]
+    return prof[:, 0, :, None] * prof[:, 1, None, :]
 
 
 def mollified_dirac(grid: TorusGrid, center, bandwidth: float | None = None) -> Density:

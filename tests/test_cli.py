@@ -452,6 +452,17 @@ class TestCertifyMonotone:
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest["artifacts"]) == ["report.json"]
 
+    def test_telemetry_times_the_phases_outside_the_manifest(self, tmp_path):
+        path = write_config(tmp_path, "c.json", self.config(
+            {"id": "moment_form", "g": "sqrt"}, 50))
+        out = tmp_path / "out"
+        assert main(["certify-monotone", "--config", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["artifacts"]) == ["report.json"]
+        telemetry = json.loads((out / "telemetry.json").read_text())
+        assert set(telemetry) == {"draw_s", "build_s", "pair_s", "write_s"}
+        assert all(isinstance(v, float) and v >= 0 for v in telemetry.values())
+
     def test_zero_trials_exit_2(self, tmp_path):
         path = write_config(tmp_path, "c.json", self.config(
             {"id": "moment_form", "g": "sqrt"}, 0))

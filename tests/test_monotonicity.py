@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from blindmfg.beliefs import (
 from blindmfg.hjb_fp import TimeGrid, constant_drift
 from blindmfg.monotonicity import (
     _block_trials,
+    _draw_beliefs,
     certify_blind_monotone,
     counterexample_gap,
     l2_pairing,
@@ -365,6 +368,31 @@ class TestCertifyBlindMonotone:
         report = certify_blind_monotone(cos_product_cost(grid64), grid64, 4, 37)
         assert len(calls) == 37
         assert report.trials == 37
+
+    def test_blocks_build_in_their_buffer(self):
+        """n = 4096, one trial a block, 3 blocks, a cost without b, whose
+        pairings allocate nothing.  Beyond the block buffer the run holds
+        only the first trial's witness copy and, while a block is built,
+        its Dirac profile arithmetic, 2 fields per Dirac atom: no mixture
+        draw is held apart from the buffer, and no row is copied to be
+        normalized."""
+        g = build_grid(1, 4096)
+        field = g.n ** g.dim * 8
+        assert _block_trials(g, 8) == 1
+        cm = constant_cost(constant_field(g, 1.0))
+        rng = np.random.default_rng(0)
+        draws = [_draw_beliefs(g, rng, 2, 8, np.empty((16,) + g.shape)) for _ in range(3)]
+        witness = draws[0][0][-1][2]
+        need = max([2 * len(draws[0][1])]
+                   + [witness + 2 * len(dirac_rows) for _, dirac_rows, _ in draws[1:]])
+        certify_blind_monotone(cm, g, 0, 1)  # first-call imports are not the run's
+        tracemalloc.start()
+        try:
+            certify_blind_monotone(cm, g, 0, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 16 * field <= (need + 1) * field
 
     def test_pairs_without_running_costs(self, grid64, monkeypatch):
         """The pairing reads S_i = ∫b dm_i, never a cost field."""

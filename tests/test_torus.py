@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from blindmfg.torus import (
     Density,
     ScalarField,
+    _dirac_profiles,
     build_grid,
     density_from_values,
     integrate,
@@ -246,6 +247,14 @@ class TestMollifiedDiracStack:
             assert np.array_equal(row, single)
             assert np.array_equal(row, per_center_gaussian(g, center, bandwidth))
 
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 256), (2, 16), (2, 256)])
+    def test_is_the_normalized_profiles(self, dim, n):
+        """At 1 image per centre and node (n = 256) and at all 11 (n = 16)."""
+        g = build_grid(dim, n)
+        centers = np.random.default_rng(n).random((5, dim))
+        assert np.array_equal(mollified_dirac_stack(g, centers),
+                              normalize_stack(g, _dirac_profiles(g, centers)))
+
     def test_center_shape_and_finiteness(self, grid64):
         with pytest.raises(ValueError, match="coordinate"):
             mollified_dirac_stack(grid64, np.zeros((2, 2)))
@@ -261,3 +270,17 @@ def test_normalize_stack_rows_equal_density_from_values():
             assert np.array_equal(row, density_from_values(g, r).values)
         with pytest.raises(ValueError, match="nonpositive"):
             normalize_stack(g, np.zeros((2,) + g.shape))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+def test_normalize_stack_in_place_equals_allocating_call(dim, n):
+    g = build_grid(dim, n)
+    raw = np.random.default_rng(5).random((4,) + g.shape) - 0.01
+    assert (raw < 0).any()
+    expected = normalize_stack(g, raw)
+    v = raw.copy()
+    assert normalize_stack(g, v, out=v) is v
+    assert np.array_equal(v, expected)
+    zero = np.zeros((2,) + g.shape)
+    with pytest.raises(ValueError, match="nonpositive"):
+        normalize_stack(g, zero, out=zero)
