@@ -32,6 +32,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -49,7 +50,8 @@ from .beliefs import (
     product_form_cost,
     weak_ladder,
 )
-from .hjb_fp import DriftField, Hamiltonian, TimeGrid, _check_cfl, _check_diffusion
+from .hjb_fp import (DriftField, Hamiltonian, TimeGrid, _check_cfl, _check_diffusion,
+                     constant_drift)
 from .monotonicity import PairingReport, _block_trials, certify_blind_monotone
 from .payments import (
     FilterConfig,
@@ -92,7 +94,9 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # strict config parsing
 
-def _check_keys(obj: dict, path: str, allowed: set, required: set = frozenset()):
+def _check_keys(obj: dict, path: str, allowed, required: tuple = ()):
+    """Unknown keys fail first, in the config's order, then the `required`
+    keys in the order given."""
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
     for key in obj:
@@ -107,7 +111,7 @@ def _check_kind(spec: dict, path: str, kinds: dict, select: str = "kind",
                 first_required: bool = False) -> str:
     """The catalogue entry that `spec[select]` names; `kinds` maps each entry
     to the keys it reads, and with `first_required` it needs the first."""
-    _check_keys(spec, path, {select}.union(*kinds.values()), {select})
+    _check_keys(spec, path, {select}.union(*kinds.values()), (select,))
     kind = spec[select]
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"{path}.{select}", f"unknown {select} {kind!r}")
@@ -152,20 +156,34 @@ def _number(obj: dict, path: str, key: str, lo=None, hi=None, default=None,
     return int(val) if integer else float(val)
 
 
+def _section(sub: dict, path: str, **bounds) -> dict:
+    """A section of numbers: each key of `bounds` read through _number with
+    its bounds, in the order given, after any unknown key has failed.  A
+    key without a default is required."""
+    _check_keys(sub, path, bounds)
+    return {key: _number(sub, path, key, **bound) for key, bound in bounds.items()}
+
+
+@contextmanager
+def _at(path: str):
+    """Report a ValueError, TypeError or OverflowError that a construction
+    or check inside raises as a ConfigError at `path`."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(path, str(exc))
+
+
 def _build_grid(cfg: dict) -> TorusGrid:
-    sub = cfg["grid"]  # each command that reads it requires it
-    _check_keys(sub, "grid", {"dim", "n"}, {"dim", "n"})
-    dim = _number(sub, "grid", "dim", lo=1, hi=2, integer=True)
-    n = _number(sub, "grid", "n", lo=8, integer=True)
-    return build_grid(dim, n)
+    # each command that reads the grid requires it
+    return build_grid(**_section(cfg["grid"], "grid", dim=dict(lo=1, hi=2, integer=True),
+                                 n=dict(lo=8, integer=True)))
 
 
 def _build_time(cfg: dict) -> TimeGrid:
-    sub = cfg["time"]  # each command that reads it requires it
-    _check_keys(sub, "time", {"T", "steps"}, {"T", "steps"})
-    T = _number(sub, "time", "T", above=0)
-    steps = _number(sub, "time", "steps", lo=1, integer=True)
-    tg = TimeGrid(T, steps)
+    # each command that reads the time grid requires it
+    tg = TimeGrid(*_section(cfg["time"], "time", T=dict(above=0),
+                            steps=dict(lo=1, integer=True)).values())
     _check_dt(tg)
     return tg
 
@@ -224,26 +242,6 @@ def _check_size(cfg: dict, key: str, n: int, dim: int, steps: int) -> None:
                 f"{count} atom(s) on {n}^{dim} nodes over {steps} steps")
 
 
-def _check_time_steps(tg: TimeGrid, grid: TorusGrid, speed: float) -> None:
-    """The solvers' CFL condition, reported at the config field that sets dt."""
-    try:
-        _check_cfl(tg, grid, speed, "transport")
-    except ValueError as exc:
-        raise ConfigError("time.steps", str(exc))
-
-
-def _build_sigma(cfg: dict) -> float:
-    return _number(cfg, "", "sigma", lo=0.0)
-
-
-def _check_sigma(tg: TimeGrid, grid: TorusGrid, sigma: float) -> None:
-    """The solvers' diffusion overflow check, reported at sigma."""
-    try:
-        _check_diffusion(grid, sigma, tg.dt)
-    except ValueError as exc:
-        raise ConfigError("sigma", str(exc))
-
-
 def _build_hamiltonian(cfg: dict) -> Hamiltonian:
     sub = cfg["hamiltonian"]  # each command that reads it requires it
     kind = _check_kind(sub, "hamiltonian", {"abs": (), "smoothed_abs": ("delta",),
@@ -271,9 +269,8 @@ def _build_field(spec: dict, grid: TorusGrid, path: str) -> ScalarField:
         for d in range(grid.dim):
             vals = vals * func(2 * np.pi * freq * coords[d] + phase)
         return ScalarField(grid, amp * vals)
-    if grid.dim != 1:
-        raise ConfigError(path, "well profile requires dim = 1")
-    return smoothed_well_profile(grid)
+    with _at(path):
+        return smoothed_well_profile(grid)
 
 
 def _build_cost(cfg: dict, grid: TorusGrid) -> CostModel:
@@ -298,9 +295,8 @@ def _build_cost(cfg: dict, grid: TorusGrid) -> CostModel:
         return moment_form_cost(catalogue[sub["g"]], grid)
     if cid == "illustrative":
         c = _number(sub, "cost", "coupling")
-        if not 0 < c < 1:
-            raise ConfigError("cost.coupling", f"must lie in (0, 1), got {c}")
-        return illustrative_cost(smoothed_well_profile(grid), c)
+        with _at("cost.coupling"):
+            return illustrative_cost(smoothed_well_profile(grid), c)
     if cid == "constant":
         field = _build_field(sub["field"], grid, "cost.field")
         term = (_build_field(sub["terminal"], grid, "cost.terminal")
@@ -322,7 +318,7 @@ def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief",
     sub = cfg.get(key)
     if sub is None:
         raise ConfigError(key, "required section missing")
-    _check_keys(sub, key, {"weights", "atoms"}, {"weights", "atoms"})
+    _check_keys(sub, key, {"weights", "atoms"}, ("weights", "atoms"))
     specs = sub["atoms"]
     if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
         raise ConfigError(f"{key}.atoms", "expected a list of objects")
@@ -339,33 +335,22 @@ def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief",
         # absent means the default bandwidth; null is an error
         bandwidth = (_number(spec, path, "bandwidth", lo=grid.spacing)
                      if "bandwidth" in spec else None)
-        try:
+        # the bandwidth is checked above, so the fault is the first key
+        with _at(f"{path}.{_ATOM_KINDS[kind][0]}"):
             vals = _floats(spec[_ATOM_KINDS[kind][0]])
             atoms.append(mollified_dirac(grid, vals, bandwidth) if kind == "dirac"
                          else density_from_values(grid, np.reshape(vals, grid.shape)))
-        except (ValueError, TypeError, OverflowError) as exc:
-            # the bandwidth is checked above, so the fault is the first key
-            raise ConfigError(f"{path}.{_ATOM_KINDS[kind][0]}", str(exc))
-    return _weighted(sub, key, atoms)
-
-
-def _weighted(sub: dict, key: str, atoms) -> Belief:
-    """`atoms` under the `key` section's weights, which fail at `key`.weights."""
-    try:
+    with _at(f"{key}.weights"):
         return Belief(_floats(sub["weights"]), tuple(atoms))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"{key}.weights", str(exc))
 
 
 def _build_solver(cfg: dict) -> SolverConfig:
     """Solver settings; a key left out takes SolverConfig's own default."""
-    sub = cfg.get("solver", {})
-    bounds = {"relaxation": {"above": 0, "hi": 1}, "tol": {"above": 0},
-              "max_iter": {"lo": 1, "integer": True}}
-    _check_keys(sub, "solver", bounds)
-    given = {key: _number(sub, "solver", key, **bounds[key])
-             for key in bounds if key in sub}
-    return SolverConfig(**given)
+    return SolverConfig(**_section(
+        cfg.get("solver", {}), "solver",
+        relaxation=dict(above=0, hi=1, default=SolverConfig.relaxation),
+        tol=dict(above=0, default=SolverConfig.tol),
+        max_iter=dict(lo=1, integer=True, default=SolverConfig.max_iter)))
 
 
 def _build_game(cfg: dict, key: str) -> tuple:
@@ -375,11 +360,13 @@ def _build_game(cfg: dict, key: str) -> tuple:
     grid = _build_grid(cfg)
     tg = _build_time(cfg)
     _check_size(cfg, key, grid.n, grid.dim, tg.steps)
-    sigma = _build_sigma(cfg)
-    _check_sigma(tg, grid, sigma)
+    sigma = _number(cfg, "", "sigma", lo=0.0)
+    with _at("sigma"):
+        _check_diffusion(grid, sigma, tg.dt)
     H = _build_hamiltonian(cfg)
     # optimal and relaxed drifts are bounded by H.lipschitz
-    _check_time_steps(tg, grid, H.lipschitz)
+    with _at("time.steps"):
+        _check_cfl(tg, grid, H.lipschitz, "transport")
     cm = _build_cost(cfg, grid)
     mu0 = _build_belief(cfg, grid, key)
     return grid, tg, sigma, H, cm, mu0, _build_solver(cfg)
@@ -552,24 +539,14 @@ def cmd_solve(cfg: dict, out: Path, key: str) -> tuple:
 
 def cmd_simulate_observed(cfg: dict, out: Path) -> tuple:
     grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg, "belief")
-    fsub = cfg["filter"]
-    _check_keys(fsub, "filter", {"tolerance", "observation_dt"}, {"tolerance"})
-    fc = FilterConfig(
-        tolerance=_number(fsub, "filter", "tolerance", above=0),
-        observation_dt=_number(fsub, "filter", "observation_dt", lo=0, default=0.0),
-    )
-    try:
+    fc = FilterConfig(**_section(cfg["filter"], "filter", tolerance=dict(above=0),
+                                 observation_dt=dict(lo=0, default=0.0)))
+    with _at("filter.observation_dt"):
         steps_per_obs = _observation_steps(tg, fc)
-    except ValueError as exc:
-        raise ConfigError("filter.observation_dt", str(exc))
     if not in_consistency_set(mu0, cm, fc.tolerance):
         raise ConfigError("belief", "the atoms' payments differ by more than "
                           "filter.tolerance at t = 0")
-    true_atom = _number(cfg, "", "true_atom", lo=0, integer=True)
-    if true_atom >= mu0.n_atoms:
-        raise ConfigError("true_atom",
-                          f"index {true_atom} out of range for "
-                          f"{mu0.n_atoms}-atom belief")
+    true_atom = _number(cfg, "", "true_atom", lo=0, hi=mu0.n_atoms - 1, integer=True)
     trace = simulate_observed(mu0, true_atom, cm, H, sigma, tg, fc, scfg)
     _write_trace(out, trace)
     all_converged = all(s["converged"] for s in trace.segments)
@@ -588,12 +565,10 @@ def cmd_simulate_observed(cfg: dict, out: Path) -> tuple:
 
 def cmd_certify_monotone(cfg: dict, out: Path) -> tuple:
     grid = _build_grid(cfg)
-    sub = cfg["certify"]
-    _check_keys(sub, "certify", {"trials", "max_atoms", "seed"}, {"trials"})
-    trials = _number(sub, "certify", "trials", lo=1, integer=True)
-    max_atoms = _number(sub, "certify", "max_atoms", lo=1, hi=MAX_ATOMS,
-                        default=8, integer=True)
-    seed = _number(sub, "certify", "seed", lo=0, default=0, integer=True)
+    trials, max_atoms, seed = _section(
+        cfg["certify"], "certify", trials=dict(lo=1, integer=True),
+        max_atoms=dict(lo=1, hi=MAX_ATOMS, default=8, integer=True),
+        seed=dict(lo=0, default=0, integer=True)).values()
     # before the cost, whose fields are grid-sized
     _check_need(_certify_bytes(max_atoms, grid),
                 f"trials of {2 * max_atoms} atoms on {grid.n}^{grid.dim} nodes")
@@ -622,9 +597,7 @@ def _drift_from_spec(spec: dict, grid: TorusGrid, tg: TimeGrid,
     kind = _check_kind(spec, path, {"constant": ("value",),
                                     "sine": ("amplitude", "frequency")})
     if kind == "constant":
-        value = _number(spec, path, "value")
-        vals = np.full((tg.steps + 1, grid.dim) + grid.shape, value)
-        return DriftField(grid, tg, vals)
+        return constant_drift(grid, tg, [_number(spec, path, "value")] * grid.dim)
     amp = _number(spec, path, "amplitude", default=0.5)
     freq = _number(spec, path, "frequency", default=1, integer=True)
     coords = grid.coords()
@@ -637,18 +610,17 @@ def _drift_from_spec(spec: dict, grid: TorusGrid, tg: TimeGrid,
 def cmd_validate_weak(cfg: dict, out: Path) -> tuple:
     base_grid = _build_grid(cfg)
     base_tg = _build_time(cfg)
-    ladder = cfg.get("ladder", {})
-    _check_keys(ladder, "ladder", {"levels"})
-    levels = _number(ladder, "ladder", "levels", lo=2, default=3, integer=True)
+    levels = _section(cfg.get("ladder", {}), "ladder",
+                      levels=dict(lo=2, default=3, integer=True))["levels"]
     # level by level, so that a huge level count stops at the first
     # level past the cap instead of forming 4**levels
     for lvl in range(levels):
         _check_size(cfg, "belief", base_grid.n * 2 ** lvl, base_grid.dim,
                     base_tg.steps * 4 ** lvl)
         _check_dt(TimeGrid(base_tg.horizon, base_tg.steps * 4 ** lvl))
-    sigma = _build_sigma(cfg)
+    sigma = _number(cfg, "", "sigma", lo=0.0)
     phi_spec = cfg["phi"]
-    _check_keys(phi_spec, "phi", {"inner"}, {"inner"})
+    _check_keys(phi_spec, "phi", {"inner"}, ("inner",))
     # finer levels hold the base nodes, so one check covers the ladder
     if np.ptp(_build_field(phi_spec["inner"], base_grid, "phi.inner").values) == 0.0:
         raise ConfigError("phi.inner", "a constant field integrates to the same value against "
@@ -661,10 +633,10 @@ def cmd_validate_weak(cfg: dict, out: Path) -> tuple:
     perturb = None
     if "perturb" in cfg:
         sub = cfg["perturb"]
-        _check_keys(sub, "perturb", {"at_fraction", "weights"},
-                    {"at_fraction", "weights"})
-        perturb = (_number(sub, "perturb", "at_fraction", lo=0.0, hi=1.0),
-                   _weighted(sub, "perturb", atoms).weights)
+        _check_keys(sub, "perturb", {"at_fraction", "weights"}, ("at_fraction", "weights"))
+        at_fraction = _number(sub, "perturb", "at_fraction", lo=0.0, hi=1.0)
+        with _at("perturb.weights"):
+            perturb = (at_fraction, Belief(_floats(sub["weights"]), atoms).weights)
         # the finest level is re-weighted from this step on, and its last
         # summed step is steps - 1
         finest = base_tg.steps * 4 ** (levels - 1)
@@ -678,8 +650,10 @@ def cmd_validate_weak(cfg: dict, out: Path) -> tuple:
             grid = build_grid(base_grid.dim, base_grid.n * 2 ** lvl)
             tg = TimeGrid(base_tg.horizon, base_tg.steps * 4 ** lvl)
             drift = _drift_from_spec(cfg["drift"], grid, tg, "drift")
-            _check_sigma(tg, grid, sigma)
-            _check_time_steps(tg, grid, drift.sup_norm())
+            with _at("sigma"):
+                _check_diffusion(grid, sigma, tg.dt)
+            with _at("time.steps"):
+                _check_cfl(tg, grid, drift.sup_norm(), "transport")
             yield (_build_belief(cfg, grid, ladder=True), drift,
                    _build_field(phi_spec["inner"], grid, "phi.inner"))
 
@@ -736,7 +710,7 @@ def _output_dir(given: str | None, cfg) -> Path:
     out = Path(directory if given is None else given)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, or no permission
+    except (OSError, ValueError) as exc:  # a file in the way, no permission, a NUL
         raise ConfigError("output.directory", f"cannot create {str(out)!r}: {exc}")
     return out
 
@@ -759,7 +733,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:
+    # a decode error, or a parser limit: nesting depth, integer length
+    except (ValueError, RecursionError) as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -828,6 +828,59 @@ class TestConfigHandling:
         assert main(["solve-complete", "--config", path]) == 0
         assert (tmp_path / "from_config" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("body,field", [
+        (b"[" * 200_000 + b"]" * 200_000, None),
+        (b'{"sigma": ' + b"1" * 5000 + b"}", None),
+        (b"\xff\xfe{}", None),
+        (json.dumps(dict(TestCertifyMonotone.config({"id": "zero"}, 10),
+                         output={"directory": "a\u0000b"})).encode(), "output.directory"),
+    ], ids=["nested-too-deep", "integer-too-long", "not-utf-8", "directory-nul"])
+    def test_parser_limits_and_bad_paths_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                body, field):
+        """A config the JSON parser cannot take, or whose output directory
+        the file system cannot name, exits 2 without a traceback."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_bytes(body)
+        assert main(["certify-monotone", "--config", "c.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config is not valid JSON:" if field is None
+                              else f"config error at {field}:")
+
+    @pytest.mark.parametrize("command,cfg,field", [
+        ("simulate-observed",
+         dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)), filter={}),
+         "filter.tolerance"),
+        ("certify-monotone",
+         dict(TestCertifyMonotone.config({"id": "zero"}, 10), certify={}), "certify.trials"),
+        ("solve-blind", dict(blind_config(), belief={}), "belief.weights"),
+        ("validate-weak", _weak_config(perturb={}), "perturb.at_fraction"),
+        # a bad value before a missing key is named first
+        ("solve-blind", dict(blind_config(), grid={"dim": 5}), "grid.dim"),
+    ], ids=["filter", "certify", "belief", "perturb", "grid-bad-dim"])
+    def test_empty_section_names_its_first_key(self, tmp_path, capsys, command, cfg,
+                                               field):
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error at {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["0", "2", "5"])
+def test_named_field_does_not_depend_on_the_hash_seed(tmp_path, seed):
+    """A section missing every key names its first key in schema order,
+    whatever order a set of the keys would iterate in."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+    for command, cfg, field in [
+            ("certify-monotone",
+             dict(TestCertifyMonotone.config({"id": "zero"}, 10), grid={}), "grid.dim"),
+            ("solve-blind", dict(blind_config(), time={}), "time.T")]:
+        path = write_config(tmp_path, "c.json", cfg)
+        run = subprocess.run([sys.executable, "-m", "blindmfg.cli", command, "--config",
+                              path, "--out", str(tmp_path / "o")],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        assert run.stderr == f"config error at {field}: required key missing\n"
+
 
 def _sized_config(command, n, steps):
     """A valid config of `command` on an n-node 1-D grid over `steps` steps."""
