@@ -20,8 +20,12 @@ failure at a field path (including time steps too coarse for the CFL
 condition, or so fine that the step rounds to 0), 3 numerical
 non-convergence or non-finite results (artifacts still written).  CSV
 floats carry 17 significant digits, m_atoms.npy exact float64 bits; an
-identical config reproduces every listed artifact and manifest.json byte
-for byte.  telemetry.json, of phase and write wall times, is not listed.
+identical config, run with the same numpy and OpenBLAS build on the same
+CPU type, reproduces every listed artifact and manifest.json byte for
+byte.  On another CPU type, whose OpenBLAS kernels differ, 1-D runs with
+sigma > 0 and n <= 256 (the dense diffusion `v @ D`) and damped runs (the
+`lstsq` of `_Anderson`) can move by about 1e-15 relative on the fields.
+telemetry.json, of phase and write wall times, is not listed.
 """
 
 from __future__ import annotations
@@ -174,16 +178,21 @@ def _at(path: str):
         raise ConfigError(path, str(exc))
 
 
+# More nodes per axis, or more time steps, than MAX_STATE_BYTES holds floats:
+# no run that large fits the cap, and its estimate may overflow a float.
+_MAX_AXIS = MAX_STATE_BYTES // 8
+
+
 def _build_grid(cfg: dict) -> TorusGrid:
     # each command that reads the grid requires it
     return build_grid(**_section(cfg["grid"], "grid", dim=dict(lo=1, hi=2, integer=True),
-                                 n=dict(lo=8, integer=True)))
+                                 n=dict(lo=8, hi=_MAX_AXIS, integer=True)))
 
 
 def _build_time(cfg: dict) -> TimeGrid:
     # each command that reads the time grid requires it
     T, steps = _section(cfg["time"], "time", T=dict(above=0),
-                        steps=dict(lo=1, integer=True)).values()
+                        steps=dict(lo=1, hi=_MAX_AXIS, integer=True)).values()
     with _at("time.T"):
         return TimeGrid(T, steps)
 
@@ -342,7 +351,8 @@ def _build_solver(cfg: dict) -> SolverConfig:
         cfg.get("solver", {}), "solver",
         relaxation=dict(above=0, hi=1, default=SolverConfig.relaxation),
         tol=dict(above=0, default=SolverConfig.tol),
-        max_iter=dict(lo=1, integer=True, default=SolverConfig.max_iter)))
+        # a cap on work, as MAX_STATE_BYTES caps memory
+        max_iter=dict(lo=1, hi=10 ** 5, integer=True, default=SolverConfig.max_iter)))
 
 
 def _build_game(cfg: dict, key: str) -> tuple:
@@ -558,7 +568,8 @@ def cmd_simulate_observed(cfg: dict, out: Path) -> tuple:
 def cmd_certify_monotone(cfg: dict, out: Path) -> tuple:
     grid = _build_grid(cfg)
     trials, max_atoms, seed = _section(
-        cfg["certify"], "certify", trials=dict(lo=1, integer=True),
+        # a cap on work, as MAX_STATE_BYTES caps memory
+        cfg["certify"], "certify", trials=dict(lo=1, hi=10 ** 7, integer=True),
         max_atoms=dict(lo=1, hi=MAX_ATOMS, default=8, integer=True),
         seed=dict(lo=0, default=0, integer=True)).values()
     # before the cost, whose fields are grid-sized

@@ -15,16 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import (
-    Belief,
-    CostModel,
-    CylinderFunctional,
-    illustrative_cost,
-    push_forward,
-)
+from .beliefs import Belief, CostModel, CylinderFunctional, push_forward
 from .hjb_fp import DriftField, Hamiltonian, TimeGrid
 from .solver import SolverConfig, solve_blind
-from .torus import ScalarField, TorusGrid, build_grid, integrate_stack, mollified_dirac
+from .torus import ScalarField, TorusGrid, integrate_stack
 
 
 @dataclass(frozen=True)
@@ -219,7 +213,7 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
 
 
 # ---------------------------------------------------------------------------
-# the illustrative observed-payments scenario
+# the payment well of the illustrative race (configs/illustrative.json)
 
 def _smoothstep(q: np.ndarray) -> np.ndarray:
     q = np.clip(q, 0.0, 1.0)
@@ -238,55 +232,3 @@ def smoothed_well_profile(grid: TorusGrid) -> ScalarField:
     up = (x > 0.375) & (x < 0.4375)
     vals[up] = -2.0 * (1.0 - _smoothstep((x[up] - 0.375) / 0.0625))
     return ScalarField(grid, vals)
-
-
-@dataclass(frozen=True)
-class ScenarioBundle:
-    grid: TorusGrid
-    belief: Belief
-    cost: CostModel
-    hamiltonian: Hamiltonian
-    time_grid: TimeGrid
-    sigma: float
-    filter_config: FilterConfig
-    predicted_window: tuple
-    epsilon: float
-    coupling: float
-    # undamped Picard: the bang-bang drift map lands exactly on its fixed
-    # point, while relaxation would keep the drift fractional forever
-    solver_config: SolverConfig = SolverConfig(relaxation=1.0, tol=1e-9, max_iter=60)
-
-
-def illustrative_scenario(epsilon: float, p1: float, c: float, n: int,
-                          N_t: int | None = None,
-                          observation_dt: float | None = None,
-                          tolerance: float = 0.05) -> ScenarioBundle:
-    """Two-Dirac prior racing toward a payment well; horizon 2, pure transport.
-
-    The predicted elimination window is [1/4 - eps, 5/16 - eps]: payments
-    start to differ once the shifted atom enters the well support, while
-    the stated split time is the window's upper end.
-    """
-    if not 0 < epsilon < 0.25:
-        raise ValueError("epsilon must lie in (0, 1/4)")
-    if not 0 < p1 < 1:
-        raise ValueError("p1 must lie in (0, 1)")
-    if not 0 < c < 1:
-        raise ValueError("c must lie in (0, 1)")
-    grid = build_grid(1, n)
-    T = 2.0
-    if N_t is None:
-        N_t = 2 * n  # dt = h: unit-speed donor-cell transport is an exact shift
-    tg = TimeGrid(T, N_t)
-    f0 = smoothed_well_profile(grid)
-    cm = illustrative_cost(f0, c)
-    mu0 = Belief(np.array([p1, 1.0 - p1]),
-                 (mollified_dirac(grid, 0.0), mollified_dirac(grid, epsilon)))
-    if observation_dt is None:
-        observation_dt = T / 200
-    fc = FilterConfig(tolerance=tolerance, observation_dt=observation_dt)
-    window = (0.25 - epsilon, 0.3125 - epsilon)
-    return ScenarioBundle(grid=grid, belief=mu0, cost=cm,
-                          hamiltonian=Hamiltonian("abs"), time_grid=tg,
-                          sigma=0.0, filter_config=fc, predicted_window=window,
-                          epsilon=epsilon, coupling=c)

@@ -80,6 +80,7 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
     grid = mu0.grid
     b = initial_drift if initial_drift is not None else zero_drift(grid, tg)
     mixer = _Anderson(b.values.size, H.lipschitz) if cfg.relaxation < 1 else None
+    # one dict per iteration: max_iter, which the CLI caps, bounds its size
     history = []
     converged = False
     u_prev = None

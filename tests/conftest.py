@@ -4,15 +4,19 @@ The oracles are the checks the package itself does not run: the
 equilibrium gap of a solve, the circular mean of a density, the mass
 error of one density path, and the paper's duality pairing and cylinder
 generator A written out as per-atom loops.  The bitwise kernel
-references stay in test_kernel_oracles.py.
+references stay in test_kernel_oracles.py.  The paper's two-Dirac race
+has one definition, configs/illustrative.json; race_config and race_args
+resize it and build its game through the CLI's own config reader.
 """
 
-from dataclasses import asdict
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from blindmfg import cli
 from blindmfg.beliefs import (
     Belief,
     BeliefPath,
@@ -21,6 +25,7 @@ from blindmfg.beliefs import (
     running_cost_path,
 )
 from blindmfg.hjb_fp import optimal_drift, solve_hjb_backward, upwind_advection
+from blindmfg.payments import FilterConfig
 from blindmfg.torus import (
     Density,
     ScalarField,
@@ -59,24 +64,25 @@ def one_atom_path(m0: Density, b, sigma: float, tg) -> BeliefPath:
     return push_forward(Belief(np.array([1.0]), (m0,)), b, sigma, tg)
 
 
-def scenario_config(sc) -> dict:
-    """The simulate-observed config of an illustrative_scenario bundle."""
-    return {
-        "grid": {"dim": 1, "n": sc.grid.n},
-        "time": {"T": sc.time_grid.horizon, "steps": sc.time_grid.steps},
-        "sigma": sc.sigma,
-        "hamiltonian": {"kind": "abs"},
-        "cost": {"id": "illustrative", "coupling": sc.coupling},
-        "belief": {
-            "weights": [float(w) for w in sc.belief.weights],
-            "atoms": [{"kind": "dirac", "center": 0.0},
-                      {"kind": "dirac", "center": sc.epsilon}],
-        },
-        "filter": {"tolerance": sc.filter_config.tolerance,
-                   "observation_dt": sc.filter_config.observation_dt},
-        "true_atom": 0,
-        "solver": asdict(sc.solver_config),
-    }
+RACE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "illustrative.json"
+
+
+def race_config(n: int, steps: int, observation_dt: float) -> dict:
+    """configs/illustrative.json, the paper's two-Dirac race into a payment
+    well, on n nodes over `steps` steps, observed every observation_dt."""
+    cfg = json.loads(RACE_CONFIG.read_text())
+    cfg["grid"]["n"] = n
+    cfg["time"]["steps"] = steps
+    cfg["filter"]["observation_dt"] = observation_dt
+    return cfg
+
+
+def race_args(cfg: dict) -> tuple:
+    """simulate_observed's arguments for a race config, built as the
+    simulate-observed command builds them: (mu0, true_atom, cost,
+    Hamiltonian, sigma, time grid, filter config, solver config)."""
+    _, tg, sigma, H, cm, mu0, scfg = cli._build_game(cfg, "belief")
+    return mu0, cfg["true_atom"], cm, H, sigma, tg, FilterConfig(**cfg["filter"]), scfg
 
 
 def circle_distance(x: float, y: float) -> float:

@@ -35,7 +35,6 @@ from blindmfg.monotonicity import (
     random_belief,
 )
 from blindmfg.payments import (
-    illustrative_scenario,
     in_consistency_set,
     simulate_observed,
     smoothed_well_profile,
@@ -50,7 +49,7 @@ from blindmfg.torus import (
 )
 from blindmfg.beliefs import belief_holder_modulus
 
-from conftest import random_density
+from conftest import race_args, race_config, random_density
 
 
 def report(name, detail):
@@ -218,14 +217,16 @@ def test_criterion_08_illustrative_scenario():
     inside the predicted window, true atom survives, and play after the
     event reduces to the complete-information game."""
     t0 = time.perf_counter()
-    sc = illustrative_scenario(0.1, 0.5, 0.5, 256, N_t=600,
-                               observation_dt=2.0 / 200, tolerance=0.05)
-    trace = simulate_observed(sc.belief, 0, sc.cost, sc.hamiltonian, sc.sigma,
-                              sc.time_grid, sc.filter_config, sc.solver_config)
+    cfg = race_config(256, 600, observation_dt=2.0 / 200)
+    mu0, true_atom, cm, H, sigma, tg, fc, scfg = race_args(cfg)
+    trace = simulate_observed(mu0, true_atom, cm, H, sigma, tg, fc, scfg)
     assert len(trace.events) == 1
     t_event, eliminated = trace.events[0]
-    lo, hi = sc.predicted_window
-    obs_dt = sc.filter_config.observation_dt
+    # payments start to differ once the shifted atom enters the well
+    # support; the stated split time is the window's upper end
+    epsilon = cfg["belief"]["atoms"][1]["center"]
+    lo, hi = 0.25 - epsilon, 0.3125 - epsilon
+    obs_dt = fc.observation_dt
     assert lo - obs_dt <= t_event <= hi + obs_dt
     assert eliminated == (1,)
     assert trace.beliefs[-1].n_atoms == 1
@@ -235,11 +236,9 @@ def test_criterion_08_illustrative_scenario():
     seg = next(s for s in trace.segments if s["t_start"] == t_event)
     idx = trace.times.index(t_event)
     m_event = trace.beliefs[idx].atoms[0]
-    steps_done = int(round(t_event / sc.time_grid.dt))
-    tg_rem = TimeGrid(sc.time_grid.horizon - t_event,
-                      sc.time_grid.steps - steps_done)
-    complete = solve_complete_info(m_event, sc.cost, sc.hamiltonian, sc.sigma,
-                                   tg_rem, sc.solver_config)
+    steps_done = int(round(t_event / tg.dt))
+    tg_rem = TimeGrid(tg.horizon - t_event, tg.steps - steps_done)
+    complete = solve_complete_info(m_event, cm, H, sigma, tg_rem, scfg)
     u_gap = float(np.max(np.abs(seg["solution"].value.values
                                 - complete.value.values)))
     assert u_gap < 1e-8

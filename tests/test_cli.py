@@ -15,10 +15,9 @@ from blindmfg.beliefs import Belief, _weighted_sum
 from blindmfg.cli import MAX_STATE_BYTES, _state_bytes, _write_path_csv, main
 from blindmfg.hjb_fp import TimeGrid
 from blindmfg.monotonicity import _block_trials
-from blindmfg.payments import illustrative_scenario
 from blindmfg.solver import solve_blind
 from blindmfg.torus import build_grid
-from conftest import scenario_config
+from conftest import race_config
 
 
 def write_config(tmp_path, name, body):
@@ -274,9 +273,7 @@ def test_clean_exits_print_no_numpy_warning(tmp_path, command, make, code, err):
 class TestSimulateObserved:
     @staticmethod
     def scenario_path(tmp_path, **overrides):
-        sc = illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150,
-                                   observation_dt=0.04, tolerance=0.05)
-        cfg = scenario_config(sc)
+        cfg = race_config(64, 150, observation_dt=0.04)
         cfg.update(overrides)
         return write_config(tmp_path, "sim.json", cfg)
 
@@ -316,7 +313,7 @@ class TestSimulateObserved:
         assert "solver.averaging" in capsys.readouterr().err
 
     def test_missing_solver_exit_2(self, tmp_path, capsys):
-        cfg = scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64))
+        cfg = race_config(64, 128, observation_dt=0.01)
         del cfg["solver"]
         path = write_config(tmp_path, "sim.json", cfg)
         assert main(["simulate-observed", "--config", path,
@@ -337,7 +334,7 @@ class TestSimulateObserved:
         assert "true_atom" in capsys.readouterr().err
 
     def test_observation_dt_off_the_time_grid_exit_2(self, tmp_path, capsys):
-        cfg = scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150))
+        cfg = race_config(64, 150, observation_dt=0.01)
         dt = cfg["time"]["T"] / cfg["time"]["steps"]
         cfg["filter"]["observation_dt"] = 1.5 * dt
         path = write_config(tmp_path, "sim.json", cfg)
@@ -349,8 +346,7 @@ class TestSimulateObserved:
 
     def test_payment_inconsistent_prior_exit_2(self, tmp_path, capsys):
         # an atom in the payment well pays differently from one outside it
-        cfg = scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150,
-                                                    observation_dt=0.04))
+        cfg = race_config(64, 150, observation_dt=0.04)
         cfg["belief"]["atoms"][1]["center"] = 0.33
         path = write_config(tmp_path, "sim.json", cfg)
         assert main(["simulate-observed", "--config", path,
@@ -470,7 +466,7 @@ class TestCertifyMonotone:
                      "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("key,value", [
-        ("trials", float("nan")), ("trials", float("inf")),
+        ("trials", float("nan")), ("trials", float("inf")), ("trials", 1e15),
         ("max_atoms", 100), ("seed", -1)])
     def test_bad_certify_field_exit_2(self, tmp_path, capsys, key, value):
         cfg = self.config({"id": "moment_form", "g": "sqrt"}, 10)
@@ -644,7 +640,7 @@ class TestMalformedConfig:
         ("certify-monotone",
          dict(_certify_config(g="sqrt"), grid={"dim": 2, "n": 16}), "cost.id"),
         ("simulate-observed",
-         dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)),
+         dict(race_config(64, 128, observation_dt=0.01),
               filter={"tolerance": 0.05, "observation_dt": 1e308}),
          "filter.observation_dt"),
         ("solve-blind", _blind_atom({"kind": "dirac"}), "belief.atoms[0].center"),
@@ -699,14 +695,24 @@ class TestMalformedConfig:
         ("solve-complete", dict(base_complete_config(), solver={"relaxation": 1.5}),
          "solver.relaxation"),
         ("solve-complete", dict(base_complete_config(), solver={"tol": 0}), "solver.tol"),
+        # more nodes or steps than the memory cap holds floats; the size
+        # estimate of the first and the third overflowed a float
+        ("solve-blind", dict(blind_config(), grid={"dim": 2, "n": 1e200}), "grid.n"),
+        ("solve-blind", dict(blind_config(), time={"T": 1e300, "steps": 1e300}),
+         "time.steps"),
+        ("certify-monotone",
+         dict(_certify_config(g="sqrt"), grid={"dim": 2, "n": 1e300}), "grid.n"),
+        # work caps: a run of 1e15 iterations would never end
+        ("solve-complete", dict(base_complete_config(), solver={"max_iter": 1e15}),
+         "solver.max_iter"),
         ("solve-complete",
          dict(base_complete_config(), hamiltonian={"kind": "capped_quadratic", "cap": 0}),
          "hamiltonian.cap"),
         ("simulate-observed",
-         dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)),
+         dict(race_config(64, 128, observation_dt=0.01),
               filter={"tolerance": 0}), "filter.tolerance"),
         ("simulate-observed",
-         dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)),
+         dict(race_config(64, 128, observation_dt=0.01),
               filter={"tolerance": -1}), "filter.tolerance"),
         ("solve-complete", dict(base_complete_config(), grid={"dim": 1, "n": 64.5}),
          "grid.n"),
@@ -736,7 +742,8 @@ class TestMalformedConfig:
             "atoms-empty", "center-bool", "weights-bool", "grid-values-bool",
             "perturb-weights-bool", "ladder-grid-atom", "out-directory-list",
             "out-unread-key", "out-not-an-object", "relaxation-zero",
-            "relaxation-above-one", "tol-zero", "cap-zero", "tolerance-zero",
+            "relaxation-above-one", "tol-zero", "n-past-the-cap", "steps-past-the-cap",
+            "certify-n-past-the-cap", "max-iter-capped", "cap-zero", "tolerance-zero",
             "tolerance-negative", "n-not-integer", "constant-field-no-value",
             "density-missing", "density-three-atoms", "coupling-above-one",
             "well-2d"])
@@ -852,7 +859,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command,cfg,field", [
         ("simulate-observed",
-         dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)), filter={}),
+         dict(race_config(64, 128, observation_dt=0.01), filter={}),
          "filter.tolerance"),
         ("certify-monotone",
          dict(TestCertifyMonotone.config({"id": "zero"}, 10), certify={}), "certify.trials"),
@@ -893,7 +900,7 @@ def _sized_config(command, n, steps):
     elif command == "solve-blind":
         cfg = blind_config()
     elif command == "simulate-observed":
-        cfg = scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64))
+        cfg = race_config(64, 128, observation_dt=0.01)
         cfg["filter"]["observation_dt"] = 0.0
     else:
         cfg = TestValidateWeak.config(ladder={"levels": 2})
@@ -1010,7 +1017,7 @@ def test_cfl_violation_exit_2_at_time_steps(tmp_path, capsys, command):
     elif command == "solve-blind":
         cfg = dict(blind_config(), time=coarse)
     elif command == "simulate-observed":
-        cfg = dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)), time=coarse)
+        cfg = dict(race_config(64, 128, observation_dt=0.01), time=coarse)
     else:
         # drift speed 5 at dt/h = 2
         cfg = TestValidateWeak.config(grid={"dim": 1, "n": 32},
@@ -1084,7 +1091,7 @@ def test_time_step_rounding_to_zero_exit_2_at_time_T(tmp_path, capsys, command):
     elif command == "solve-blind":
         cfg = dict(blind_config(), time=tiny)
     elif command == "simulate-observed":
-        cfg = dict(scenario_config(illustrative_scenario(0.1, 0.5, 0.5, 64)), time=tiny)
+        cfg = dict(race_config(64, 128, observation_dt=0.01), time=tiny)
     else:
         cfg = TestValidateWeak.config(time=tiny)
     path = write_config(tmp_path, "tiny.json", cfg)

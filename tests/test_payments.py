@@ -23,7 +23,6 @@ from blindmfg.payments import (
     _matching,
     _observation_steps,
     _signatures,
-    illustrative_scenario,
     in_consistency_set,
     partition_by_payment,
     simulate_observed,
@@ -38,7 +37,7 @@ from blindmfg.torus import (
     mollified_dirac,
 )
 
-from conftest import constant_field, random_density, scenario_config
+from conftest import constant_field, race_args, race_config, random_density
 
 
 @pytest.fixture
@@ -46,29 +45,21 @@ def grid256():
     return build_grid(1, 256)
 
 
-def small_scenario():
-    # coarse version of the two-Dirac elimination race, fast enough for
-    # unit tests
-    return illustrative_scenario(0.1, 0.5, 0.5, 64, N_t=150,
-                                 observation_dt=0.04, tolerance=0.05)
+def small_race_args():
+    """A coarse two-Dirac elimination race, fast enough for unit tests."""
+    return race_args(race_config(64, 150, observation_dt=0.04))
 
 
 @pytest.fixture(scope="module")
 def small_race():
-    sc = small_scenario()
-    return simulate_observed(sc.belief, 0, sc.cost, sc.hamiltonian, sc.sigma,
-                             sc.time_grid, sc.filter_config, sc.solver_config)
+    return simulate_observed(*small_race_args())
 
 
 def short_race_args():
     """The two-Dirac race of configs/illustrative.json cut to T = 0.5 (same dt)."""
-    g = build_grid(1, 256)
-    mu0 = Belief(np.array([0.5, 0.5]),
-                 (mollified_dirac(g, 0.0), mollified_dirac(g, 0.1)))
-    cm = illustrative_cost(smoothed_well_profile(g), 0.5)
-    return (mu0, 0, cm, Hamiltonian("abs"), 0.0, TimeGrid(0.5, 150),
-            FilterConfig(tolerance=0.05, observation_dt=0.01),
-            SolverConfig(relaxation=1.0, tol=1e-9, max_iter=60))
+    cfg = race_config(256, 150, observation_dt=0.01)
+    cfg["time"]["T"] = 0.5
+    return race_args(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -165,9 +156,9 @@ class TestPartitionByPayment:
                     tuple(mollified_dirac(grid64, c) for c in (0.1, 0.4, 0.7)))
         assert [list(g) for g in partition_by_payment(mu, cm, 1e-9)] == [[0, 1, 2]]
 
-    def test_illustrative_t0_one_group(self, grid256):
-        sc = illustrative_scenario(0.1, 0.5, 0.5, 256)
-        groups = partition_by_payment(sc.belief, sc.cost, sc.filter_config.tolerance)
+    def test_illustrative_t0_one_group(self):
+        mu0, _, cm, _, _, _, fc, _ = race_args(race_config(256, 512, observation_dt=0.01))
+        groups = partition_by_payment(mu0, cm, fc.tolerance)
         assert [list(g) for g in groups] == [[0, 1]]
 
     def test_two_vs_one_split(self, grid64):
@@ -362,20 +353,16 @@ class TestSimulateObserved:
             simulate_observed(mu0, 3, cm, Hamiltonian("abs"), 0.0, tg,
                               FilterConfig(tolerance=1e-9))
 
-    def test_initially_inconsistent_rejected(self, grid256):
-        sc = small_scenario()
-        cm = illustrative_cost(smoothed_well_profile(sc.grid), 0.5)
+    def test_initially_inconsistent_rejected(self):
+        mu0, _, cm, H, _, tg, _, scfg = small_race_args()
+        grid = mu0.grid
         bad = Belief(np.array([0.5, 0.5]),
-                     (mollified_dirac(sc.grid, 0.0), mollified_dirac(sc.grid, 0.35)))
+                     (mollified_dirac(grid, 0.0), mollified_dirac(grid, 0.35)))
         with pytest.raises(ValueError, match="consistent"):
-            simulate_observed(bad, 0, cm, sc.hamiltonian, 0.0, sc.time_grid,
-                              FilterConfig(tolerance=1e-6), sc.solver_config)
+            simulate_observed(bad, 0, cm, H, 0.0, tg, FilterConfig(tolerance=1e-6), scfg)
 
     def test_small_elimination_race(self):
-        sc = small_scenario()
-        trace = simulate_observed(sc.belief, 0, sc.cost, sc.hamiltonian,
-                                  sc.sigma, sc.time_grid, sc.filter_config,
-                                  sc.solver_config)
+        trace = simulate_observed(*small_race_args())
         assert len(trace.events) == 1
         _, eliminated = trace.events[0]
         assert eliminated == (1,)
@@ -419,9 +406,7 @@ class TestSimulateObserved:
             return sol
 
         monkeypatch.setattr(payments, "solve_blind", spy)
-        sc = small_scenario()
-        trace = simulate_observed(sc.belief, 0, sc.cost, sc.hamiltonian, sc.sigma,
-                                  sc.time_grid, sc.filter_config, sc.solver_config)
+        trace = simulate_observed(*small_race_args())
         assert len(trace.events) == 1 and len(refs) == len(trace.segments) > 2
         assert alive_at_next == [s["solution"] is not None for s in trace.segments[:-1]]
 
@@ -477,44 +462,17 @@ class TestObservationsReadTheSolvedPath:
         self.assert_matches_reference(short_race, short_race_args())
 
     def test_diffusive_race(self):
-        sc = small_scenario()
-        args = (sc.belief, 0, sc.cost, sc.hamiltonian, 0.02, sc.time_grid,
-                sc.filter_config, SolverConfig(relaxation=0.5, tol=1e-8, max_iter=200))
+        mu0, true_atom, cm, H, _, tg, fc, _ = small_race_args()
+        args = (mu0, true_atom, cm, H, 0.02, tg, fc,
+                SolverConfig(relaxation=0.5, tol=1e-8, max_iter=200))
         trace = simulate_observed(*args)
         assert len(trace.events) == 1
         self.assert_matches_reference(trace, args)
 
 
-class TestIllustrativeScenario:
-    def test_parameter_guards(self):
-        with pytest.raises(ValueError):
-            illustrative_scenario(0.3, 0.5, 0.5, 64)
-        with pytest.raises(ValueError):
-            illustrative_scenario(0.1, 0.0, 0.5, 64)
-        with pytest.raises(ValueError):
-            illustrative_scenario(0.1, 0.5, 1.5, 64)
-
-    def test_bundle_contents(self):
-        sc = illustrative_scenario(0.1, 0.5, 0.5, 64)
-        assert sc.time_grid.horizon == 2.0
-        assert sc.sigma == 0.0
-        assert sc.hamiltonian.kind == "abs"
-        assert sc.predicted_window == (pytest.approx(0.15), pytest.approx(0.2125))
-
-    def test_to_config_roundtrips_through_cli_schema(self):
-        sc = illustrative_scenario(0.1, 0.5, 0.5, 64)
-        cfg = scenario_config(sc)
-        assert cfg["grid"]["n"] == 64
-        assert cfg["cost"] == {"id": "illustrative", "coupling": 0.5}
-        assert cfg["belief"]["weights"] == [0.5, 0.5]
-
-
 class TestTraceOutput:
-    def test_json_and_csv(self, tmp_path):
-        sc = small_scenario()
-        trace = simulate_observed(sc.belief, 0, sc.cost, sc.hamiltonian,
-                                  sc.sigma, sc.time_grid, sc.filter_config,
-                                  sc.solver_config)
+    def test_json_and_csv(self, tmp_path, small_race):
+        trace = small_race
         cli._write_trace(tmp_path, trace)
         body = json.loads((tmp_path / "trace.json").read_text())
         assert body["true_atom"] == 0
@@ -528,18 +486,16 @@ class TestTraceOutput:
     # with true atom 1 the survivor's local index shifts from 1 to 0
     @pytest.mark.parametrize("true_atom", [0, 1])
     def test_payment_sup_gap_matches_per_atom_oracle(self, tmp_path, true_atom):
-        sc = small_scenario()
-        trace = simulate_observed(sc.belief, true_atom, sc.cost, sc.hamiltonian,
-                                  sc.sigma, sc.time_grid, sc.filter_config,
-                                  sc.solver_config)
+        mu0, _, cm, H, sigma, tg, fc, scfg = small_race_args()
+        trace = simulate_observed(mu0, true_atom, cm, H, sigma, tg, fc, scfg)
         cli._write_trace(tmp_path, trace)
         csv_path = tmp_path / "trace.csv"
         rows = list(csv.reader(csv_path.read_text().splitlines()))
         gaps = [float(r[-1]) for r in rows[1:]]
         oracle = []
         for b, alive in zip(trace.beliefs, trace.surviving_indices):
-            observed = sc.cost.running(b.atoms[alive.index(true_atom)]).values
-            oracle.append(max(float(np.max(np.abs(sc.cost.running(a).values - observed)))
+            observed = cm.running(b.atoms[alive.index(true_atom)]).values
+            oracle.append(max(float(np.max(np.abs(cm.running(a).values - observed)))
                               for a in b.atoms))
         assert gaps == oracle
         assert max(gaps) > 0.0

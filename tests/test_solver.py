@@ -18,7 +18,7 @@ from blindmfg.monotonicity import lifted_pairing
 from blindmfg.solver import SolverConfig, solve_blind, solve_complete_info
 from blindmfg.torus import ScalarField, build_grid, mollified_dirac
 
-from conftest import constant_field, equilibrium_gap, uniform_density
+from conftest import constant_field, equilibrium_gap, race_args, race_config, uniform_density
 
 
 def mild_product_cost(grid, amplitude=0.3):
@@ -265,17 +265,17 @@ class TestDampedIteration:
         assert max(sups) <= H.lipschitz
 
     def test_damped_race_converges_in_every_segment(self):
-        from blindmfg.payments import illustrative_scenario, simulate_observed
+        from blindmfg.payments import simulate_observed
 
         # bang-bang drifts on the benchmark race: the gap grows now and
         # then, and without the history restart one of the 50 segments
         # stalls; damped Picard left 14 of them unconverged
-        sc = illustrative_scenario(0.1, 0.5, 0.5, 256, observation_dt=0.01)
-        tg = TimeGrid(0.5, 150)
+        race_cfg = race_config(256, 150, observation_dt=0.01)
+        race_cfg["time"]["T"] = 0.5
+        mu0, true_atom, cm, H, sigma, tg, fc, _ = race_args(race_cfg)
 
         def race(cfg):
-            return simulate_observed(sc.belief, 0, sc.cost, sc.hamiltonian,
-                                     sc.sigma, tg, sc.filter_config, cfg)
+            return simulate_observed(mu0, true_atom, cm, H, sigma, tg, fc, cfg)
 
         damped = race(SolverConfig())
         assert all(seg["converged"] for seg in damped.segments)
@@ -313,10 +313,9 @@ def damped_game():
 
 
 def bang_bang_game():
-    from blindmfg.payments import illustrative_scenario
-
-    sc = illustrative_scenario(0.1, 0.5, 0.5, 64)  # abs, sigma 0, undamped
-    return sc.belief, sc.cost, sc.hamiltonian, sc.sigma, sc.time_grid, sc.solver_config
+    # the race: abs, sigma 0, undamped
+    mu0, _, cm, H, sigma, tg, _, scfg = race_args(race_config(64, 128, observation_dt=0.01))
+    return mu0, cm, H, sigma, tg, scfg
 
 
 class TestTimeConsistency:
