@@ -426,6 +426,7 @@ def _write_trace(out: Path, trace: FilterTrace) -> None:
         "surviving_indices": [list(s) for s in trace.surviving_indices],
         "events": [{"time": float(t), "eliminated": list(e)} for t, e in trace.events],
         "segments_converged": [bool(s["converged"]) for s in trace.segments],
+        "segments_reused": [s["reused"] for s in trace.segments],
     })
     width = max(b.n_atoms for b in trace.beliefs)
     _write_rows(out / "trace.csv",

@@ -4,7 +4,8 @@ tower identity, and a receding-horizon game simulator.
 Payments are full cost fields on the torus; conditioning is 0/1 (an atom
 either matches the observed field within the sup-norm tolerance or is
 eliminated).  The simulator replays the blind game on the remaining
-horizon after every observation; this replanning loop is a heuristic
+horizon after an elimination or an unconverged solve, and otherwise plays
+on along the converged solve it holds; this replanning loop is a heuristic
 embodiment of the model, labeled as such in its outputs.
 """
 
@@ -41,8 +42,8 @@ class FilterTrace:
     events: list  # (time, tuple of eliminated original atom indices)
     true_atom: int
     surviving_indices: list  # original atom indices alive at each trace time
-    # replanning records {t_start, solution, converged}; solution is None
-    # except for the opening solve and the first solve after an elimination
+    # replanning records {t_start, solution, converged, reused}; solution is
+    # None except for the opening solve and the solve after an elimination
     segments: list
 
 
@@ -150,7 +151,8 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
                       cfg: SolverConfig | None = None) -> FilterTrace:
     """Receding-horizon play with payment observations and belief filtering.
 
-    Each observation reads the latest solve's belief path.  The trace stops
+    Each observation reads the latest solve's belief path; a converged solve
+    is reused until an observation eliminates an atom.  The trace stops
     early at a non-finite solve gap or true-atom payment gap."""
     cfg = cfg or SolverConfig()
     if not 0 <= true_atom < mu0.n_atoms:
@@ -165,10 +167,11 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
     alive = list(range(mu0.n_atoms))
     t_now = 0.0
     steps_left = tg.steps
+    offset = 0  # steps of sol's path already played
 
     sol = solve_blind(belief, cm, H, sigma, tg, cfg)
     segments = [{"t_start": 0.0, "solution": sol,
-                 "converged": sol.diagnostics["converged"]}]
+                 "converged": sol.diagnostics["converged"], "reused": False}]
 
     gap0 = float(_sup_gaps(sigs, sigs[true_atom]).max())
     trace = FilterTrace(times=[0.0], beliefs=[belief], payment_gaps=[gap0],
@@ -177,7 +180,7 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
 
     while steps_left > 0 and math.isfinite(sol.diagnostics["final_gap"]):
         n_adv = min(steps_per_obs, steps_left)
-        belief = sol.belief.belief_at(n_adv)
+        belief = sol.belief.belief_at(offset + n_adv)
         t_now += n_adv * dt
         steps_left -= n_adv
 
@@ -194,15 +197,20 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
         belief = _condition(belief, kept)
 
         if steps_left > 0:
-            sub_tg = TimeGrid(steps_left * dt, steps_left)
-            warm = DriftField(mu0.grid, sub_tg, sol.drift.values[n_adv:].copy())
-            # one solve at a time: an uninformed segment's is freed before
-            # the next is formed, an informed one's lives on in the trace
-            del sol
-            sol = solve_blind(belief, cm, H, sigma, sub_tg, cfg, initial_drift=warm)
+            reused = not informed and sol.diagnostics["converged"]
+            offset += n_adv
+            if not reused:
+                sub_tg = TimeGrid(steps_left * dt, steps_left)
+                warm = DriftField(mu0.grid, sub_tg, sol.drift.values[offset:].copy())
+                # the held solve is freed before the next is formed unless
+                # the trace keeps it (the opening or an informed one)
+                del sol
+                sol = solve_blind(belief, cm, H, sigma, sub_tg, cfg, initial_drift=warm)
+                offset = 0
             trace.segments.append({"t_start": t_now,
                                    "solution": sol if informed else None,
-                                   "converged": sol.diagnostics["converged"]})
+                                   "converged": sol.diagnostics["converged"],
+                                   "reused": reused})
 
         trace.times.append(t_now)
         trace.beliefs.append(belief)

@@ -393,22 +393,136 @@ class TestSimulateObserved:
         kept = [s["t_start"] for s in trace.segments if s["solution"] is not None]
         assert kept == [0.0] + [t for t, _ in trace.events]
 
-    def test_one_uninformed_solve_held_at_a_time(self, monkeypatch):
-        """When the next segment is solved, the previous solve is already
-        freed unless its segment keeps it (the opening or an informed one)."""
-        refs, alive_at_next = [], []
+    @staticmethod
+    def spied_race(monkeypatch, args):
+        """The trace of `args`, the time grid of every solve_blind call and,
+        at each call after the first, whether the previous solve is alive."""
+        solves, refs, alive_at_next = [], [], []
 
-        def spy(*args, **kwargs):
+        def spy(*a, **kw):
             if refs:
                 alive_at_next.append(refs[-1]() is not None)
-            sol = solve_blind(*args, **kwargs)
+            solves.append(a[4])
+            sol = solve_blind(*a, **kw)
             refs.append(weakref.ref(sol))
             return sol
 
         monkeypatch.setattr(payments, "solve_blind", spy)
-        trace = simulate_observed(*small_race_args())
-        assert len(trace.events) == 1 and len(refs) == len(trace.segments) > 2
-        assert alive_at_next == [s["solution"] is not None for s in trace.segments[:-1]]
+        return simulate_observed(*args), solves, alive_at_next
+
+    @staticmethod
+    def assert_solved_only_where_the_held_one_cannot_serve(trace, solves,
+                                                          alive_at_next, tg):
+        """solve_blind runs at t = 0, after an event or after an unconverged
+        solve, on the remaining horizon; the previous solve is freed before
+        the next one forms unless its segment keeps it."""
+        segs = trace.segments
+        event_times = [t for t, _ in trace.events]
+        expected = [i == 0 or segs[i]["t_start"] in event_times
+                    or not segs[i - 1]["converged"] for i in range(len(segs))]
+        assert [not s["reused"] for s in segs] == expected
+        solved = [s for s in segs if not s["reused"]]
+        assert [tg.steps - g.steps for g in solves] \
+            == [round(s["t_start"] / tg.dt) for s in solved]
+        assert alive_at_next == [s["solution"] is not None for s in solved[:-1]]
+
+    def test_one_uninformed_solve_held_at_a_time(self, monkeypatch):
+        """A converged race solves at t = 0 and at its event only; every
+        other segment reuses the solve held, and at most one solve that the
+        trace does not keep is alive at a time."""
+        args = small_race_args()
+        trace, solves, alive_at_next = self.spied_race(monkeypatch, args)
+        assert len(trace.events) == 1 and len(solves) == 2 < len(trace.segments)
+        self.assert_solved_only_where_the_held_one_cannot_serve(
+            trace, solves, alive_at_next, args[5])
+
+    def test_segment_after_unconverged_solve_is_resolved(self, monkeypatch):
+        """The benchmark race with solver.max_iter 2: some solves stop short
+        and the next segment solves again; a segment that converges within
+        two iterations is reused by the ones after it."""
+        mu0, true_atom, cm, H, sigma, tg, fc, scfg = short_race_args()
+        scfg = SolverConfig(scfg.relaxation, scfg.tol, 2)
+        trace, solves, alive_at_next = self.spied_race(
+            monkeypatch, (mu0, true_atom, cm, H, sigma, tg, fc, scfg))
+        segs = trace.segments
+        after_unconverged = [b for a, b in zip(segs, segs[1:]) if not a["converged"]]
+        assert after_unconverged and not any(s["reused"] for s in after_unconverged)
+        assert any(s["reused"] for s in segs)
+        self.assert_solved_only_where_the_held_one_cannot_serve(
+            trace, solves, alive_at_next, tg)
+        # the work bound: one solve to open, one per event, one per unconverged
+        assert len(solves) <= 1 + len(trace.events) \
+            + sum(not s["converged"] for s in segs[:-1])
+
+
+def resolve_reference(mu0, true_atom, cm, H, sigma, tg, fc, cfg):
+    """The filter loop written out with a solve at every observation, each
+    warm-started from the previous solve's drift on the remaining horizon.
+    Returns the times, weights, events and payment gaps it observes."""
+    steps_per_obs = _observation_steps(tg, fc)
+    belief, alive, steps_left, t = mu0, list(range(mu0.n_atoms)), tg.steps, 0.0
+    sol = solve_blind(mu0, cm, H, sigma, tg, cfg)
+    sigs = _signatures(mu0, cm)
+    times, weights, events = [0.0], [mu0.weights], []
+    gaps = [float(np.max(np.abs(sigs - sigs[true_atom])))]
+    while steps_left > 0:
+        n_adv = min(steps_per_obs, steps_left)
+        belief = sol.belief.belief_at(n_adv)
+        t += n_adv * tg.dt
+        steps_left -= n_adv
+        sigs = _signatures(belief, cm)
+        true_sig = sigs[alive.index(true_atom)]
+        gap = [float(np.max(np.abs(sig - true_sig))) for sig in sigs]
+        kept = [i for i in range(belief.n_atoms) if gap[i] <= fc.tolerance]
+        if len(kept) < belief.n_atoms:
+            events.append((t, tuple(a for i, a in enumerate(alive) if i not in kept)))
+            w = belief.weights[kept]
+            belief = Belief(w / w.sum(), tuple(belief.atoms[i] for i in kept))
+        alive = [alive[i] for i in kept]
+        times.append(t)
+        weights.append(belief.weights)
+        gaps.append(max(gap[i] for i in kept))
+        if steps_left > 0:
+            sub_tg = TimeGrid(steps_left * tg.dt, steps_left)
+            warm = DriftField(mu0.grid, sub_tg, sol.drift.values[n_adv:].copy())
+            sol = solve_blind(belief, cm, H, sigma, sub_tg, cfg, initial_drift=warm)
+    return times, weights, events, gaps
+
+
+def other_order(args):
+    """The same two-atom race with its atoms listed in the other order."""
+    mu0, true_atom, *rest = args
+    flipped = Belief.from_stack(mu0.grid, mu0.weights[::-1], mu0.values[::-1])
+    return (flipped, 1 - true_atom, *rest)
+
+
+class TestReuseMatchesResolving:
+    """A converged solve reused across uninformative observations observes
+    what a solve at every observation observes."""
+
+    @staticmethod
+    def assert_observes_as_resolving(args, gap_tol):
+        trace = simulate_observed(*args)
+        assert any(s["reused"] for s in trace.segments)
+        times, weights, events, gaps = resolve_reference(*args)
+        assert trace.times == times
+        assert [b.weights.tolist() for b in trace.beliefs] \
+            == [w.tolist() for w in weights]
+        assert trace.events == events and len(events) == 1
+        assert np.max(np.abs(np.subtract(trace.payment_gaps, gaps))) <= gap_tol
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["order0", "order1"])
+    @pytest.mark.parametrize("race", [small_race_args, short_race_args],
+                             ids=["small_race", "short_race"])
+    def test_bitwise(self, race, reverse):
+        self.assert_observes_as_resolving(
+            other_order(race()) if reverse else race(), 0.0)
+
+    def test_diffusive_damped_race(self):
+        mu0, true_atom, cm, H, _, tg, fc, _ = small_race_args()
+        self.assert_observes_as_resolving(
+            (mu0, true_atom, cm, H, 0.02, tg, fc,
+             SolverConfig(relaxation=0.5, tol=1e-6, max_iter=200)), 1e-12)
 
 
 def fp_advance_reference(mu0, true_atom, cm, H, sigma, tg, fc, cfg):
