@@ -57,13 +57,8 @@ class Belief:
             raise ValueError("atom weights must be positive")
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum()}, expected 1")
-        return cls._unchecked(grid, w, v)
-
-    @classmethod
-    def _unchecked(cls, grid: TorusGrid, weights: np.ndarray, values: np.ndarray) -> Belief:
-        """A belief on rows as they are, for rows built as densities."""
         mu = object.__new__(cls)
-        vars(mu).update(grid=grid, weights=weights, values=values)
+        vars(mu).update(grid=grid, weights=w, values=v)
         return mu
 
     @property

@@ -209,9 +209,8 @@ def _certify_bytes(max_atoms: int, grid: TorusGrid) -> int:
 
     Counted in fields of n^dim floats, the larger of two phases, plus 8 for
     the cost's own fields.  A block: the buffer of BK atoms, the Dirac
-    profiles built beside it (at most BK) or a trial's pairing (its K atoms
-    copied and one b·m product), and the witness copy with the one that
-    replaces it (2K).  The report, after the buffer is freed: the witness
+    profiles built beside it or the block's b·m product, at most BK fields
+    each, and the witness copy with the one that replaces it (2K).  The report, after the buffer is freed: the witness
     and its atoms as JSON numbers, about 5 floats' worth per value, 6K.
     Added to that: the mollified-Dirac temporaries, 3 arrays of
     BK x dim x n x images floats at the sampler's bandwidth, and
@@ -219,7 +218,7 @@ def _certify_bytes(max_atoms: int, grid: TorusGrid) -> int:
     coarse grids."""
     atoms = 2 * max_atoms
     block = _block_trials(grid, max_atoms) * atoms
-    fields = max(block + max(block, 2 * atoms) + 2 * atoms, 6 * atoms) + 8
+    fields = max(2 * block + 2 * atoms, 6 * atoms) + 8
     images = _images_formed(2.0 * grid.spacing)
     return ((fields * grid.n ** grid.dim + 3 * block * grid.dim * grid.n * images) * 8
             + block * _DRAW_OBJECT_BYTES)

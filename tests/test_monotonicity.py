@@ -19,6 +19,7 @@ from blindmfg.hjb_fp import TimeGrid, constant_drift
 from blindmfg.monotonicity import (
     _block_trials,
     _draw_beliefs,
+    _pairings,
     certify_blind_monotone,
     counterexample_gap,
     l2_pairing,
@@ -26,10 +27,12 @@ from blindmfg.monotonicity import (
     random_belief,
 )
 from blindmfg.torus import (
+    Density,
     ScalarField,
     build_grid,
     density_from_values,
     integrate,
+    integrate_stack,
     mollified_dirac,
 )
 
@@ -277,6 +280,71 @@ class TestLiftedPairing:
                 c * s_dot_S ** 2, rel=1e-14)
 
 
+def same_bits(x, y):
+    """Equal as doubles, the sign of zero included; NaN equals NaN."""
+    return bool(np.isnan(x) and np.isnan(y)) or bool(x == y and np.signbit(x) == np.signbit(y))
+
+
+# Hand-built atoms on 8 nodes (h = 1/8) against the field b below: one
+# point mass integrates to b at its node, so to +0.0, +inf (8e308
+# overflows), -inf and finite values; the atom at nodes 1 and 2 to NaN;
+# mass 1/8 at node 3 to -0.0, as -5e-324 / 8 underflows.  A trial draws
+# its atoms from the first 2, which integrate to zeros, the first 6,
+# which integrate to finite values, the first 7, or all of them.
+HAND_B = np.array([0.0, 1e308, -1e308, -5e-324, 0.5, -0.25, 3.0, -0.0])
+HAND_ATOMS = 8.0 * np.array([
+    [1, 0, 0, 0, 0, 0, 0, 0],
+    [7 / 8, 0, 0, 1 / 8, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 1 / 2, 1 / 2, 0, 0],
+    [1 / 8] * 8,
+    [0, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 0],
+    [0, 1 / 2, 1 / 2, 0, 0, 0, 0, 0],
+])
+
+
+class TestPairings:
+    """The block kernel on hand-built blocks, passed as the certifier
+    passes them: one stack of every trial's atoms, mu1's then mu2's."""
+
+    @pytest.mark.parametrize("max_atoms", [1, 64])
+    def test_each_trial_equals_per_atom_oracle_bitwise(self, max_atoms):
+        g = build_grid(1, 8)
+        costs = [CostModel("hand", b=HAND_B, G=G)
+                 for G in (lambda s: s, np.negative, np.sqrt, lambda s: 1.0 + 0.5 * s)]
+        costs.append(constant_cost(constant_field(g, 1.0)))
+        rng = np.random.default_rng(max_atoms)
+        pairs = []
+        for t, k in enumerate(range(2, 2 * max_atoms + 1)):
+            k1 = int(rng.integers(max(1, k - max_atoms), min(max_atoms, k - 1) + 1))
+            pool = (2, 6, 7, len(HAND_ATOMS))[t % 4]
+            pairs.append([Belief(rng.dirichlet(np.ones(size)),
+                                 tuple(Density(g, HAND_ATOMS[i])
+                                       for i in rng.integers(pool, size=size)))
+                          for size in (k1, k - k1)])
+        # the widest trial, its terms s_i S_i all -0.0: S = -0.0 under w1,
+        # S = +0.0 under -w2
+        pairs.append([Belief(np.full(max_atoms, 1 / max_atoms),
+                             (Density(g, HAND_ATOMS[i]),) * max_atoms) for i in (1, 0)])
+        beliefs = [mu for pair in pairs for mu in pair]
+        stack = np.concatenate([mu.values for mu in beliefs])
+        weights = np.concatenate([mu.weights for mu in beliefs])
+        sizes = [mu.n_atoms for mu in beliefs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = integrate_stack(g, HAND_B, stack)
+            if max_atoms > 1:
+                assert np.isnan(S).any() and np.isposinf(S).any() and np.isneginf(S).any()
+                assert {np.copysign(1.0, z) for z in S[S == 0]} == {1.0, -1.0}
+            for cm in costs:
+                vals = _pairings(cm, g, (stack,), weights, sizes)
+                assert len(vals) == len(pairs)
+                for val, (mu1, mu2) in zip(vals, pairs):
+                    assert same_bits(val, oracle_atom_sums_pairing(cm, mu1, mu2))
+                    assert same_bits(lifted_pairing(cm, mu1, mu2), val)
+
+
 class TestRandomBelief:
     @pytest.mark.parametrize("dim,n,max_atoms", [(1, 64, 8), (1, 256, 12), (2, 16, 5)])
     def test_same_belief_and_generator_state_as_per_atom_draw(self, dim, n, max_atoms):
@@ -355,19 +423,34 @@ class TestCertifyBlindMonotone:
         assert lifted_pairing(cm, *report.witnesses) == report.min_over_trials
         assert cli._report_json(report)["min_pairing"] == report.min_over_trials
 
-    def test_one_lifted_pairing_call_per_trial(self, grid64, monkeypatch):
+    def test_block_kernel_pairs_each_trial_once(self, grid64, monkeypatch):
+        """37 trials at 32 a block are paired by two _pairings calls, 32 and
+        5 trials.  A run that a non-finite pairing ends pairs each block up
+        to that one's once, its whole block too, and none after it; the
+        trials paired up to the first non-finite pairing are the report's."""
         import blindmfg.monotonicity as mono
 
         calls = []
+        pairings = mono._pairings
 
-        def counting(cm, mu1, mu2):
-            calls.append(None)
-            return lifted_pairing(cm, mu1, mu2)
+        def counting(*args):
+            calls.append(pairings(*args))
+            return calls[-1]
 
-        monkeypatch.setattr(mono, "lifted_pairing", counting)
+        monkeypatch.setattr(mono, "_pairings", counting)
+        block = _block_trials(grid64, 8)
         report = certify_blind_monotone(cos_product_cost(grid64), grid64, 4, 37)
-        assert len(calls) == 37
+        assert [len(v) for v in calls] == [block, 37 - block]
         assert report.trials == 37
+
+        calls.clear()
+        cm = moment_form_cost(lambda s: np.where(s > 0.91, np.nan, np.sqrt(s)), grid64)
+        report = certify_blind_monotone(cm, grid64, sampler_seed=2, trials=200)
+        assert report.nonfinite_trial > block
+        assert [len(v) for v in calls] == [min(block, 200 - first)
+                                           for first in range(0, report.trials, block)]
+        finite = np.isfinite(np.concatenate(calls))
+        assert int(np.argmin(finite)) + 1 == report.trials
 
     def test_blocks_build_in_their_buffer(self):
         """n = 4096, one trial a block, 3 blocks, a cost without b, whose
