@@ -31,7 +31,6 @@ telemetry.json, of phase and write wall times, is not listed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -81,9 +80,9 @@ EXIT_NONCONVERGENCE = 3
 
 # Largest estimated space-time state a run may allocate (see _state_bytes).
 MAX_STATE_BYTES = 2 ** 30
-# Python objects a drawn atom holds besides the block buffer: its centre
-# and its entries in the Dirac row and centre lists, or its share of its
-# belief's weights, (weights, rows) tuple, view and Belief.
+# Python objects _draw_beliefs keeps per drawn atom besides the block
+# buffer: a Dirac atom's centre and its Dirac row and centre list entries,
+# and a share of its belief's weights and (weights, first, end row) tuple.
 _DRAW_OBJECT_BYTES = 1024
 
 
@@ -210,8 +209,9 @@ def _certify_bytes(max_atoms: int, grid: TorusGrid) -> int:
     Counted in fields of n^dim floats, the larger of two phases, plus 8 for
     the cost's own fields.  A block: the buffer of BK atoms, the Dirac
     profiles built beside it or the block's b·m product, at most BK fields
-    each, and the witness copy with the one that replaces it (2K).  The report, after the buffer is freed: the witness
-    and its atoms as JSON numbers, about 5 floats' worth per value, 6K.
+    each, and the witness copy with the one that replaces it (2K).  The
+    report, after the buffer is freed: the witness and its atoms as JSON
+    numbers, about 5 floats' worth per value, 6K.
     Added to that: the mollified-Dirac temporaries, 3 arrays of
     BK x dim x n x images floats at the sampler's bandwidth, and
     _DRAW_OBJECT_BYTES of Python objects per drawn atom, which dominate on
@@ -381,16 +381,16 @@ def _fmt(x) -> str:
 
 
 def _write_path_csv(path: Path, tg: TimeGrid, grid: TorusGrid,
-                    values: np.ndarray, column: str) -> None:
+                    values, column: str) -> None:
     """Space-time series: t, x0[, x1], <column> — one row per node.
 
-    Rows end in CRLF, as csv.writer writes them; each time slice is
-    formatted with one template and written as one block.
+    `values` yields one grid slice per time; rows end in CRLF, and each
+    slice is formatted with one template and written as one block.
     """
     nodes = zip(*([_fmt(x) for x in c.ravel()] for c in grid.coords()))
     template = "".join(f"%s,{','.join(xs)},%.17g\r\n" for xs in nodes)
     axis_names = [f"x{d}" for d in range(grid.dim)]
-    args = [None] * (2 * values[0].size)
+    args = [None] * (2 * grid.n ** grid.dim)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t"] + axis_names + [column]) + "\r\n")
         for t, vals in zip(tg.times, values):
@@ -400,11 +400,10 @@ def _write_path_csv(path: Path, tg: TimeGrid, grid: TorusGrid,
 
 
 def _write_rows(path: Path, header: list, rows) -> None:
-    """A small table through csv.writer, rows ending in CRLF."""
+    """A small table as _write_path_csv writes one: commas, CRLF, no quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in [header, *rows]:
+            fh.write(",".join(map(str, row)) + "\r\n")
 
 
 def _write_history(out: Path, sol: EquilibriumSolution) -> None:
@@ -516,9 +515,9 @@ def cmd_solve(cfg: dict, out: Path, key: str) -> tuple:
     artifacts = ["u.csv", "m.csv", "summary.json", "history.csv"]
     _write_path_csv(out / "u.csv", tg, grid, sol.value.values, "u")
     # slice by slice: the weighted sum of whole paths would stack K products
-    m = np.stack([_weighted_sum(sol.belief.weights, atoms)
-                  for atoms in sol.belief.values.swapaxes(0, 1)])
-    _write_path_csv(out / "m.csv", tg, grid, m, "m")
+    _write_path_csv(out / "m.csv", tg, grid,
+                    (_weighted_sum(sol.belief.weights, atoms)
+                     for atoms in sol.belief.values.swapaxes(0, 1)), "m")
     _write_history(out, sol)
     if key == "belief":
         np.save(out / "m_atoms.npy", sol.belief.values, allow_pickle=False)
@@ -556,7 +555,6 @@ def cmd_simulate_observed(cfg: dict, out: Path) -> tuple:
         "n_events": len(trace.events),
         "event_times": [float(t) for t, _ in trace.events],
         "final_n_atoms": trace.beliefs[-1].n_atoms,
-        "true_atom_survived": True,
         "segments_converged": all_converged,
     })
     # a trace cut short met a non-finite solve gap or payment

@@ -123,8 +123,6 @@ class DriftField:
 
     def sup_norm(self) -> float:
         """max |b|, from the two extremes: no drift-sized temporary."""
-        if not self.values.size:
-            return 0.0
         return float(np.maximum(np.abs(self.values.max()), np.abs(self.values.min())))
 
 

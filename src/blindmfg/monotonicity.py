@@ -54,15 +54,15 @@ def lifted_pairing(cm: CostModel, mu1: Belief, mu2: Belief) -> float:
     belief's grid, weights and stacked atom values only."""
     if mu1.grid != mu2.grid:
         raise ValueError("beliefs on different grids")
-    return float(_pairings(cm, mu1.grid, (mu1.values, mu2.values),
+    return float(_pairings(cm, mu1.grid, np.concatenate([mu1.values, mu2.values]),
                            np.concatenate([mu1.weights, mu2.weights]),
                            [mu1.n_atoms, mu2.n_atoms])[0])
 
 
-def _pairings(cm: CostModel, grid: TorusGrid, stacks: tuple, weights: np.ndarray,
+def _pairings(cm: CostModel, grid: TorusGrid, atoms: np.ndarray, weights: np.ndarray,
               sizes) -> np.ndarray:
     """The lifted pairing of each trial t, belief 2t against belief 2t + 1:
-    belief j holds the next sizes[j] atoms of `stacks` and of `weights`.
+    belief j holds the next sizes[j] atoms of `atoms` and of `weights`.
     A trial's pairing is (s·S)(s·G(S)) with s = (w1, -w2) and
     S_i = ∫b dm_i, as `a` cancels (sum s = 0).  Each sum is added in atom
     order from +0.0 by one cumsum over a row padded with +0.0: a sum from
@@ -71,7 +71,7 @@ def _pairings(cm: CostModel, grid: TorusGrid, stacks: tuple, weights: np.ndarray
     if cm.b is None:
         return np.zeros(len(sizes) // 2)
     sizes = np.asarray(sizes)
-    S = np.concatenate([integrate_stack(grid, cm.b, v) for v in stacks])
+    S = integrate_stack(grid, cm.b, atoms)
     belief = np.repeat(np.arange(sizes.size), sizes)
     s = np.where(belief & 1, -weights, weights)
     trial, width = belief >> 1, sizes[::2] + sizes[1::2]
@@ -179,7 +179,7 @@ def certify_blind_monotone(cm: CostModel, grid: TorusGrid, sampler_seed: int,
         atoms = buffer[:drawn[-1][2]]
         _build_atoms(grid, atoms, dirac_rows, centers)
         t_pair = time.perf_counter()
-        vals = _pairings(cm, grid, (atoms,), np.concatenate([w for w, _, _ in drawn]),
+        vals = _pairings(cm, grid, atoms, np.concatenate([w for w, _, _ in drawn]),
                          [end - lo for _, lo, end in drawn])
         finite = np.isfinite(vals)
         # the first non-finite pairing, else the first strict minimum

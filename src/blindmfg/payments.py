@@ -24,7 +24,7 @@ from .torus import ScalarField, TorusGrid, integrate_stack
 
 @dataclass(frozen=True)
 class FilterConfig:
-    tolerance: float = 1e-6
+    tolerance: float
     observation_dt: float = 0.0  # 0 means one observation per solver step
 
     def __post_init__(self):
@@ -62,20 +62,6 @@ def _within(sigs: np.ndarray, tau: float) -> np.ndarray:
     return np.array([_sup_gaps(sigs, s) <= tau for s in sigs])
 
 
-def _consistent(sigs: np.ndarray, tau: float) -> bool:
-    """True iff all stacked payment fields lie within tau of one another.
-
-    The diagonal is not read: one atom is consistent even when its
-    payment is not finite."""
-    return bool(np.all(_within(sigs, tau) | np.eye(len(sigs), dtype=bool)))
-
-
-def _matching(sigs: np.ndarray, field: np.ndarray, tau: float):
-    """Atoms whose payment lies within tau of `field`, and every atom's gap."""
-    gaps = _sup_gaps(sigs, field)
-    return np.flatnonzero(gaps <= tau).tolist(), gaps
-
-
 def _condition(mu: Belief, kept: list) -> Belief:
     """mu restricted to the atoms `kept`, weights renormalized (mu if all are kept)."""
     if len(kept) == mu.n_atoms:
@@ -85,8 +71,11 @@ def _condition(mu: Belief, kept: list) -> Belief:
 
 
 def in_consistency_set(mu: Belief, cm: CostModel, tau: float) -> bool:
-    """True iff all atoms induce the same payment field within tau."""
-    return _consistent(_signatures(mu, cm), tau)
+    """True iff all atoms induce the same payment field within tau.
+
+    The diagonal is not read: one atom is consistent even when its
+    payment is not finite."""
+    return bool(np.all(_within(_signatures(mu, cm), tau) | np.eye(mu.n_atoms, dtype=bool)))
 
 
 def partition_by_payment(mu: Belief, cm: CostModel, tau: float):
@@ -157,8 +146,7 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
     cfg = cfg or SolverConfig()
     if not 0 <= true_atom < mu0.n_atoms:
         raise ValueError(f"true_atom index {true_atom} out of range")
-    sigs = _signatures(mu0, cm)
-    if not _consistent(sigs, fc.tolerance):
+    if not in_consistency_set(mu0, cm, fc.tolerance):
         raise ValueError("initial belief is not payment-consistent within tolerance")
     dt = tg.dt
     steps_per_obs = _observation_steps(tg, fc)
@@ -173,6 +161,7 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
     segments = [{"t_start": 0.0, "solution": sol,
                  "converged": sol.diagnostics["converged"], "reused": False}]
 
+    sigs = _signatures(mu0, cm)
     gap0 = float(_sup_gaps(sigs, sigs[true_atom]).max())
     trace = FilterTrace(times=[0.0], beliefs=[belief], payment_gaps=[gap0],
                         events=[], true_atom=true_atom,
@@ -186,7 +175,8 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
 
         true_local = alive.index(true_atom)
         sigs = _signatures(belief, cm)
-        kept, gaps = _matching(sigs, sigs[true_local], fc.tolerance)
+        gaps = _sup_gaps(sigs, sigs[true_local])
+        kept = np.flatnonzero(gaps <= fc.tolerance).tolist()
         if true_local not in kept:  # its own gap is NaN
             break
         informed = len(kept) < belief.n_atoms

@@ -398,6 +398,32 @@ class TestSimulateObserved:
         trace = json.loads((out / "trace.json").read_text())
         assert trace["times"] == [0.0] and trace["segments_converged"] == [True]
 
+    @staticmethod
+    def assert_summary_agrees_with_trace(out):
+        summary = json.loads((out / "summary.json").read_text())
+        trace = json.loads((out / "trace.json").read_text())
+        assert summary == {
+            "n_events": len(trace["events"]),
+            "event_times": [event["time"] for event in trace["events"]],
+            "final_n_atoms": trace["n_atoms"][-1],
+            "segments_converged": all(trace["segments_converged"]),
+        }
+
+    def test_summary_agrees_with_trace(self, tmp_path):
+        # the benchmark's race, perfbench/workloads.py's race at seed 0
+        cfg = race_config(256, 150, observation_dt=0.01)
+        cfg["time"]["T"] = 0.5
+        out = tmp_path / "out"
+        assert main(["simulate-observed", "--config", write_config(tmp_path, "race.json", cfg),
+                     "--out", str(out)]) == 0
+        self.assert_summary_agrees_with_trace(out)
+        assert json.loads((out / "summary.json").read_text())["n_events"] == 1
+
+    def test_summary_agrees_with_trace_cut_short(self, tmp_path, monkeypatch):
+        # the run whose true atom's payment turns NaN, cut at t = 0
+        self.test_non_finite_payment_ends_trace_exit_3(tmp_path, monkeypatch)
+        self.assert_summary_agrees_with_trace(tmp_path / "out")
+
 
 class TestCertifyMonotone:
     @staticmethod

@@ -338,7 +338,7 @@ class TestPairings:
                 assert np.isnan(S).any() and np.isposinf(S).any() and np.isneginf(S).any()
                 assert {np.copysign(1.0, z) for z in S[S == 0]} == {1.0, -1.0}
             for cm in costs:
-                vals = _pairings(cm, g, (stack,), weights, sizes)
+                vals = _pairings(cm, g, stack, weights, sizes)
                 assert len(vals) == len(pairs)
                 for val, (mu1, mu2) in zip(vals, pairs):
                     assert same_bits(val, oracle_atom_sums_pairing(cm, mu1, mu2))

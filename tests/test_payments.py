@@ -20,9 +20,9 @@ from blindmfg.hjb_fp import DriftField, Hamiltonian, TimeGrid, constant_drift, f
 from blindmfg.payments import (
     FilterConfig,
     _condition,
-    _matching,
     _observation_steps,
     _signatures,
+    _sup_gaps,
     in_consistency_set,
     partition_by_payment,
     simulate_observed,
@@ -216,8 +216,8 @@ def condition_on(mu, observed, cm, fc):
     """mu conditioned on an observed payment field by the rule that
     simulate_observed applies: keep the atoms whose payment lies within
     the tolerance, renormalize their weights."""
-    kept, _ = _matching(_signatures(mu, cm), observed.values, fc.tolerance)
-    return _condition(mu, kept)
+    gaps = _sup_gaps(_signatures(mu, cm), observed.values)
+    return _condition(mu, np.flatnonzero(gaps <= fc.tolerance).tolist())
 
 
 class TestFilterStep:
