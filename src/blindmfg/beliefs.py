@@ -178,13 +178,13 @@ def _sum_in_order(total: float, terms) -> float:
     return total
 
 
-def _weighted_sum(weights: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """sum_i w_i * fields[i] over a (K, ...) stack.
-
-    One axis-0 sum adds the K products in atom order: the bits of adding
-    them to zeros one by one.
-    """
-    return (np.reshape(weights, (-1,) + (1,) * (fields.ndim - 1)) * fields).sum(axis=0)
+def _weighted_sum(weights, fields) -> np.ndarray:
+    """sum_i w_i * fields[i] over a sequence of equal-shaped arrays, each
+    product added to a running total in atom order."""
+    total = 0.0
+    for w, f in zip(weights, fields):
+        total += w * f
+    return total
 
 
 def aggregate_running(mu: Belief, cm: CostModel) -> ScalarField:
@@ -196,13 +196,11 @@ def running_cost_path(bp: BeliefPath, cm: CostModel) -> np.ndarray:
 
     Slice k equals aggregate_running(bp.belief_at(k), cm) bit for bit:
     every slice is clipped and renormalized as density_from_values does.
-    The products of _weighted_sum are written in place, one atom path at
-    a time, so no second (K, steps+1, *grid) stack forms.
+    The atom paths are costed one at a time, so no (K, steps+1, *grid)
+    stack of costs forms.
     """
-    terms = np.empty(bp.values.shape)
-    for w, path, out in zip(bp.weights, bp.values, terms):
-        np.multiply(w, cm.running_values(bp.grid, normalize_stack(bp.grid, path)), out=out)
-    return terms.sum(axis=0)
+    return _weighted_sum(bp.weights, (cm.running_values(bp.grid, normalize_stack(bp.grid, path))
+                                      for path in bp.values))
 
 
 def aggregate_terminal(mu: Belief, cm: CostModel) -> ScalarField:
@@ -334,21 +332,10 @@ def weak_solution_residual(path, b: DriftField, sigma: float,
     return _weak_sum(*_weak_terms(path, b, sigma, phi), b.time_grid.dt)
 
 
-@dataclass(frozen=True)
-class WeakLadder:
-    """Residuals coarse to fine, their orders log2(r_l / r_l+1), whether all
-    reach 0.8, and a perturbed residual, if any, and whether it is >= 10 r_finest."""
-
-    residuals: list
-    orders: list
-    order_ok: bool
-    perturbed_residual: float | None
-    detected: bool | None
-
-
-def weak_ladder(levels, sigma: float, perturb=None) -> WeakLadder:
-    """The ramp cylinder's weak residual on `levels`, (Belief, DriftField, inner
-    ScalarField) each, swept once; `perturb` = (at_fraction, weights) weighs the
+def weak_ladder(levels, sigma: float, perturb=None) -> tuple:
+    """The ramp cylinder's weak residuals on `levels`, (Belief, DriftField,
+    inner ScalarField) each, swept once and listed coarse to fine, and the
+    perturbed residual or None: `perturb` = (at_fraction, weights) weighs the
     finest level's terms by `weights` from step int(at_fraction * steps) on."""
     residuals = []
     for mu0, b, inner in levels:
@@ -356,11 +343,8 @@ def weak_ladder(levels, sigma: float, perturb=None) -> WeakLadder:
         weights, terms = _weak_terms(push_forward(mu0, b, sigma, tg), b, sigma,
                                      ramp_cylinder(inner, tg.horizon))
         residuals.append(_weak_sum(weights, terms, tg.dt))
-    orders = [float(np.log2(r / finer)) for r, finer in zip(residuals, residuals[1:])]
-    pert = None
-    if perturb is not None:
-        series = np.array(weights)
-        series[int(perturb[0] * tg.steps):] = perturb[1]
-        pert = _weak_sum(series.tolist(), terms, tg.dt)
-    return WeakLadder(residuals, orders, all(o >= 0.8 for o in orders), pert,
-                      None if pert is None else bool(pert >= 10 * residuals[-1]))
+    if perturb is None:
+        return residuals, None
+    series = np.array(weights)
+    series[int(perturb[0] * tg.steps):] = perturb[1]
+    return residuals, _weak_sum(series.tolist(), terms, tg.dt)

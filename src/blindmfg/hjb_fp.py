@@ -145,26 +145,22 @@ def constant_drift(grid: TorusGrid, tg: TimeGrid, velocity) -> DriftField:
 def _diffusion_denominator(grid: TorusGrid, sigma: float, dt: float) -> np.ndarray:
     """Fourier symbol 1 - dt*sigma*eig of I - dt*sigma*Lap, shaped grid.shape.
 
-    eig are the eigenvalues of the periodic centered Laplacian.
+    eig are the eigenvalues of the periodic centered Laplacian.  A sigma
+    whose symbol overflows raises ValueError: the implicit step would run
+    as infinite diffusion.
     """
     n = grid.n
     h2 = grid.spacing ** 2
     eig = (2.0 * np.cos(2.0 * np.pi * np.arange(n) / n) - 2.0) / h2
     if grid.dim == 2:
         eig = eig[:, None] + eig[None, :]
-    denom = 1.0 - dt * sigma * eig
-    denom.flags.writeable = False
-    return denom
-
-
-def _check_diffusion(grid: TorusGrid, sigma: float, dt: float) -> None:
-    """Reject a sigma whose diffusion symbol overflows: the implicit step
-    would run as infinite diffusion."""
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(_diffusion_denominator(grid, sigma, dt)).all()
-    if not finite:
+        denom = 1.0 - dt * sigma * eig
+    if not np.isfinite(denom).all():
         raise ValueError(f"sigma = {sigma:g} overflows the diffusion symbol "
                          f"1 - dt*sigma*eig (dt={dt:.4g}, h={grid.spacing:.4g})")
+    denom.flags.writeable = False
+    return denom
 
 
 @functools.lru_cache(maxsize=8)

@@ -562,18 +562,26 @@ class TestValidateWeak:
         assert not (out / "report.json").exists()
 
     def test_ladder_builds_no_belief_per_time_step(self, tmp_path, monkeypatch):
-        """configs/weak.json checks one belief stack per level, the base
-        belief and the perturbed weights: the perturbed path is a weight
-        series, not 1025 Beliefs."""
-        built = []
+        """configs/weak.json checks one belief stack per level and the
+        perturbed weights: the perturbed path is a weight series, not 1025
+        Beliefs.  Each level's drift and inner field are built once, the
+        base level's checks reading level 0's."""
+        built, fields, drifts = [], [], []
         from_stack = Belief.from_stack
         monkeypatch.setattr(Belief, "from_stack", staticmethod(
             lambda *args: (built.append(args), from_stack(*args))[1]))
+        build_field, drift_from_spec = cli._build_field, cli._drift_from_spec
+        monkeypatch.setattr(cli, "_build_field", lambda spec, grid, path: (
+            fields.append(path), build_field(spec, grid, path))[1])
+        monkeypatch.setattr(cli, "_drift_from_spec", lambda *args: (
+            drifts.append(args), drift_from_spec(*args))[1])
         path = Path(__file__).resolve().parents[1] / "configs" / "weak.json"
         levels = json.loads(path.read_text())["ladder"]["levels"]
         assert main(["validate-weak", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "report.json").read_text())["violation"]["detected"]
-        assert len(built) <= levels + 2
+        assert len(built) <= levels + 1
+        assert fields.count("phi.inner") == levels
+        assert len(drifts) == levels
 
     def test_null_bandwidth_exit_2(self, tmp_path, capsys):
         cfg = self.config()

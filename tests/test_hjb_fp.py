@@ -8,10 +8,10 @@ from blindmfg.hjb_fp import (
     Hamiltonian,
     TimeGrid,
     _check_cfl,
-    _check_diffusion,
     constant_drift,
     fp_step,
     hjb_linear_step,
+    implicit_diffusion,
     optimal_drift,
     solve_fp_forward,
     solve_fp_stack,
@@ -83,15 +83,17 @@ def test_cfl_check_rejects_nan_speed(grid64):
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
 def test_diffusion_check_rejects_overflowing_symbol_only(dim, n):
-    """sigma = 1e308 overflows 1 - dt*sigma*eig; the largest sigma that
-    leaves it finite, and sigma = 0, pass."""
+    """sigma = 1e308 overflows 1 - dt*sigma*eig, and the diffusion step
+    rejects it rather than return the mean; the largest sigma that leaves
+    it finite, and sigma = 0, pass."""
     grid = build_grid(dim, n)
     dt = TimeGrid(1.0, 64).dt
+    v = np.random.default_rng(n).random(grid.shape)
     with pytest.raises(ValueError, match="sigma"):
-        _check_diffusion(grid, 1e308, dt)
+        implicit_diffusion(grid, v, 1e308, dt)
     biggest = 0.99 * np.finfo(float).max * grid.spacing ** 2 / (4 * dim * dt)
-    _check_diffusion(grid, biggest, dt)
-    _check_diffusion(grid, 0.0, dt)
+    assert np.isfinite(implicit_diffusion(grid, v, biggest, dt)).all()
+    assert np.array_equal(implicit_diffusion(grid, v, 0.0, dt), v)
 
 
 def test_time_grid_rejects_nan_horizon():

@@ -518,10 +518,10 @@ def test_weak_solution_residual_equals_per_atom_loop(size):
     _same_float(weak_solution_residual(dropped, b, 0.05, ramp),
                 ref_weak_solution_residual(dropped, b, 0.05, ramp))
     # the ladder weighs the path's terms by a weight series, with no Belief per step
-    ladder = weak_ladder([(mu0, b, _inner(grid))], 0.05, (0.5, np.array([0.5, 0.1, 0.4])))
-    _same_float(ladder.residuals[0], ref_weak_solution_residual(beliefs, b, 0.05, ramp))
-    _same_float(ladder.perturbed_residual,
-                ref_weak_solution_residual(perturbed, b, 0.05, ramp))
+    (residual,), pert = weak_ladder([(mu0, b, _inner(grid))], 0.05,
+                                    (0.5, np.array([0.5, 0.1, 0.4])))
+    _same_float(residual, ref_weak_solution_residual(beliefs, b, 0.05, ramp))
+    _same_float(pert, ref_weak_solution_residual(perturbed, b, 0.05, ramp))
 
 
 @pytest.mark.parametrize("tau", [1e-6, 10.0], ids=["two-classes", "one-class"])
