@@ -243,26 +243,29 @@ class _GhostDiff:
         return self
 
 
-def _godunov_into(diffs: list, u: np.ndarray, H: Hamiltonian, pp: np.ndarray,
+def _godunov_into(diffs: list, u: np.ndarray, H: Hamiltonian, clipped: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
     """Godunov Hamiltonian of u into `out`; `diffs` (one _GhostDiff per
-    axis) and `pp` are scratch.  The profiles are never -0.0, so the first
-    axis is written, not added to zeros, with the same bits."""
+    axis) and `clipped`, shaped (2,) + u.shape, are scratch.  Per axis,
+    its rows 0 and 1 take the clipped backward and forward differences, so
+    one profile call serves both.  The profiles are never -0.0, so the
+    first axis is written, not added to zeros, with the same bits."""
     for ax, d in enumerate(diffs):
         d(u)
-        np.minimum(d.plus, 0.0, out=pp)
-        pm = np.maximum(d.minus, 0.0, out=d.minus)
+        np.maximum(d.minus, 0.0, out=clipped[0])
+        np.minimum(d.plus, 0.0, out=clipped[1])
+        h = H.profile(clipped)
         if ax == 0:
-            np.maximum(H.profile(pm), H.profile(pp), out=out)
+            np.maximum(h[0], h[1], out=out)
         else:
-            out += np.maximum(H.profile(pm), H.profile(pp))
+            out += np.maximum(h[0], h[1])
     return out
 
 
 def godunov_hamiltonian(grid: TorusGrid, u: np.ndarray, H: Hamiltonian) -> np.ndarray:
     """Godunov numerical Hamiltonian, summed per axis."""
     diffs = [_GhostDiff(grid, u.shape, ax) for ax in range(grid.dim)]
-    return _godunov_into(diffs, u, H, np.empty(u.shape), np.empty(u.shape))
+    return _godunov_into(diffs, u, H, np.empty((2,) + u.shape), np.empty(u.shape))
 
 
 def upwind_advection(grid: TorusGrid, phi: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -367,10 +370,10 @@ def solve_hjb_backward(running_cost: np.ndarray, terminal_cost: ScalarField,
     u[tg.steps] = terminal_cost.values
     dt = tg.dt
     diffs = [_GhostDiff(grid, grid.shape, ax) for ax in range(grid.dim)]
-    pp, w = np.empty(grid.shape), np.empty(grid.shape)
+    clipped, w = np.empty((2,) + grid.shape), np.empty(grid.shape)
     for k in range(tg.steps - 1, -1, -1):
         # w = u[k+1] + dt * (f[k] - ham), built in place
-        _godunov_into(diffs, u[k + 1], H, pp, out=w)
+        _godunov_into(diffs, u[k + 1], H, clipped, out=w)
         np.subtract(f[k], w, out=w)
         w *= dt
         if sigma == 0.0:

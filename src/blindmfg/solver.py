@@ -71,7 +71,8 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
     Each iteration applies the map once: pushforward under drift b,
     belief-averaged costs, backward HJB value u, drift b_raw = optimal_drift(u).
     The next b is b_raw at relaxation 1 (plain Picard); below 1 it is
-    the Anderson-accelerated damped step, mixing parameter the relaxation.
+    the Anderson-accelerated step, undamped while the drift gap falls and
+    damped by the relaxation after a rise and on a warm start's first step.
     The last iterate is returned: value u, drift b_raw, and the belief
     pushed forward under b_raw.  The loop stops at the first non-finite
     drift gap; the belief then stays the one pushed forward under b.
@@ -134,11 +135,14 @@ class _Anderson:
     Keeps the last `_ANDERSON_DEPTH` differences dX, dF of iterates x
     and residuals f = g - x, g the map's drift, and steps to
     x + theta f - sum_j gamma_j (dX_j + theta dF_j), gamma being the
-    least-squares fit of f by the dF_j (Walker & Ni 2011).  Safeguards:
-    the step is clipped to the drift bound, which every optimal drift
-    obeys and the FP CFL check assumes, and whenever the gap grows the
-    history restarts from its newest pair.  (Dropping that pair too
-    leaves damped Picard steps, which stall where damped Picard does.)
+    least-squares fit of f by the dF_j (Walker & Ni 2011).  The mixing
+    parameter theta is 1 when the newest pair shows the gap did not
+    grow; the caller's theta, the relaxation, damps only the step after
+    a rise and a step taken with no pair yet.  Safeguards: the step is
+    clipped to the drift bound, which every optimal drift obeys and the
+    FP CFL check assumes, and whenever the gap grows the history
+    restarts from its newest pair.  (Dropping that pair too leaves
+    damped Picard steps, which stall where damped Picard does.)
     """
 
     def __init__(self, size: int, bound: float):
@@ -162,6 +166,8 @@ class _Anderson:
             if gap > self.gap_prev:  # restart from the newest pair alone
                 self.dx[0], self.df[0] = self.dx[row], self.df[row]
                 self.pairs = 1
+            else:
+                theta = 1.0
         self.gap_prev = gap
         out = np.multiply(f, theta)
         out += x

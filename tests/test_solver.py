@@ -1,5 +1,7 @@
 import csv
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +304,71 @@ class TestDampedIteration:
         assert np.max(np.abs(damped.drift.values - plain.drift.values)) < 1e-6
         # damped Picard, (1 - 0.5) b + 0.5 G(b), needed 13 iterations here
         assert damped.diagnostics["iterations"] < 13
+
+    def test_falling_gap_steps_undamped(self):
+        """After a secant pair whose gap did not grow, the step is
+        x + f - gamma (dX + dF); after a rise the history restarts and
+        the relaxation damps the step; a warm start's first step, which
+        holds no pair, is the damped x + theta f."""
+        from blindmfg.solver import _Anderson
+
+        rng = np.random.default_rng(0)
+        size, relaxation = 8, 0.5
+        mixer = _Anderson(size, bound=1e9)  # no clipping
+        xs, fs = [], []
+
+        def expected(theta, pairs):
+            x, f = xs[-1], fs[-1]
+            dx = np.diff(xs[-pairs - 1:], axis=0)
+            df = np.diff(fs[-pairs - 1:], axis=0)
+            gamma = np.linalg.lstsq(df.T, f, rcond=None)[0]
+            return x + theta * f - gamma @ (dx + theta * df)
+
+        x = rng.standard_normal(size)
+        # first step from the zero drift: the solver passes theta 1
+        for gap, theta, pairs in [(1.0, 1.0, 0), (0.5, 1.0, 1), (0.8, relaxation, 1),
+                                  (0.3, 1.0, 2), (0.2, 1.0, 3)]:
+            g = rng.standard_normal(size)
+            xs.append(x)
+            fs.append(g - x)
+            out = mixer.step(x, g, gap, 1.0 if pairs == 0 else relaxation)
+            np.testing.assert_allclose(out, expected(theta, pairs), rtol=1e-10, atol=1e-12)
+            x = out
+
+        warm = _Anderson(size, bound=1e9)
+        g = rng.standard_normal(size)
+        assert np.array_equal(warm.step(x, g, 0.4, relaxation), x + relaxation * (g - x))
+
+
+def blind_game():
+    """The game of configs/blind.json, which blind3 seed 0 also runs."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "blind.json")
+                     .read_text())
+    _, tg, sigma, H, cm, mu0, scfg = cli._build_game(cfg, "belief")
+    return mu0, cm, H, sigma, tg, scfg
+
+
+class TestBlindGame:
+    def test_converges_in_six_iterations(self):
+        # damping every Anderson step by the relaxation took 9
+        sol = solve_blind(*blind_game())
+        assert sol.diagnostics["converged"]
+        assert sol.diagnostics["iterations"] <= 6
+
+    def test_random_initial_drifts_reach_the_same_equilibrium(self):
+        """The product-form cost with G the identity is monotone, so the
+        equilibrium is unique: warm starts from bounded random drifts,
+        whose first step the relaxation damps, reach the zero start's."""
+        mu0, cm, H, sigma, tg, cfg = blind_game()
+        grid = mu0.grid
+        ref = solve_blind(mu0, cm, H, sigma, tg, cfg)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            b = rng.uniform(-H.lipschitz, H.lipschitz, (tg.steps + 1, grid.dim) + grid.shape)
+            sol = solve_blind(mu0, cm, H, sigma, tg, cfg, initial_drift=DriftField(grid, tg, b))
+            assert sol.diagnostics["converged"]
+            assert np.max(np.abs(sol.value.values - ref.value.values)) <= 1e-9
+            assert np.max(np.abs(sol.belief.values - ref.belief.values)) <= 1e-8
 
 
 def damped_game():
