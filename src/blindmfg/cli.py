@@ -65,7 +65,7 @@ from .payments import (
     simulate_observed,
     smoothed_well_profile,
 )
-from .solver import EquilibriumSolution, SolverConfig, solve_blind, solve_complete_info
+from .solver import EquilibriumSolution, SolverConfig, solve_blind
 from .torus import (
     ScalarField,
     TorusGrid,
@@ -504,13 +504,10 @@ def cmd_solve(cfg: dict, out: Path, key: str) -> tuple:
     """solve-blind from the `belief` section, or solve-complete from the
     one-atom `density` section."""
     grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg, key)
-    if key == "belief":
-        sol = solve_blind(mu0, cm, H, sigma, tg, scfg)
-    else:
-        if mu0.n_atoms != 1:
-            raise ConfigError("density", "complete-information solve takes a "
-                              f"single density, got {mu0.n_atoms} atoms")
-        sol = solve_complete_info(mu0.atoms[0], cm, H, sigma, tg, scfg)
+    if key == "density" and mu0.n_atoms != 1:
+        raise ConfigError("density", "complete-information solve takes a "
+                          f"single density, got {mu0.n_atoms} atoms")
+    sol = solve_blind(mu0, cm, H, sigma, tg, scfg)
 
     start = time.perf_counter()
     artifacts = ["u.csv", "m.csv", "summary.json", "history.csv"]

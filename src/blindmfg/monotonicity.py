@@ -67,7 +67,8 @@ def _pairings(cm: CostModel, grid: TorusGrid, atoms: np.ndarray, weights: np.nda
     S_i = ∫b dm_i, as `a` cancels (sum s = 0).  Each sum is added in atom
     order from +0.0 by one cumsum over a row padded with +0.0: a sum from
     +0.0 is never -0.0, so the pads keep its bits.  A cost without `b`
-    pairs every trial to 0."""
+    pairs every trial to 0; with G the identity the two sums are one sum,
+    so a product-form pairing is a square, >= 0 exactly."""
     if cm.b is None:
         return np.zeros(len(sizes) // 2)
     sizes = np.asarray(sizes)

@@ -140,9 +140,11 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
                       cfg: SolverConfig | None = None) -> FilterTrace:
     """Receding-horizon play with payment observations and belief filtering.
 
-    Each observation reads the latest solve's belief path; a converged solve
-    is reused until an observation eliminates an atom.  The trace stops
-    early at a non-finite solve gap or true-atom payment gap."""
+    Each observation reads the latest solve's belief path.  A converged
+    equilibrium restricted to [t, T] still solves the rest of the game, so
+    it is reused until an observation eliminates an atom; the next solve
+    starts from its drift.  The trace stops early at a non-finite solve
+    gap or true-atom payment gap."""
     cfg = cfg or SolverConfig()
     if not 0 <= true_atom < mu0.n_atoms:
         raise ValueError(f"true_atom index {true_atom} out of range")
