@@ -1,12 +1,11 @@
 """JSON-config command-line front end, and the package's only file I/O.
 
-Subcommands: solve-complete, solve-blind, simulate-observed,
-certify-monotone, validate-weak.  This module reads every config and
-writes every artifact; the numerics modules return data and open no
-file.  The artifacts:
+Subcommands: solve-blind, simulate-observed, certify-monotone,
+validate-weak.  This module reads every config and writes every artifact;
+the numerics modules return data and open no file.  The artifacts:
 
-- solve-complete / solve-blind: u.csv, m.csv, history.csv, summary.json,
-  telemetry.json, and for solve-blind m_atoms.npy and belief_path.json;
+- solve-blind: u.csv, m.csv, history.csv, summary.json, m_atoms.npy,
+  belief_path.json and telemetry.json;
 - simulate-observed: trace.json, trace.csv, summary.json;
 - certify-monotone: report.json and telemetry.json;
 - validate-weak: report.json.
@@ -36,7 +35,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -197,10 +195,22 @@ def _build_time(cfg: dict) -> TimeGrid:
         return TimeGrid(T, steps)
 
 
+# What a space-time run allocates besides its paths, whatever its size:
+# the dense diffusion inverse of a 1-D grid (about 4 n x n arrays while it
+# is built, n <= 256), the modules a run imports, and the parsed config.
+_RUN_BYTES = 4 * 2 ** 20
+
+
 def _state_bytes(atoms: int, steps: int, n: int, dim: int) -> int:
-    """Estimated bytes of a run's space-time arrays: the belief's atom
-    paths plus value, drift and cost, each (steps + 1) x n^dim floats."""
-    return (atoms + 3) * (steps + 1) * n ** dim * 8
+    """Estimated peak bytes of a solve, counted in space-time paths of
+    (steps + 1) x n^dim floats: 2 per atom (the belief path and the next
+    one pushed forward beside it), 9 per axis (the drift, the map's last
+    two drifts and the 6 rows of the damped step's Anderson history) and
+    9 shared (value, previous value, cost, and the temporaries of
+    optimal_drift and of the gaps), with a quarter added, plus _RUN_BYTES.
+    A validate-weak level holds far fewer: its paths and its drift."""
+    paths = 2 * atoms + 9 * dim + 9
+    return paths * (steps + 1) * n ** dim * 8 * 5 // 4 + _RUN_BYTES
 
 
 def _certify_bytes(max_atoms: int, grid: TorusGrid) -> int:
@@ -233,10 +243,10 @@ def _check_need(need: int, what: str) -> None:
                           f"above the {MAX_STATE_BYTES / 2**30:g} GiB cap")
 
 
-def _check_size(cfg: dict, key: str, n: int, dim: int, steps: int) -> None:
+def _check_size(cfg: dict, n: int, dim: int, steps: int) -> None:
     """_check_need for a space-time run; the atoms are counted in the raw
-    `key` section, whose own errors are reported when it is built."""
-    sub = cfg.get(key)
+    belief section, whose own errors are reported when it is built."""
+    sub = cfg.get("belief")
     atoms = sub.get("atoms") if isinstance(sub, dict) else None
     count = len(atoms) if isinstance(atoms, list) else 1
     _check_need(_state_bytes(count, steps, n, dim),
@@ -309,26 +319,23 @@ def _build_cost(cfg: dict, grid: TorusGrid) -> CostModel:
 _ATOM_KINDS = {"dirac": ("center", "bandwidth"), "grid": ("values",)}
 
 
-def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief",
-                  ladder: bool = False) -> Belief:
-    """The `key` section's belief, each atom built where its keys are read.
+def _build_belief(cfg: dict, grid: TorusGrid, ladder: bool = False) -> Belief:
+    """The belief section's belief, each atom built where its keys are read.
 
     A refinement `ladder` takes dirac atoms only: they are rebuilt on
     every level's grid, while grid values fit one grid.
     """
-    sub = cfg.get(key)
-    if sub is None:
-        raise ConfigError(key, "required section missing")
-    _check_keys(sub, key, {"weights", "atoms"}, ("weights", "atoms"))
+    sub = cfg["belief"]  # each command that reads it requires it
+    _check_keys(sub, "belief", {"weights", "atoms"}, ("weights", "atoms"))
     specs = sub["atoms"]
     if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
-        raise ConfigError(f"{key}.atoms", "expected a list of objects")
+        raise ConfigError("belief.atoms", "expected a list of objects")
     if not 1 <= len(specs) <= MAX_ATOMS:
-        raise ConfigError(f"{key}.atoms",
+        raise ConfigError("belief.atoms",
                           f"expected 1 to {MAX_ATOMS} atoms, got {len(specs)}")
     atoms = []
     for i, spec in enumerate(specs):
-        path = f"{key}.atoms[{i}]"
+        path = f"belief.atoms[{i}]"
         kind = _check_kind(spec, path, _ATOM_KINDS, first_required=True)
         if ladder and kind != "dirac":
             raise ConfigError(f"{path}.kind",
@@ -341,7 +348,7 @@ def _build_belief(cfg: dict, grid: TorusGrid, key: str = "belief",
             vals = _floats(spec[_ATOM_KINDS[kind][0]])
             atoms.append(mollified_dirac(grid, vals, bandwidth) if kind == "dirac"
                          else density_from_values(grid, np.reshape(vals, grid.shape)))
-    with _at(f"{key}.weights"):
+    with _at("belief.weights"):
         return Belief(_floats(sub["weights"]), tuple(atoms))
 
 
@@ -355,13 +362,13 @@ def _build_solver(cfg: dict) -> SolverConfig:
         max_iter=dict(lo=1, hi=10 ** 5, integer=True, default=SolverConfig.max_iter)))
 
 
-def _build_game(cfg: dict, key: str) -> tuple:
-    """The grid, time grid, sigma, Hamiltonian, cost, `key` belief and solver
+def _build_game(cfg: dict) -> tuple:
+    """The grid, time grid, sigma, Hamiltonian, cost, belief and solver
     settings of a game, checked in that order, with the size cap after the
     time grid and the CFL condition after the Hamiltonian."""
     grid = _build_grid(cfg)
     tg = _build_time(cfg)
-    _check_size(cfg, key, grid.n, grid.dim, tg.steps)
+    _check_size(cfg, grid.n, grid.dim, tg.steps)
     sigma = _number(cfg, "", "sigma", lo=0.0)
     with _at("sigma"):
         _diffusion_denominator(grid, sigma, tg.dt)
@@ -370,7 +377,7 @@ def _build_game(cfg: dict, key: str) -> tuple:
     with _at("time.steps"):
         _check_cfl(tg, grid, H.lipschitz, "transport")
     cm = _build_cost(cfg, grid)
-    mu0 = _build_belief(cfg, grid, key)
+    mu0 = _build_belief(cfg, grid)
     return grid, tg, sigma, H, cm, mu0, _build_solver(cfg)
 
 
@@ -500,25 +507,17 @@ def _write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_solve(cfg: dict, out: Path, key: str) -> tuple:
-    """solve-blind from the `belief` section, or solve-complete from the
-    one-atom `density` section."""
-    grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg, key)
-    if key == "density" and mu0.n_atoms != 1:
-        raise ConfigError("density", "complete-information solve takes a "
-                          f"single density, got {mu0.n_atoms} atoms")
+def cmd_solve_blind(cfg: dict, out: Path) -> tuple:
+    grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg)
     sol = solve_blind(mu0, cm, H, sigma, tg, scfg)
 
     start = time.perf_counter()
-    artifacts = ["u.csv", "m.csv", "summary.json", "history.csv"]
     _write_path_csv(out / "u.csv", tg, grid, sol.value.values, "u")
     _write_path_csv(out / "m.csv", tg, grid,
                     _weighted_sum(sol.belief.weights, sol.belief.values), "m")
     _write_history(out, sol)
-    if key == "belief":
-        np.save(out / "m_atoms.npy", sol.belief.values, allow_pickle=False)
-        _write_json(out / "belief_path.json", _belief_path_json(sol.belief, tg))
-        artifacts += ["m_atoms.npy", "belief_path.json"]
+    np.save(out / "m_atoms.npy", sol.belief.values, allow_pickle=False)
+    _write_json(out / "belief_path.json", _belief_path_json(sol.belief, tg))
     diag = sol.diagnostics
     _write_json(out / "summary.json", {
         "gap": diag["final_gap"],
@@ -531,11 +530,12 @@ def cmd_solve(cfg: dict, out: Path, key: str) -> tuple:
     _write_json(out / "telemetry.json", {
         "wall_time": [row["wall_time"] for row in diag["history"]],
         "write_s": time.perf_counter() - start})
-    return (EXIT_OK if diag["converged"] else EXIT_NONCONVERGENCE), artifacts
+    return ((EXIT_OK if diag["converged"] else EXIT_NONCONVERGENCE),
+            ["u.csv", "m.csv", "summary.json", "history.csv", "m_atoms.npy", "belief_path.json"])
 
 
 def cmd_simulate_observed(cfg: dict, out: Path) -> tuple:
-    grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg, "belief")
+    grid, tg, sigma, H, cm, mu0, scfg = _build_game(cfg)
     fc = FilterConfig(**_section(cfg["filter"], "filter", tolerance=dict(above=0),
                                  observation_dt=dict(lo=0, default=0.0)))
     with _at("filter.observation_dt"):
@@ -612,7 +612,7 @@ def cmd_validate_weak(cfg: dict, out: Path) -> tuple:
     # level by level, so that a huge level count stops at the first
     # level past the cap instead of forming 4**levels
     for lvl in range(levels):
-        _check_size(cfg, "belief", base_grid.n * 2 ** lvl, base_grid.dim,
+        _check_size(cfg, base_grid.n * 2 ** lvl, base_grid.dim,
                     base_tg.steps * 4 ** lvl)
         with _at("time.T"):
             TimeGrid(base_tg.horizon, base_tg.steps * 4 ** lvl)
@@ -690,8 +690,7 @@ _GAME = ("grid", "time", "sigma", "hamiltonian", "cost")
 # exit code and the artifacts its manifest lists; the top-level sections it
 # requires; and those it may leave out.  Every command reads `output` too.
 _COMMANDS = {
-    "solve-complete": (partial(cmd_solve, key="density"), _GAME, ("solver", "density")),
-    "solve-blind": (partial(cmd_solve, key="belief"), _GAME, ("solver", "belief")),
+    "solve-blind": (cmd_solve_blind, _GAME + ("belief",), ("solver",)),
     "simulate-observed": (cmd_simulate_observed,
                           _GAME + ("belief", "filter", "true_atom", "solver"), ()),
     "certify-monotone": (cmd_certify_monotone, ("grid", "cost", "certify"), ()),

@@ -30,7 +30,9 @@ class Hamiltonian:
     """Catalogue of convex Hamiltonians with H(x,0)=0, applied per axis.
 
     kinds: 'abs' (|p|), 'smoothed_abs' (sqrt(p^2+delta^2)-delta),
-    'capped_quadratic' (p^2/2 capped to slope `cap`).
+    'capped_quadratic' (p^2/2 capped to slope `cap`).  Every profile
+    value is >= 0 and never -0.0, which _godunov_into and optimal_drift
+    rely on.
     """
 
     kind: str
@@ -400,8 +402,7 @@ def optimal_drift(u: ValuePath, H: Hamiltonian) -> DriftField:
         # optimal; pick the stationary, reflection-symmetric choice
         tie = np.subtract(hm, hp)
         np.abs(tie, out=tie)
-        np.abs(hm, out=hm)
-        hm += np.abs(hp, out=hp)
+        hm += hp
         hm += 1.0
         hm *= 1e-12
         tie = tie <= hm

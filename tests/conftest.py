@@ -81,7 +81,7 @@ def race_args(cfg: dict) -> tuple:
     """simulate_observed's arguments for a race config, built as the
     simulate-observed command builds them: (mu0, true_atom, cost,
     Hamiltonian, sigma, time grid, filter config, solver config)."""
-    _, tg, sigma, H, cm, mu0, scfg = cli._build_game(cfg, "belief")
+    _, tg, sigma, H, cm, mu0, scfg = cli._build_game(cfg)
     return mu0, cfg["true_atom"], cm, H, sigma, tg, FilterConfig(**cfg["filter"]), scfg
 
 

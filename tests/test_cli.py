@@ -15,7 +15,7 @@ from blindmfg.beliefs import Belief, _weighted_sum
 from blindmfg.cli import MAX_STATE_BYTES, _state_bytes, _write_path_csv, main
 from blindmfg.hjb_fp import TimeGrid
 from blindmfg.monotonicity import _block_trials
-from blindmfg.solver import solve_blind
+from blindmfg.solver import solve_blind, solve_complete_info
 from blindmfg.torus import build_grid
 from conftest import race_config
 
@@ -26,7 +26,8 @@ def write_config(tmp_path, name, body):
     return str(path)
 
 
-def base_complete_config():
+def blind_config():
+    """A solve-blind config of one atom: the complete-information game."""
     return {
         "grid": {"dim": 1, "n": 64},
         "time": {"T": 0.5, "steps": 128},
@@ -34,36 +35,32 @@ def base_complete_config():
         "hamiltonian": {"kind": "smoothed_abs", "delta": 0.5},
         "cost": {"id": "product_form",
                  "phi": {"kind": "cosine", "amplitude": 0.3}},
-        "density": {"weights": [1.0],
-                    "atoms": [{"kind": "dirac", "center": 0.3}]},
+        "belief": {"weights": [1.0],
+                   "atoms": [{"kind": "dirac", "center": 0.3}]},
         "solver": {"tol": 1e-8},
     }
 
 
-def blind_config():
-    cfg = base_complete_config()
-    cfg["belief"] = cfg.pop("density")
-    return cfg
-
-
 class TestSolveComplete:
+    """The complete-information game: solve-blind on a one-atom belief."""
+
     def test_zero_cost_exits_clean(self, tmp_path):
-        cfg = base_complete_config()
+        cfg = blind_config()
         cfg["cost"] = {"id": "zero"}
         path = write_config(tmp_path, "c.json", cfg)
         out = tmp_path / "out"
-        assert main(["solve-complete", "--config", path, "--out", str(out)]) == 0
+        assert main(["solve-blind", "--config", path, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"]
         assert summary["iterations"] <= 2
 
     def test_artifacts_and_manifest(self, tmp_path):
-        path = write_config(tmp_path, "c.json", base_complete_config())
+        path = write_config(tmp_path, "c.json", blind_config())
         out = tmp_path / "out"
-        assert main(["solve-complete", "--config", path, "--out", str(out)]) == 0
+        assert main(["solve-blind", "--config", path, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["artifacts"]) == {"u.csv", "m.csv", "summary.json",
-                                              "history.csv"}
+        assert set(manifest["artifacts"]) == {"u.csv", "m.csv", "summary.json", "history.csv",
+                                              "m_atoms.npy", "belief_path.json"}
         for name in manifest["artifacts"]:
             assert (out / name).exists()
         assert manifest["config"]["sigma"] == 0.1
@@ -71,20 +68,20 @@ class TestSolveComplete:
         assert summary["gap"] < 1e-8
 
     def test_manifest_keeps_config_as_given(self, tmp_path):
-        cfg = base_complete_config()
+        cfg = blind_config()
         cfg["cost"] = {"id": "zero"}
         path = write_config(tmp_path, "c.json", cfg)
         out = tmp_path / "out"
-        assert main(["solve-complete", "--config", path, "--out", str(out)]) == 0
+        assert main(["solve-blind", "--config", path, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         # solver.relaxation and solver.max_iter take their defaults unrecorded
         assert manifest["config"] == cfg
 
     def test_validation_failure_field_path(self, tmp_path, capsys):
-        cfg = base_complete_config()
+        cfg = blind_config()
         cfg["sigma"] = -0.1
         path = write_config(tmp_path, "c.json", cfg)
-        assert main(["solve-complete", "--config", path,
+        assert main(["solve-blind", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "sigma" in capsys.readouterr().err
 
@@ -92,30 +89,35 @@ class TestSolveComplete:
         (None, "sigma", float("nan")), (None, "sigma", float("inf")),
         ("solver", "tol", float("nan")), ("time", "T", float("inf"))])
     def test_non_finite_number_exit_2(self, tmp_path, capsys, section, key, value):
-        cfg = base_complete_config()
+        cfg = blind_config()
         (cfg[section] if section else cfg)[key] = value
         path = write_config(tmp_path, "c.json", cfg)
-        assert main(["solve-complete", "--config", path,
+        assert main(["solve-blind", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert (f"{section}.{key}" if section else key) in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = base_complete_config()
+        cfg = blind_config()
         cfg["hamiltonian"]["viscosity"] = 1.0
         path = write_config(tmp_path, "c.json", cfg)
-        assert main(["solve-complete", "--config", path,
+        assert main(["solve-blind", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "hamiltonian.viscosity" in capsys.readouterr().err
 
 
 class TestSolveBlind:
     def test_single_atom_byte_identical_to_complete(self, tmp_path):
-        cpath = write_config(tmp_path, "c.json", base_complete_config())
-        bpath = write_config(tmp_path, "b.json", blind_config())
-        oc, ob = tmp_path / "oc", tmp_path / "ob"
-        assert main(["solve-complete", "--config", cpath, "--out", str(oc)]) == 0
-        assert main(["solve-blind", "--config", bpath, "--out", str(ob)]) == 0
-        assert (oc / "u.csv").read_bytes() == (ob / "u.csv").read_bytes()
+        """A one-atom solve-blind writes the complete-information
+        equilibrium of solve_complete_info (criterion 01) bit for bit."""
+        cfg = blind_config()
+        out = tmp_path / "out"
+        assert main(["solve-blind", "--config", write_config(tmp_path, "b.json", cfg),
+                     "--out", str(out)]) == 0
+        grid, tg, sigma, H, cm, mu0, scfg = cli._build_game(cfg)
+        sol = solve_complete_info(mu0.atoms[0], cm, H, sigma, tg, scfg)
+        _write_path_csv(tmp_path / "u.csv", tg, grid, sol.value.values, "u")
+        assert (out / "u.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
+        assert np.load(out / "m_atoms.npy").tobytes() == sol.belief.values.tobytes()
 
     def test_two_atom_artifacts(self, tmp_path):
         cfg = blind_config()
@@ -220,7 +222,7 @@ class TestAtomPaths:
 
     def test_bits_of_the_solver_stack(self, tmp_path, grid, center):
         cfg, out, saved = self.run(tmp_path, grid, center)
-        g, tg, sigma, H, cm, mu0, scfg = cli._build_game(cfg, "belief")
+        g, tg, sigma, H, cm, mu0, scfg = cli._build_game(cfg)
         values = solve_blind(mu0, cm, H, sigma, tg, scfg).belief.values
         assert saved.shape == (2, 33) + g.shape
         assert saved.dtype == values.dtype == np.float64
@@ -718,17 +720,17 @@ class TestMalformedConfig:
                                         {"kind": "dirac", "center": 0.6}]}),
          "belief.atoms[0].kind"),
         # --out names the directory, but the output section is still checked
-        ("solve-complete", dict(base_complete_config(), output={"directory": ["o"]}),
+        ("solve-blind", dict(blind_config(), output={"directory": ["o"]}),
          "output.directory"),
-        ("solve-complete", dict(base_complete_config(), output={"unread_key": 0}),
+        ("solve-blind", dict(blind_config(), output={"unread_key": 0}),
          "output.unread_key"),
-        ("solve-complete", dict(base_complete_config(), output="o"), "output"),
+        ("solve-blind", dict(blind_config(), output="o"), "output"),
         # a bound the library also checks is reported at its own key
-        ("solve-complete", dict(base_complete_config(), solver={"relaxation": 0}),
+        ("solve-blind", dict(blind_config(), solver={"relaxation": 0}),
          "solver.relaxation"),
-        ("solve-complete", dict(base_complete_config(), solver={"relaxation": 1.5}),
+        ("solve-blind", dict(blind_config(), solver={"relaxation": 1.5}),
          "solver.relaxation"),
-        ("solve-complete", dict(base_complete_config(), solver={"tol": 0}), "solver.tol"),
+        ("solve-blind", dict(blind_config(), solver={"tol": 0}), "solver.tol"),
         # more nodes or steps than the memory cap holds floats; the size
         # estimate of the first and the third overflowed a float
         ("solve-blind", dict(blind_config(), grid={"dim": 2, "n": 1e200}), "grid.n"),
@@ -737,10 +739,10 @@ class TestMalformedConfig:
         ("certify-monotone",
          dict(_certify_config(g="sqrt"), grid={"dim": 2, "n": 1e300}), "grid.n"),
         # work caps: a run of 1e15 iterations would never end
-        ("solve-complete", dict(base_complete_config(), solver={"max_iter": 1e15}),
+        ("solve-blind", dict(blind_config(), solver={"max_iter": 1e15}),
          "solver.max_iter"),
-        ("solve-complete",
-         dict(base_complete_config(), hamiltonian={"kind": "capped_quadratic", "cap": 0}),
+        ("solve-blind",
+         dict(blind_config(), hamiltonian={"kind": "capped_quadratic", "cap": 0}),
          "hamiltonian.cap"),
         ("simulate-observed",
          dict(race_config(64, 128, observation_dt=0.01),
@@ -748,24 +750,17 @@ class TestMalformedConfig:
         ("simulate-observed",
          dict(race_config(64, 128, observation_dt=0.01),
               filter={"tolerance": -1}), "filter.tolerance"),
-        ("solve-complete", dict(base_complete_config(), grid={"dim": 1, "n": 64.5}),
+        ("solve-blind", dict(blind_config(), grid={"dim": 1, "n": 64.5}),
          "grid.n"),
-        ("solve-complete",
-         dict(base_complete_config(),
+        ("solve-blind",
+         dict(blind_config(),
               cost={"id": "product_form", "phi": {"kind": "constant"}}),
          "cost.phi.value"),
-        ("solve-complete",
-         {k: v for k, v in base_complete_config().items() if k != "density"}, "density"),
-        ("solve-complete",
-         dict(base_complete_config(),
-              density={"weights": [0.2, 0.3, 0.5],
-                       "atoms": [{"kind": "dirac", "center": c} for c in (0.2, 0.5, 0.8)]}),
-         "density"),
-        ("solve-complete",
-         dict(base_complete_config(), cost={"id": "illustrative", "coupling": 1.5}),
+        ("solve-blind",
+         dict(blind_config(), cost={"id": "illustrative", "coupling": 1.5}),
          "cost.coupling"),
-        ("solve-complete",
-         dict(base_complete_config(), grid={"dim": 2, "n": 16},
+        ("solve-blind",
+         dict(blind_config(), grid={"dim": 2, "n": 16},
               cost={"id": "product_form", "phi": {"kind": "well"}}),
          "cost.phi"),
     ], ids=["belief-list", "weights-strings", "weights-negative", "g-list",
@@ -779,7 +774,7 @@ class TestMalformedConfig:
             "relaxation-above-one", "tol-zero", "n-past-the-cap", "steps-past-the-cap",
             "certify-n-past-the-cap", "max-iter-capped", "cap-zero", "tolerance-zero",
             "tolerance-negative", "n-not-integer", "constant-field-no-value",
-            "density-missing", "density-three-atoms", "coupling-above-one",
+            "coupling-above-one",
             "well-2d"])
     def test_malformed_section_exit_2(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, "c.json", cfg)
@@ -788,23 +783,23 @@ class TestMalformedConfig:
 
     def test_output_directory_not_a_string_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        cfg = dict(base_complete_config(), output={"directory": ["o"]})
+        cfg = dict(blind_config(), output={"directory": ["o"]})
         path = write_config(tmp_path, "c.json", cfg)
-        assert main(["solve-complete", "--config", path]) == 2
+        assert main(["solve-blind", "--config", path]) == 2
         assert "config error at output.directory:" in capsys.readouterr().err
     @pytest.mark.parametrize("command,cfg,field", [
-        ("solve-complete", dict(base_complete_config(),
+        ("solve-blind", dict(blind_config(),
                                 hamiltonian={"kind": "abs", "cap": 5, "delta": 3}),
          "hamiltonian.cap"),
-        ("solve-complete", dict(base_complete_config(),
+        ("solve-blind", dict(blind_config(),
                                 hamiltonian={"kind": "abs", "delta": 3}),
          "hamiltonian.delta"),
-        ("solve-complete",
-         dict(base_complete_config(),
+        ("solve-blind",
+         dict(blind_config(),
               hamiltonian={"kind": "smoothed_abs", "delta": 0.5, "cap": 2}),
          "hamiltonian.cap"),
-        ("solve-complete",
-         dict(base_complete_config(),
+        ("solve-blind",
+         dict(blind_config(),
               hamiltonian={"kind": "capped_quadratic", "cap": 2, "delta": 0.5}),
          "hamiltonian.delta"),
         ("certify-monotone", TestCertifyMonotone.config(
@@ -866,11 +861,11 @@ class TestConfigHandling:
 
     def test_output_directory_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cfg = base_complete_config()
+        cfg = blind_config()
         cfg["cost"] = {"id": "zero"}
         cfg["output"] = {"directory": "from_config"}
         path = write_config(tmp_path, "c.json", cfg)
-        assert main(["solve-complete", "--config", path]) == 0
+        assert main(["solve-blind", "--config", path]) == 0
         assert (tmp_path / "from_config" / "manifest.json").exists()
 
     @pytest.mark.parametrize("body,field", [
@@ -929,9 +924,7 @@ def test_named_field_does_not_depend_on_the_hash_seed(tmp_path, seed):
 
 def _sized_config(command, n, steps):
     """A valid config of `command` on an n-node 1-D grid over `steps` steps."""
-    if command == "solve-complete":
-        cfg = base_complete_config()
-    elif command == "solve-blind":
+    if command == "solve-blind":
         cfg = blind_config()
     elif command == "simulate-observed":
         cfg = race_config(64, 128, observation_dt=0.01)
@@ -943,7 +936,22 @@ def _sized_config(command, n, steps):
     return cfg
 
 
-SIZED = ["solve-complete", "solve-blind", "simulate-observed", "validate-weak"]
+SIZED = ["solve-blind", "simulate-observed", "validate-weak"]
+
+
+def _blind_shape(atoms, relaxation=0.5, dim=1, n=128, steps=256):
+    """configs/blind.json with `atoms` Diracs of equal weight, on a dim-D
+    grid of n nodes over `steps` steps of a unit horizon: at 3 atoms and
+    the defaults, the shipped run itself."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "blind.json").read_text())
+    cfg["grid"] = {"dim": dim, "n": n}
+    cfg["time"] = {"T": 1.0, "steps": steps}
+    cfg["solver"]["relaxation"] = relaxation
+    if (atoms, dim) != (3, 1):  # else the shipped belief
+        cfg["belief"] = {"weights": [1.0 / atoms] * atoms,
+                         "atoms": [{"kind": "dirac", "center": [0.1 + 0.8 * i / atoms] * dim}
+                                   for i in range(atoms)]}
+    return cfg
 
 
 class TestSizeGuard:
@@ -951,13 +959,38 @@ class TestSizeGuard:
     grid.n before any array is allocated."""
 
     def test_state_estimate(self):
-        assert _state_bytes(3, 256, 128, 1) == 6 * 257 * 128 * 8
-        assert _state_bytes(1, 16, 32, 2) == 4 * 17 * 32 * 32 * 8
+        run = 4 * 2 ** 20
+        assert _state_bytes(3, 256, 128, 1) == 24 * 257 * 128 * 10 + run
+        assert _state_bytes(1, 16, 32, 2) == 29 * 17 * 32 * 32 * 10 + run
         assert _state_bytes(2, 600, 256, 1) < MAX_STATE_BYTES
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("solve-blind", _blind_shape(1)),
+        ("solve-blind", _blind_shape(3)),
+        ("solve-blind", _blind_shape(8)),
+        ("solve-blind", _blind_shape(3, relaxation=1.0)),
+        ("solve-blind", _blind_shape(3, dim=2, n=32, steps=64)),
+        ("simulate-observed", dict(race_config(256, 150, observation_dt=0.01),
+                                   time={"T": 0.5, "steps": 150})),
+        ("simulate-observed", race_config(256, 600, observation_dt=0.01)),
+    ], ids=["K1", "K3", "K8", "K3-undamped", "K3-2d", "race", "illustrative"])
+    def test_state_estimate_covers_its_peak(self, tmp_path, command, cfg):
+        """A whole run's traced peak stays below four fifths of its
+        estimate: solves of 1, 3 and 8 atoms, damped and not, in 1-D and
+        2-D, and the payment filter's race at the benchmark's horizon and
+        at configs/illustrative.json's."""
+        path = write_config(tmp_path, "c.json", cfg)
+        code, peak = self.traced_main([command, "--config", path,
+                                       "--out", str(tmp_path / "o")])
+        assert code == 0
+        grid = cfg["grid"]
+        need = _state_bytes(len(cfg["belief"]["atoms"]), cfg["time"]["steps"],
+                            grid["n"], grid["dim"])
+        assert 5 * peak <= 4 * need
 
     @pytest.mark.parametrize("command", SIZED)
     def test_oversized_run_exit_2_without_allocating(self, tmp_path, capsys, command):
-        # about 34 GB of state at the base level alone
+        # about 200 GB of state at the base level alone
         path = write_config(tmp_path, "big.json", _sized_config(command, 2 ** 20, 1024))
         tracemalloc.start()
         try:
@@ -975,7 +1008,7 @@ class TestSizeGuard:
         rejects it.  validate-weak is sized by its finest level."""
         cfg = _sized_config(command, 64, 128)
         levels = 2 if command == "validate-weak" else 1
-        atoms = len((cfg.get("belief") or cfg["density"])["atoms"])
+        atoms = len(cfg["belief"]["atoms"])
         need = _state_bytes(atoms, 128 * 4 ** (levels - 1), 64 * 2 ** (levels - 1), 1)
         path = write_config(tmp_path, "c.json", cfg)
         monkeypatch.setattr(cli, "MAX_STATE_BYTES", need - 1)
@@ -1046,9 +1079,7 @@ class TestSizeGuard:
 @pytest.mark.parametrize("command", SIZED)
 def test_cfl_violation_exit_2_at_time_steps(tmp_path, capsys, command):
     coarse = {"T": 1.0, "steps": 8}  # dt = 0.125 against h = 1/64
-    if command == "solve-complete":
-        cfg = dict(base_complete_config(), time=coarse)
-    elif command == "solve-blind":
+    if command == "solve-blind":
         cfg = dict(blind_config(), time=coarse)
     elif command == "simulate-observed":
         cfg = dict(race_config(64, 128, observation_dt=0.01), time=coarse)
@@ -1074,16 +1105,14 @@ def test_overflowing_diffusion_exit_2_at_sigma(tmp_path, capsys, command):
         artifact = "report.json"
         path = write_config(tmp_path, "s.json", _weak_config(sigma=1e308))
     else:
-        cfg = base_complete_config() if command == "solve-complete" else blind_config()
-        path = write_config(tmp_path, "s.json", dict(cfg, sigma=1e308))
+        path = write_config(tmp_path, "s.json", dict(blind_config(), sigma=1e308))
     out = tmp_path / "o"
     assert main([command, "--config", path, "--out", str(out)]) == 2
     assert "config error at sigma:" in capsys.readouterr().err
     assert not (out / artifact).exists()
 
 
-@pytest.mark.parametrize("command,key", [("solve-complete", "density"),
-                                         ("solve-blind", "belief")])
+@pytest.mark.parametrize("command,key", [("solve-blind", "belief")])
 @pytest.mark.parametrize("n", [32, 64])
 class TestSolveNumericalBoundary:
     """The solve commands on extreme but well-formed numbers: a config
@@ -1093,8 +1122,7 @@ class TestSolveNumericalBoundary:
 
     @staticmethod
     def config(command, n):
-        cfg = base_complete_config() if command == "solve-complete" else blind_config()
-        return dict(cfg, grid={"dim": 1, "n": n}, time={"T": 0.5, "steps": 64})
+        return dict(blind_config(), grid={"dim": 1, "n": n}, time={"T": 0.5, "steps": 64})
 
     def test_overflowing_cost_exit_3_with_summary(self, tmp_path, command, key, n):
         cfg = self.config(command, n)
@@ -1120,9 +1148,7 @@ class TestSolveNumericalBoundary:
 def test_time_step_rounding_to_zero_exit_2_at_time_T(tmp_path, capsys, command):
     """A positive horizon over 16 steps whose step T / 16 rounds to 0."""
     tiny = {"T": 5e-324, "steps": 16}
-    if command == "solve-complete":
-        cfg = dict(base_complete_config(), time=tiny)
-    elif command == "solve-blind":
+    if command == "solve-blind":
         cfg = dict(blind_config(), time=tiny)
     elif command == "simulate-observed":
         cfg = dict(race_config(64, 128, observation_dt=0.01), time=tiny)

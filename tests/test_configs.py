@@ -356,11 +356,11 @@ BASES = [
                        "atoms": [{"kind": "dirac", "center": 0.2, "bandwidth": 0.125},
                                  {"kind": "grid", "values": [1.0] * 16}]},
         solver={"relaxation": 0.5, "tol": 1e-6, "max_iter": 500})),
-    ("solve-complete", dict(
+    ("solve-blind", dict(
         _GAME, hamiltonian={"kind": "capped_quadratic", "cap": 1.0},
         cost={"id": "constant", "field": {"kind": "constant", "value": 1.0},
               "terminal": {"kind": "sine", "amplitude": 0.2}},
-        density={"weights": [1.0], "atoms": [{"kind": "dirac", "center": 0.3}]},
+        belief={"weights": [1.0], "atoms": [{"kind": "dirac", "center": 0.3}]},
         solver={"tol": 1e-6})),
     ("simulate-observed", _shrink("simulate-observed", json.loads(
         (ROOT / "configs/illustrative.json").read_text()))),

@@ -63,6 +63,23 @@ class TestHamiltonian:
         mid = H.profile((p + q) / 2)
         assert np.all(mid <= (H.profile(p) + H.profile(q)) / 2 + 1e-12)
 
+    @pytest.mark.parametrize("H", [
+        Hamiltonian("abs"), Hamiltonian("smoothed_abs", smoothing=0.0),
+        Hamiltonian("smoothed_abs", smoothing=0.5), Hamiltonian("capped_quadratic", cap=0.5),
+        Hamiltonian("capped_quadratic", cap=1.0)],
+        ids=["abs", "smoothed-0", "smoothed-0.5", "capped-0.5", "capped-1"])
+    def test_profile_is_never_negative_nor_minus_zero(self, H):
+        """optimal_drift adds the two one-sided profiles as they are, and
+        _godunov_into writes its first axis instead of adding it to +0.0:
+        both need every profile value to be >= 0 and not -0.0."""
+        rng = np.random.default_rng(0)
+        edges = np.array([0.0, 5e-324, 1e-160, 1e154])
+        p = np.concatenate([edges, -edges,
+                            rng.standard_normal(1000) * 10.0 ** rng.integers(-20, 20, 1000)])
+        h = H.profile(p)
+        assert np.all(h >= 0.0)
+        assert not np.signbit(h).any()
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Hamiltonian("quartic")
