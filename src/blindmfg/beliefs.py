@@ -98,13 +98,14 @@ class BeliefPath:
 class CostModel:
     """Running cost f(m) = a + b * G(∫b dm) and terminal cost U0(m) = terminal.
 
-    `a`, `b` and `terminal` are fixed grid arrays or None, `G` an
-    elementwise map.  A cost with `b` needs `G` and adds `a` when it is
-    set; a cost with no `b` needs `a` and is f(m) = a.  No `terminal`
-    means U0 = 0.  `running_values(grid, m)` and `terminal_values(grid, m)`
-    map density values of shape (..., *grid.shape) to cost values of the
-    same shape, one field per leading index; they are the model's only
-    cost formulas.
+    `a`, `b` and `terminal` are fixed grid arrays or None, `G` an elementwise
+    map, affine when `affine` says so.  A cost with `b` needs `G` and adds
+    `a` when it is set; a cost with no `b` needs `a` and is f(m) = a.  No
+    `terminal` means U0 = 0.  `running_values(grid, m)` and
+    `terminal_values(grid, m)` map density values of shape (..., *grid.shape)
+    to cost values of the same shape, one field per leading index: the
+    model's only cost formulas, the first `running_from` a + b c of the
+    `coupling` c = G(∫b dm) (0 with no b).
     """
 
     kind: str
@@ -112,6 +113,7 @@ class CostModel:
     b: np.ndarray | None = None
     G: Callable | None = None
     terminal: np.ndarray | None = None
+    affine: bool = False
 
     def __post_init__(self):
         if self.b is None and self.a is None:
@@ -119,12 +121,19 @@ class CostModel:
         if self.b is not None and self.G is None:
             raise ValueError(f"{self.kind} cost with a field b needs a map G")
 
-    def running_values(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
+    def coupling(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         if self.b is None:
-            return np.broadcast_to(self.a, m.shape)
-        s = integrate_stack(grid, self.b, m)
-        vals = self.b * self.G(s.reshape(s.shape + (1,) * grid.dim))
+            return np.zeros(m.shape[:m.ndim - grid.dim])
+        return self.G(integrate_stack(grid, self.b, m))
+
+    def running_from(self, grid: TorusGrid, c: np.ndarray) -> np.ndarray:
+        if self.b is None:
+            return np.broadcast_to(self.a, c.shape + grid.shape)
+        vals = self.b * c.reshape(c.shape + (1,) * grid.dim)
         return vals if self.a is None else self.a + vals
+
+    def running_values(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
+        return self.running_from(grid, self.coupling(grid, m))
 
     def terminal_values(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         if self.terminal is None:
@@ -138,7 +147,7 @@ class CostModel:
 def product_form_cost(phi: ScalarField, base: ScalarField | None = None) -> CostModel:
     """f(m) = base + phi * ∫phi dm; monotone in the lifted sense."""
     return CostModel("product_form", a=None if base is None else base.values,
-                     b=phi.values, G=lambda s: s)
+                     b=phi.values, G=lambda s: s, affine=True)
 
 
 def moment_form_cost(g: Callable, grid: TorusGrid) -> CostModel:
@@ -153,7 +162,7 @@ def illustrative_cost(f0: ScalarField, c: float) -> CostModel:
     """f(m) = f0 + c * f0 * ∫f0 dm; the observed-payments demo coupling."""
     if not 0 < c < 1:
         raise ValueError("coupling strength c must lie in (0,1)")
-    return CostModel("illustrative", b=f0.values, G=lambda s: 1.0 + c * s)
+    return CostModel("illustrative", b=f0.values, G=lambda s: 1.0 + c * s, affine=True)
 
 
 def constant_cost(f_field: ScalarField,
@@ -188,19 +197,20 @@ def _weighted_sum(weights, fields) -> np.ndarray:
 
 
 def aggregate_running(mu: Belief, cm: CostModel) -> ScalarField:
-    return ScalarField(mu.grid, _weighted_sum(mu.weights, cm.running_values(mu.grid, mu.values)))
+    return ScalarField(mu.grid, cm.running_from(mu.grid, _weighted_sum(
+        mu.weights, cm.coupling(mu.grid, mu.values))))
+
+
+def coupling_series(bp: BeliefPath, cm: CostModel) -> np.ndarray:
+    """c_k = sum_i w_i G(∫b dm_i(t_k)), (steps+1,), through which the HJB reads
+    a path; each slice is clipped and renormalized as density_from_values does."""
+    return _weighted_sum(bp.weights, (cm.coupling(bp.grid, normalize_stack(bp.grid, path))
+                                      for path in bp.values))
 
 
 def running_cost_path(bp: BeliefPath, cm: CostModel) -> np.ndarray:
-    """Belief-averaged running cost along a path, (steps+1,) + grid.shape.
-
-    Slice k equals aggregate_running(bp.belief_at(k), cm) bit for bit:
-    every slice is clipped and renormalized as density_from_values does.
-    The atom paths are costed one at a time, so no (K, steps+1, *grid)
-    stack of costs forms.
-    """
-    return _weighted_sum(bp.weights, (cm.running_values(bp.grid, normalize_stack(bp.grid, path))
-                                      for path in bp.values))
+    """a + b c_k, (steps+1,) + grid.shape: aggregate_running(bp.belief_at(k), cm)'s bits."""
+    return cm.running_from(bp.grid, coupling_series(bp, cm))
 
 
 def aggregate_terminal(mu: Belief, cm: CostModel) -> ScalarField:

@@ -35,6 +35,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -196,20 +197,24 @@ def _build_time(cfg: dict) -> TimeGrid:
 
 
 # What a space-time run allocates besides its paths, whatever its size:
-# the dense diffusion inverse of a 1-D grid (about 4 n x n arrays while it
-# is built, n <= 256), the modules a run imports, and the parsed config.
+# the dense diffusion inverse of a 1-D grid (one n x n array, n <= 256,
+# which its build copies out of a view), the modules a run imports, and
+# the parsed config.
 _RUN_BYTES = 4 * 2 ** 20
 
 
 def _state_bytes(atoms: int, steps: int, n: int, dim: int) -> int:
     """Estimated peak bytes of a solve, counted in space-time paths of
-    (steps + 1) x n^dim floats: 2 per atom (the belief path and the next
-    one pushed forward beside it), 9 per axis (the drift, the map's last
-    two drifts and the 6 rows of the damped step's Anderson history) and
-    9 shared (value, previous value, cost, and the temporaries of
-    optimal_drift and of the gaps), with a quarter added, plus _RUN_BYTES.
-    A validate-weak level holds far fewer: its paths and its drift."""
-    paths = 2 * atoms + 9 * dim + 9
+    (steps + 1) x n^dim floats: 1 per atom (the belief path; the loop frees
+    the last path before it pushes the next, and pushes the mean density
+    alone when G is affine and H smooth), 6 per axis (the returned drift,
+    the drift pushed last, and the per-axis temporaries of optimal_drift
+    and of the HJB residual) and 7 shared (value, cost, and the residual's
+    Godunov temporaries, which set the peak), with a quarter added, plus
+    _RUN_BYTES.  The damped step's Anderson history is 2 x depth series of
+    steps + 1 floats.  A validate-weak level holds far fewer: its paths
+    and its drift."""
+    paths = atoms + 6 * dim + 7
     return paths * (steps + 1) * n ** dim * 8 * 5 // 4 + _RUN_BYTES
 
 
@@ -303,7 +308,8 @@ def _build_cost(cfg: dict, grid: TorusGrid) -> CostModel:
                      "square": lambda s: s * s}
         if not isinstance(sub["g"], str) or sub["g"] not in catalogue:
             raise ConfigError("cost.g", f"unknown moment map {sub['g']!r}")
-        return moment_form_cost(catalogue[sub["g"]], grid)
+        cm = moment_form_cost(catalogue[sub["g"]], grid)
+        return replace(cm, affine=True) if sub["g"] == "identity" else cm
     if cid == "illustrative":
         c = _number(sub, "cost", "coupling")
         with _at("cost.coupling"):
@@ -373,7 +379,7 @@ def _build_game(cfg: dict) -> tuple:
     with _at("sigma"):
         _diffusion_denominator(grid, sigma, tg.dt)
     H = _build_hamiltonian(cfg)
-    # optimal and relaxed drifts are bounded by H.lipschitz
+    # every drift a run pushes is an optimal drift, bounded by H.lipschitz
     with _at("time.steps"):
         _check_cfl(tg, grid, H.lipschitz, "transport")
     cm = _build_cost(cfg, grid)

@@ -15,6 +15,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .torus import Density, ScalarField, TorusGrid, _periodic_pairs
 
@@ -50,6 +51,10 @@ class Hamiltonian:
     @property
     def lipschitz(self) -> float:
         return self.cap if self.kind == "capped_quadratic" else 1.0
+
+    @property
+    def differentiable(self) -> bool:  # no kink: the optimal drift is continuous in u
+        return self.kind == "capped_quadratic" or self.smoothing > 0 and self.kind != "abs"
 
     def profile(self, p: np.ndarray) -> np.ndarray:
         """One-axis value h(p)."""
@@ -170,13 +175,14 @@ def _diffusion_matrix(grid: TorusGrid, sigma: float, dt: float) -> np.ndarray:
     """(I - dt*sigma*Lap)^-1 as a dense n x n array, for a 1-D grid.
 
     The inverse of a circulant is the circulant of the inverse transform
-    of 1/symbol; symmetrising makes D == D.T exactly, so the matmul is
-    self-adjoint to the last bit.
+    of 1/symbol; its column symmetrised, s[k] = (col[k] + col[-k]) / 2,
+    makes D == D.T exactly, so the matmul is self-adjoint to the last bit.
+    D[i, j] = s[(i - j) % n] is copied out of windows of s reversed twice
+    over, so the build forms no n x n temporary.
     """
     col = np.fft.ifft(1.0 / _diffusion_denominator(grid, sigma, dt)).real
-    idx = np.arange(grid.n)
-    D = col[(idx[:, None] - idx[None, :]) % grid.n]
-    D = 0.5 * (D + D.T)
+    rev = (0.5 * (col + np.roll(col[::-1], 1)))[::-1]
+    D = sliding_window_view(np.concatenate([rev, rev]), grid.n)[grid.n - 1::-1].copy()
     D.flags.writeable = False
     return D
 

@@ -70,12 +70,15 @@ def _condition(mu: Belief, kept: list) -> Belief:
     return Belief.from_stack(mu.grid, w / w.sum(), mu.values[kept])
 
 
-def in_consistency_set(mu: Belief, cm: CostModel, tau: float) -> bool:
-    """True iff all atoms induce the same payment field within tau.
+def _consistent(sigs: np.ndarray, tau: float) -> bool:
+    """True iff the stacked payment fields agree within tau.  The diagonal
+    is not read: one atom is consistent even when its payment is not finite."""
+    return bool(np.all(_within(sigs, tau) | np.eye(len(sigs), dtype=bool)))
 
-    The diagonal is not read: one atom is consistent even when its
-    payment is not finite."""
-    return bool(np.all(_within(_signatures(mu, cm), tau) | np.eye(mu.n_atoms, dtype=bool)))
+
+def in_consistency_set(mu: Belief, cm: CostModel, tau: float) -> bool:
+    """True iff all atoms induce the same payment field within tau."""
+    return _consistent(_signatures(mu, cm), tau)
 
 
 def partition_by_payment(mu: Belief, cm: CostModel, tau: float):
@@ -148,7 +151,9 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
     cfg = cfg or SolverConfig()
     if not 0 <= true_atom < mu0.n_atoms:
         raise ValueError(f"true_atom index {true_atom} out of range")
-    if not in_consistency_set(mu0, cm, fc.tolerance):
+    # the prior's payments serve the consistency check and the t = 0 gap
+    sigs = _signatures(mu0, cm)
+    if not _consistent(sigs, fc.tolerance):
         raise ValueError("initial belief is not payment-consistent within tolerance")
     dt = tg.dt
     steps_per_obs = _observation_steps(tg, fc)
@@ -163,7 +168,6 @@ def simulate_observed(mu0: Belief, true_atom: int, cm: CostModel, H: Hamiltonian
     segments = [{"t_start": 0.0, "solution": sol,
                  "converged": sol.diagnostics["converged"], "reused": False}]
 
-    sigs = _signatures(mu0, cm)
     gap0 = float(_sup_gaps(sigs, sigs[true_atom]).max())
     trace = FilterTrace(times=[0.0], beliefs=[belief], payment_gaps=[gap0],
                         events=[], true_atom=true_atom,

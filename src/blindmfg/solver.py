@@ -1,11 +1,11 @@
-"""Nash equilibria of the blind game by Picard fixed-point iteration,
-Anderson-accelerated when damped.
+"""Nash equilibria of the blind game by Picard fixed-point iteration on
+the coupling series, Anderson-accelerated when damped.
 
-One iteration applies the map: drift -> pushforward belief path ->
-belief-averaged costs -> backward HJB -> feedback drift.  Fixed points
-are equilibria of the belief-coupled forward-backward system; the
-complete-information game is the single-atom special case and shares the
-code path exactly.
+One iteration applies the map: series c -> belief-averaged costs
+a + b c -> backward HJB -> feedback drift -> pushforward belief path ->
+its series.  Fixed points are equilibria of the belief-coupled
+forward-backward system; the complete-information game is the
+single-atom special case and shares the code path exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from .beliefs import (
     Belief,
     BeliefPath,
     CostModel,
+    _weighted_sum,
     aggregate_terminal,
+    coupling_series,
     push_forward,
     running_cost_path,
 )
@@ -36,8 +38,9 @@ from .hjb_fp import (
 )
 from .torus import Density
 
-# Anderson depth: secant pairs kept by the damped iteration
-_ANDERSON_DEPTH = 3
+# Anderson depth: secant pairs of series kept by the damped iteration; of
+# tests/sweep_games.py's 48 games, 28 converge at depth 30 and 21 at depth 3
+_ANDERSON_DEPTH = 30
 
 
 @dataclass(frozen=True)
@@ -68,32 +71,38 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
                 initial_drift: DriftField | None = None) -> EquilibriumSolution:
     """Solve the blind game; non-convergence is reported, never raised.
 
-    Each iteration applies the map once: pushforward under drift b,
-    belief-averaged costs, backward HJB value u, drift b_raw = optimal_drift(u).
-    The next b is b_raw at relaxation 1 (plain Picard); below 1 it is
-    the Anderson-accelerated step, undamped while the drift gap falls and
-    damped by the relaxation after a rise and on a warm start's first step.
-    The last iterate is returned: value u, drift b_raw, and the belief
-    pushed forward under b_raw.  The loop stops at the first non-finite
-    drift gap; the belief then stays the one pushed forward under b.
+    Each iteration pushes the belief under drift b; its series c_raw is the
+    next c at relaxation 1 (plain Picard), and below 1 the Anderson step,
+    undamped while the drift gap falls and damped by the relaxation after
+    a rise and on a warm start's first step.  The HJB against a + b c gives
+    u, b_raw = optimal_drift(u) and the gap max |b_raw - b|.  For affine G
+    and a differentiable H the loop pushes the mean density, whose series
+    the linear FP step makes the atoms'; at a kink, as with `abs`, rounding
+    in c would flip the drift at ties.  The last iterate is returned: u,
+    b_raw, and the atoms pushed under b_raw.  The loop stops at the first
+    non-finite gap or series; the belief then stays the one pushed under b.
     """
     cfg = cfg or SolverConfig()
     grid = mu0.grid
     b = initial_drift if initial_drift is not None else zero_drift(grid, tg)
-    mixer = _Anderson(b.values.size, H.lipschitz) if cfg.relaxation < 1 else None
+    mean = cm.affine and H.differentiable and mu0.n_atoms > 1
+    pushed = (Belief.from_stack(grid, [1.0], [_weighted_sum(mu0.weights, mu0.values)])
+              if mean else mu0)
+    mixer = _Anderson(tg.steps + 1) if cfg.relaxation < 1 else None
     # one dict per iteration: max_iter, which the CLI caps, bounds its size
     history = []
-    converged = False
-    u_prev = None
-    gap = np.inf
+    u_prev = bp = None
     # U0 is a fixed field, so its belief average reads the weights only
     terminal = aggregate_terminal(mu0, cm)
     t0 = time.perf_counter()
     for it in range(1, cfg.max_iter + 1):
-        b_pushed = b
-        bp = push_forward(mu0, b, sigma, tg)
-        running = running_cost_path(bp, cm)
-        u = solve_hjb_backward(running, terminal, H, sigma, tg)
+        b_pushed, bp = b, None  # the last path is freed before the next forms
+        bp = push_forward(pushed, b, sigma, tg)
+        c_raw = coupling_series(bp, cm)
+        # a full first step from the zero drift: decoupled systems finish at once
+        theta = 1.0 if it == 2 and initial_drift is None else cfg.relaxation
+        c = c_raw if it == 1 or mixer is None else mixer.step(c, c_raw, gap, theta)
+        u = solve_hjb_backward(cm.running_from(grid, c), terminal, H, sigma, tg)
         b_raw = optimal_drift(u, H)
         gap = float(np.max(np.abs(b_raw.values - b.values)))
         value_change = (np.inf if u_prev is None
@@ -101,27 +110,20 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
         history.append({"iter": it, "drift_gap": gap, "value_change": value_change,
                         "wall_time": time.perf_counter() - t0})
         u_prev = u.values
-        if gap < cfg.tol:
-            converged = True
-            break
-        if not np.isfinite(gap):
-            break  # a NaN gap never falls below tol, and the drift is lost
-        if mixer is None:
-            b = b_raw
-        else:
-            # full first step: relaxing toward the zero initial guess has
-            # no virtue, and decoupled systems then finish immediately
-            theta = 1.0 if it == 1 and initial_drift is None else cfg.relaxation
-            b = DriftField(grid, tg, mixer.step(b.values, b_raw.values, gap, theta))
-    del mixer  # the history would otherwise set the peak below
-    if np.isfinite(gap) and not np.array_equal(b_raw.values, b_pushed.values):
-        bp = push_forward(mu0, b_raw, sigma, tg)
-        running = running_cost_path(bp, cm)
+        finite = np.isfinite(gap) and np.isfinite(c).all()
+        converged = bool(finite and gap < cfg.tol)
+        if converged or not finite:
+            break  # a NaN never falls below tol, and the drift is lost
+        b = b_raw
+    last = b_raw if np.isfinite(gap) else b_pushed
+    if mean or not np.array_equal(last.values, b_pushed.values):
+        bp = None
+        bp = push_forward(mu0, last, sigma, tg)
     diagnostics = {
         "iterations": len(history),
         "final_gap": gap,
         "converged": converged,
-        "hjb_residual": _hjb_residual(u, running, H, sigma),
+        "hjb_residual": _hjb_residual(u, running_cost_path(bp, cm), H, sigma),
         "mass_error": float(bp.mass_errors().max()),
         "history": history,
     }
@@ -130,23 +132,22 @@ def solve_blind(mu0: Belief, cm: CostModel, H: Hamiltonian, sigma: float,
 
 
 class _Anderson:
-    """Type-II Anderson mixing for the damped drift iteration.
+    """Type-II Anderson mixing for the damped series iteration.
 
     Keeps the last `_ANDERSON_DEPTH` differences dX, dF of iterates x
-    and residuals f = g - x, g the map's drift, and steps to
+    and residuals f = g - x, g the map's series, and steps to
     x + theta f - sum_j gamma_j (dX_j + theta dF_j), gamma being the
     least-squares fit of f by the dF_j (Walker & Ni 2011).  The mixing
     parameter theta is 1 when the newest pair shows the gap did not
     grow; the caller's theta, the relaxation, damps only the step after
-    a rise and a step taken with no pair yet.  Safeguards: the step is
-    clipped to the drift bound, which every optimal drift obeys and the
-    FP CFL check assumes, and whenever the gap grows the history
-    restarts from its newest pair.  (Dropping that pair too leaves
-    damped Picard steps, which stall where damped Picard does.)
+    a rise and a step taken with no pair yet.  Whenever the gap grows the
+    history restarts from its newest pair.  (Dropping that pair too
+    leaves damped Picard steps, which stall where damped Picard does.)
+    The step needs no clip: the drift pushed next is an optimal drift,
+    bounded by construction, whatever the series.
     """
 
-    def __init__(self, size: int, bound: float):
-        self.bound = bound
+    def __init__(self, size: int):
         # row `pairs % depth` holds the pending pair: dX, and f until
         # the next residual turns it into dF
         self.dx = np.empty((_ANDERSON_DEPTH, size))
@@ -157,8 +158,7 @@ class _Anderson:
 
     def step(self, x: np.ndarray, g: np.ndarray, gap: float,
              theta: float) -> np.ndarray:
-        shape, x = x.shape, x.reshape(-1)
-        f = g.reshape(-1) - x
+        f = g - x
         if self.pending:
             row = self.pairs % _ANDERSON_DEPTH
             np.subtract(f, self.df[row], out=self.df[row])
@@ -178,12 +178,11 @@ class _Anderson:
             gamma = np.linalg.lstsq(df @ df.T, df @ f, rcond=None)[0]
             out -= gamma @ dx
             out -= (theta * gamma) @ df
-        np.clip(out, -self.bound, self.bound, out=out)
         row = self.pairs % _ANDERSON_DEPTH  # a free row, else the oldest pair
         np.subtract(out, x, out=self.dx[row])
         self.df[row] = f
         self.pending = True
-        return out.reshape(shape)
+        return out
 
 
 def solve_complete_info(m0: Density, cm: CostModel, H: Hamiltonian, sigma: float,

@@ -960,8 +960,8 @@ class TestSizeGuard:
 
     def test_state_estimate(self):
         run = 4 * 2 ** 20
-        assert _state_bytes(3, 256, 128, 1) == 24 * 257 * 128 * 10 + run
-        assert _state_bytes(1, 16, 32, 2) == 29 * 17 * 32 * 32 * 10 + run
+        assert _state_bytes(3, 256, 128, 1) == 16 * 257 * 128 * 10 + run
+        assert _state_bytes(1, 16, 32, 2) == 20 * 17 * 32 * 32 * 10 + run
         assert _state_bytes(2, 600, 256, 1) < MAX_STATE_BYTES
 
     @pytest.mark.parametrize("command,cfg", [
@@ -970,15 +970,19 @@ class TestSizeGuard:
         ("solve-blind", _blind_shape(8)),
         ("solve-blind", _blind_shape(3, relaxation=1.0)),
         ("solve-blind", _blind_shape(3, dim=2, n=32, steps=64)),
+        ("solve-blind", dict(_blind_shape(8), cost={"id": "moment_form", "g": "sqrt"})),
+        ("solve-blind", dict(_blind_shape(3), hamiltonian={"kind": "abs"})),
         ("simulate-observed", dict(race_config(256, 150, observation_dt=0.01),
                                    time={"T": 0.5, "steps": 150})),
         ("simulate-observed", race_config(256, 600, observation_dt=0.01)),
-    ], ids=["K1", "K3", "K8", "K3-undamped", "K3-2d", "race", "illustrative"])
+    ], ids=["K1", "K3", "K8", "K3-undamped", "K3-2d", "K8-sqrt", "K3-abs", "race",
+            "illustrative"])
     def test_state_estimate_covers_its_peak(self, tmp_path, command, cfg):
         """A whole run's traced peak stays below four fifths of its
         estimate: solves of 1, 3 and 8 atoms, damped and not, in 1-D and
-        2-D, and the payment filter's race at the benchmark's horizon and
-        at configs/illustrative.json's."""
+        2-D, two that push every atom on every iteration (G = sqrt, and
+        the kinked H = |p|), and the payment filter's race at the
+        benchmark's horizon and at configs/illustrative.json's."""
         path = write_config(tmp_path, "c.json", cfg)
         code, peak = self.traced_main([command, "--config", path,
                                        "--out", str(tmp_path / "o")])

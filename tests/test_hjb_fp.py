@@ -8,6 +8,8 @@ from blindmfg.hjb_fp import (
     Hamiltonian,
     TimeGrid,
     _check_cfl,
+    _diffusion_denominator,
+    _diffusion_matrix,
     constant_drift,
     fp_step,
     hjb_linear_step,
@@ -42,6 +44,9 @@ ALL_KINDS = [Hamiltonian("abs"), Hamiltonian("smoothed_abs", smoothing=0.3),
 
 
 class TestHamiltonian:
+    def test_differentiable_where_the_profile_has_no_kink(self):
+        assert [H.differentiable for H in ALL_KINDS] == [False, True, True, False]
+
     @pytest.mark.parametrize("H", ALL_KINDS)
     def test_vanishes_at_zero(self, H):
         assert H.profile(0.0) == 0.0
@@ -111,6 +116,19 @@ def test_diffusion_check_rejects_overflowing_symbol_only(dim, n):
     biggest = 0.99 * np.finfo(float).max * grid.spacing ** 2 / (4 * dim * dt)
     assert np.isfinite(implicit_diffusion(grid, v, biggest, dt)).all()
     assert np.array_equal(implicit_diffusion(grid, v, 0.0, dt), v)
+
+
+@pytest.mark.parametrize("n", [64, 128, 255, 256])
+def test_dense_diffusion_inverse_is_the_symmetrised_circulant(n):
+    """D has the bits of the n x n build it replaced: the circulant of the
+    inverse transform of 1/symbol, averaged with its transpose."""
+    grid, dt = build_grid(1, n), TimeGrid(1.0, 256).dt
+    col = np.fft.ifft(1.0 / _diffusion_denominator(grid, 0.05, dt)).real
+    idx = np.arange(n)
+    oracle = col[(idx[:, None] - idx[None, :]) % n]
+    oracle = 0.5 * (oracle + oracle.T)
+    D = _diffusion_matrix(grid, 0.05, dt)
+    assert np.array_equal(D, oracle) and D.flags.c_contiguous
 
 
 def test_time_grid_rejects_nan_horizon():

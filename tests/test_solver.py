@@ -13,14 +13,16 @@ from blindmfg.beliefs import (
     CostModel,
     aggregate_terminal,
     constant_cost,
+    moment_form_cost,
     product_form_cost,
 )
 from blindmfg.hjb_fp import DriftField, Hamiltonian, TimeGrid
 from blindmfg.monotonicity import lifted_pairing
 from blindmfg.solver import SolverConfig, solve_blind, solve_complete_info
-from blindmfg.torus import ScalarField, build_grid, mollified_dirac
+from blindmfg.torus import Density, ScalarField, build_grid, mollified_dirac
 
 from conftest import constant_field, equilibrium_gap, race_args, race_config, uniform_density
+from sweep_games import game_config
 
 
 def mild_product_cost(grid, amplitude=0.3):
@@ -218,20 +220,22 @@ class TestDampedIteration:
     """Relaxation 1 is plain Picard; damped runs are Anderson-accelerated."""
 
     def test_undamped_is_plain_picard(self):
-        from blindmfg.beliefs import aggregate_terminal, push_forward, running_cost_path
+        from blindmfg.beliefs import aggregate_terminal, coupling_series, push_forward
         from blindmfg.hjb_fp import optimal_drift, solve_hjb_backward, zero_drift
 
         grid, tg, cm, H, sigma = small_setup()
-        mu0 = Belief(np.array([0.5, 0.5]),
-                     (mollified_dirac(grid, 0.2), mollified_dirac(grid, 0.4)))
+        atoms = (mollified_dirac(grid, 0.2), mollified_dirac(grid, 0.4))
+        mu0 = Belief(np.array([0.5, 0.5]), atoms)
         cfg = SolverConfig(relaxation=1.0)
         sol = solve_blind(mu0, cm, H, sigma, tg, cfg)
+        # G is affine and H smooth: the series is the mean density's
+        mean = Belief(np.array([1.0]), (Density(grid, 0.5 * atoms[0].values
+                                                + 0.5 * atoms[1].values),))
+        terminal = aggregate_terminal(mu0, cm)
         b, u_prev, rows = zero_drift(grid, tg), None, []
         for _ in range(cfg.max_iter):
-            bp = push_forward(mu0, b, sigma, tg)
-            u = solve_hjb_backward(running_cost_path(bp, cm),
-                                   aggregate_terminal(bp.belief_at(tg.steps), cm),
-                                   H, sigma, tg)
+            c = coupling_series(push_forward(mean, b, sigma, tg), cm)
+            u = solve_hjb_backward(cm.running_from(grid, c), terminal, H, sigma, tg)
             b_new = optimal_drift(u, H)
             rows.append((float(np.max(np.abs(b_new.values - b.values))),
                          np.inf if u_prev is None
@@ -314,7 +318,7 @@ class TestDampedIteration:
 
         rng = np.random.default_rng(0)
         size, relaxation = 8, 0.5
-        mixer = _Anderson(size, bound=1e9)  # no clipping
+        mixer = _Anderson(size)
         xs, fs = [], []
 
         def expected(theta, pairs):
@@ -335,7 +339,7 @@ class TestDampedIteration:
             np.testing.assert_allclose(out, expected(theta, pairs), rtol=1e-10, atol=1e-12)
             x = out
 
-        warm = _Anderson(size, bound=1e9)
+        warm = _Anderson(size)
         g = rng.standard_normal(size)
         assert np.array_equal(warm.step(x, g, 0.4, relaxation), x + relaxation * (g - x))
 
@@ -358,6 +362,13 @@ class TestBlindGame:
         sol = solve_blind(*blind_game())
         assert sol.diagnostics["converged"]
         assert sol.diagnostics["iterations"] <= 6
+
+    def test_strongly_coupled_game_converges(self):
+        """A game of tests/sweep_games.py on which mixing the drift, not
+        the series, left the gap at 5.0e-6 after 300 iterations."""
+        sol = solve_blind(*blind_game(game_config(1.0, 0.05, 0.05, 0.2)))
+        assert sol.diagnostics["converged"]
+        assert sol.diagnostics["iterations"] <= 60
 
     def test_random_initial_drifts_reach_the_same_equilibrium(self):
         """The product-form cost with G the identity is monotone, so the
@@ -394,6 +405,58 @@ class TestBlindGame:
         for series in (u0, mT):
             changes = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(series, series[1:])]
             assert np.log2(changes[0] / changes[1]) >= 0.8
+
+
+class TestMeanPath:
+    """For affine G and a differentiable H the loop pushes the one mean
+    density sum_i w_i m_i(0), and the atoms once after it; other games
+    push the K atoms on every iteration."""
+
+    @staticmethod
+    def pushed_atoms(monkeypatch) -> list:
+        """The atom count of every belief the solver pushes, in order."""
+        import blindmfg.solver as solver_module
+
+        counts = []
+        push_forward = solver_module.push_forward
+
+        def spy(mu, b, sigma, tg):
+            counts.append(mu.n_atoms)
+            return push_forward(mu, b, sigma, tg)
+
+        monkeypatch.setattr(solver_module, "push_forward", spy)
+        return counts
+
+    @pytest.mark.parametrize("relaxation", [0.5, 1.0])
+    def test_mean_path_solve_matches_the_atoms(self, monkeypatch, relaxation):
+        mu0, cm, H, sigma, tg, cfg = damped_game()
+        cfg = replace(cfg, relaxation=relaxation)
+        counts = self.pushed_atoms(monkeypatch)
+        mean = solve_blind(mu0, cm, H, sigma, tg, cfg)
+        assert counts == [1] * mean.diagnostics["iterations"] + [3]
+        atoms = solve_blind(mu0, replace(cm, affine=False), H, sigma, tg, cfg)
+        assert set(counts[len(counts) - atoms.diagnostics["iterations"]:]) == {3}
+        assert mean.diagnostics["converged"] and atoms.diagnostics["converged"]
+
+        def rel(x, y):
+            return np.max(np.abs(x - y)) / np.max(np.abs(y))
+
+        assert rel(mean.value.values, atoms.value.values) <= 1e-12
+        assert rel(mean.drift.values, atoms.drift.values) <= 1e-12
+        for p, q in zip(mean.belief.values, atoms.belief.values):
+            assert rel(p, q) <= 1e-12
+
+    @pytest.mark.parametrize("game", ["moment_sqrt", "abs"])
+    def test_other_games_push_the_atoms(self, monkeypatch, game):
+        mu0, cm, H, sigma, tg, cfg = damped_game()
+        if game == "abs":
+            H = Hamiltonian("abs")
+        else:
+            cm = moment_form_cost(np.sqrt, mu0.grid)
+        counts = self.pushed_atoms(monkeypatch)
+        sol = solve_blind(mu0, cm, H, sigma, tg, replace(cfg, max_iter=4))
+        assert sol.diagnostics["iterations"] >= 2
+        assert len(counts) >= sol.diagnostics["iterations"] and set(counts) == {3}
 
 
 def damped_game():
